@@ -10,6 +10,11 @@ element factors as (word in affine simples) * (Omega part).
 
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
+
+This module keeps no state of its own.  Its memos (the affine simple system,
+the facets, and the length, reduced-word, Bruhat and lower-interval tables)
+live on the RootDatum they belong to, keyed by the (translation, finite)
+pair of each element; see RootDatum.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ class CapExceeded(RuntimeError):
 
 
 class AffineWeylElement:
-    """t_lambda * u with lambda a lattice coweight and u a finite Weyl element."""
+    """t_lambda * u with lambda a lattice coweight and u a finite Weyl element.
+
+    Elements are not interned; memo tables on the datum key them by the pair
+    (translation, finite), whose hash equals the element's own.
+    """
 
     __slots__ = ("datum", "translation", "finite", "_hash")
 
@@ -32,7 +41,7 @@ class AffineWeylElement:
         self.datum = datum
         self.translation = translation
         self.finite = finite
-        self._hash = hash((translation, finite.matrix))
+        self._hash = hash((translation, finite))
 
     def __eq__(self, other):
         return (isinstance(other, AffineWeylElement) and self.datum is other.datum
@@ -135,38 +144,27 @@ class AffineSimpleSystem:
         return beta.index(1)
 
 
-_SYSTEMS: dict[int, AffineSimpleSystem] = {}
-
-
 def simple_system(datum: RootDatum) -> AffineSimpleSystem:
-    sys = _SYSTEMS.get(id(datum))
-    if sys is None:
-        sys = AffineSimpleSystem(datum)
-        _SYSTEMS[id(datum)] = sys
-    return sys
+    if datum.affine_system is None:
+        datum.affine_system = AffineSimpleSystem(datum)
+    return datum.affine_system
 
 
 # -- length, words, Bruhat order -------------------------------------------------
 
-_LENGTH_CACHE: dict[tuple, int] = {}
-
-
 def length(w: AffineWeylElement) -> int:
     """Iwahori-Matsumoto closed form, pinned to agree with the alcove-walk
     count for the base alcove 0 < <alpha, x> < 1 (see oracle.brute_length)."""
-    key = (id(w.datum), w.translation, w.finite.matrix)
-    val = _LENGTH_CACHE.get(key)
+    memo = w.datum.length_memo
+    key = (w.translation, w.finite)
+    val = memo.get(key)
     if val is None:
         datum = w.datum
-        uinv = w.finite.inverse()
         val = 0
-        for rt in datum.positive_roots:
+        for rt, negated in zip(datum.positive_roots, w.finite.inverse_negates()):
             m = datum.pair(rt, w.translation)
-            if datum.is_positive_root(uinv.act_root(rt)):
-                val += abs(m)
-            else:
-                val += abs(m - 1)
-        _LENGTH_CACHE[key] = val
+            val += abs(m - 1) if negated else abs(m)
+        memo[key] = val
     return val
 
 
@@ -175,13 +173,6 @@ def aff_act(w: AffineWeylElement, aroot: AffineRoot) -> AffineRoot:
     beta, k = aroot
     ubeta = w.finite.act_root(beta)
     return (ubeta, k - w.datum.pair(ubeta, w.translation))
-
-
-def aff_is_positive(datum: RootDatum, aroot: AffineRoot) -> bool:
-    beta, k = aroot
-    if datum.is_positive_root(beta):
-        return k >= 0
-    return k >= 1
 
 
 def left_descents(w: AffineWeylElement):
@@ -200,14 +191,12 @@ def right_descents(w: AffineWeylElement):
             yield i
 
 
-_WORD_CACHE: dict[tuple, tuple] = {}
-
-
 def reduced_word(w: AffineWeylElement):
     """(word, tau): w = s_{i1} ... s_{ik} * tau with the word reduced and tau
     of length zero.  Deterministic: smallest left descent at every step."""
-    key = (id(w.datum), w.translation, w.finite.matrix)
-    cached = _WORD_CACHE.get(key)
+    memo = w.datum.word_memo
+    key = (w.translation, w.finite)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     sys = simple_system(w.datum)
@@ -222,7 +211,7 @@ def reduced_word(w: AffineWeylElement):
         else:
             raise RootDatumError("positive length element with no left descent")
     result = (tuple(word), cur)
-    _WORD_CACHE[key] = result
+    memo[key] = result
     return result
 
 
@@ -247,7 +236,7 @@ def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
 def omega_conjugate(tau: AffineWeylElement, i: int) -> int:
     """Index j with tau s_i tau^{-1} = s_j."""
     sys = simple_system(tau.datum)
-    key = (tau.translation, tau.finite.matrix, i)
+    key = (tau.translation, tau.finite, i)
     j = sys._omega_conj_cache.get(key)
     if j is None:
         conj = tau * sys.simple(i) * tau.inverse()
@@ -257,9 +246,6 @@ def omega_conjugate(tau: AffineWeylElement, i: int) -> int:
                                  "is the element length-zero?")
         sys._omega_conj_cache[key] = j
     return j
-
-
-_BRUHAT_CACHE: dict[tuple, bool] = {}
 
 
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
@@ -272,53 +258,71 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
         return True
     if omega_part(u) != omega_part(w):
         return False
-    return _bruhat_rec(u, w)
+    return _bruhat_descend(u, w)
 
 
-def _bruhat_rec(u, w):
-    # invariants: omega parts agree, u != w possible, ell(w) > 0 here
-    if u == w:
-        return True
-    lu, lw = length(u), length(w)
-    if lu > lw:
-        return False
-    if lw == 0:
-        return False
-    key = (id(u.datum), u.translation, u.finite.matrix, w.translation, w.finite.matrix)
-    val = _BRUHAT_CACHE.get(key)
-    if val is None:
-        sys = simple_system(u.datum)
-        i = next(iter(left_descents(w)))
-        s = sys.elements[i]
+def _bruhat_descend(u, w):
+    """Strip the smallest left descent s of w off w, and off u when it is a
+    descent of u too, until the answer is plain; every pair passed on the
+    way gets that answer in the memo.  Omega parts of u and w agree."""
+    memo = u.datum.bruhat_memo
+    sys = simple_system(u.datum)
+    passed = []
+    while True:
+        if u == w:
+            val = True
+            break
+        lu, lw = length(u), length(w)
+        if lu > lw or lw == 0:
+            val = False
+            break
+        key = (u.translation, u.finite, w.translation, w.finite)
+        val = memo.get(key)
+        if val is not None:
+            break
+        passed.append(key)
+        s = sys.elements[next(iter(left_descents(w)))]
         su = s * u
         if length(su) < lu:
-            val = _bruhat_rec(su, s * w)
-        else:
-            val = _bruhat_rec(u, s * w)
-        _BRUHAT_CACHE[key] = val
+            u = su
+        w = s * w
+    for key in passed:
+        memo[key] = val
     return val
-
-
-_LOWER_CACHE: dict[tuple, frozenset] = {}
 
 
 def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
-    """All v <= w in Bruhat order (within the Omega fiber of w)."""
-    key = (id(w.datum), w.translation, w.finite.matrix)
-    val = _LOWER_CACHE.get(key)
-    if val is None:
+    """All v <= w in Bruhat order (within the Omega fiber of w).
+
+    Walks down w > ws > wss ... by smallest right descents to a memo hit or
+    a length-zero element, then builds each lower set on the way back up as
+    below | below * s.  Every set built is memoized, and the first one
+    larger than the cap raises CapExceeded.
+    """
+    memo = w.datum.lower_memo
+    sys = simple_system(w.datum)
+    passed = []  # (key, s) from w downwards
+    while True:
+        key = (w.translation, w.finite)
+        val = memo.get(key)
+        if val is not None:
+            break
         if length(w) == 0:
-            val = frozenset([w])
-        else:
-            sys = simple_system(w.datum)
-            i = next(iter(right_descents(w)))
-            s = sys.elements[i]
-            below = lower_set(w * s, cap)
-            val = frozenset(below | {v * s for v in below})
-        _LOWER_CACHE[key] = val
+            val = memo[key] = frozenset([w])
+            break
+        s = sys.elements[next(iter(right_descents(w)))]
+        passed.append((key, s))
+        w = w * s
+    _check_interval_cap(val, cap)
+    for key, s in reversed(passed):
+        val = memo[key] = frozenset(val | {v * s for v in val})
+        _check_interval_cap(val, cap)
+    return val
+
+
+def _check_interval_cap(val: frozenset, cap: int | None):
     if cap is not None and len(val) > cap:
         raise CapExceeded(f"lower interval has {len(val)} > {cap} elements")
-    return val
 
 
 # -- Demazure product ---------------------------------------------------------------
@@ -409,15 +413,12 @@ class Facet:
         return self._special
 
 
-_FACETS: dict[tuple, Facet] = {}
-
-
 def facet(datum: RootDatum, indices) -> Facet:
-    key = (id(datum), tuple(sorted(set(indices))))
-    f = _FACETS.get(key)
+    key = tuple(sorted(set(indices)))
+    f = datum.facets.get(key)
     if f is None:
         f = Facet(datum, indices)
-        _FACETS[key] = f
+        datum.facets[key] = f
     return f
 
 

@@ -130,12 +130,6 @@ class GenericHeckeElement:
         return " + ".join(f"({p})*T[{w}]" for w, p in terms) or "0"
 
 
-def generic_multiply(a: GenericHeckeElement, b: GenericHeckeElement):
-    if a.datum is not b.datum:
-        raise RootDatumError("datum mismatch")
-    return a * b
-
-
 def specialize_q0_mod_p(a: GenericHeckeElement, p: int, facet: Facet) -> HeckeElement:
     """Evaluate q -> 0, reduce mod p, reindex by double cosets (Iwahori only:
     each element is its own double coset)."""
@@ -167,12 +161,10 @@ def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
 
 # -- Bruhat order by subwords ---------------------------------------------------------
 
-_SUBWORD_CACHE: dict = {}
-
-
 def _subword_products(w: AffineWeylElement, cap: int):
-    key = (id(w.datum), w.translation, w.finite.matrix)
-    val = _SUBWORD_CACHE.get(key)
+    memo = w.datum.subword_memo
+    key = (w.translation, w.finite)
+    val = memo.get(key)
     if val is None:
         if length(w) > cap:
             raise aw.CapExceeded(f"length {length(w)} exceeds subword cap {cap}")
@@ -183,7 +175,7 @@ def _subword_products(w: AffineWeylElement, cap: int):
             s = sys.elements[i]
             partial |= {v * s for v in partial}
         val = frozenset(v * tau for v in partial)
-        _SUBWORD_CACHE[key] = val
+        memo[key] = val
     return val
 
 

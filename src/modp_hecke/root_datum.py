@@ -6,6 +6,11 @@ which are fundamental-coweight coordinates on the semisimple part followed
 by central-torus coordinates.  In ambient coordinates the pairing of the
 i-th simple root with a coweight x is simply x[i], so everything downstream
 reduces to small integer dot products.
+
+Every memo of the package lives on the RootDatum it belongs to: finite Weyl
+elements are interned per datum and carry their own product, root-image,
+inversion and word memos, and the datum holds the tables of the affine and
+oracle layers.  Nothing is cached at module level except the preset data.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 import json
+import math
 
 Root = tuple[int, ...]      # coordinates in the simple-root basis
 Coweight = tuple[int, ...]  # ambient coordinates
@@ -89,15 +95,26 @@ class CartanDatum:
 
 class FiniteWeylElement:
     """Element of the finite Weyl group, stored as its integer matrix acting
-    on ambient coweight coordinates (column-vector convention)."""
+    on ambient coweight coordinates (column-vector convention).
 
-    __slots__ = ("datum", "matrix", "_hash", "_inv")
+    Elements are interned per datum by their matrix, so each one carries its
+    own lazy memos: products with other elements, images of roots, the
+    positive roots its inverse makes negative, and its canonical word.  The
+    matrix arithmetic runs only on a memo miss.
+    """
+
+    __slots__ = ("datum", "matrix", "_hash", "_inv", "_products", "_root_images",
+                 "_inverse_negates", "_word")
 
     def __init__(self, datum: "RootDatum", matrix: tuple[tuple[int, ...], ...]):
         self.datum = datum
         self.matrix = matrix
         self._hash = hash(matrix)
         self._inv = None
+        self._products: dict[FiniteWeylElement, FiniteWeylElement] = {}
+        self._root_images: dict[Root, Root] = {}
+        self._inverse_negates = None
+        self._word = None
 
     def __eq__(self, other):
         return (isinstance(other, FiniteWeylElement)
@@ -107,13 +124,17 @@ class FiniteWeylElement:
         return self._hash
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        if self.datum is not other.datum:
-            raise RootDatumError("datum mismatch")
-        return self.datum._intern_weyl(_mat_mul(self.matrix, other.matrix))
+        prod = self._products.get(other)
+        if prod is None:
+            if self.datum is not other.datum:
+                raise RootDatumError("datum mismatch")
+            prod = self.datum._intern_weyl(_mat_mul(self.matrix, other.matrix))
+            self._products[other] = prod
+        return prod
 
     def inverse(self) -> "FiniteWeylElement":
         if self._inv is None:
-            self._inv = self.datum._intern_weyl(_mat_inv(self.matrix))
+            self._inv = self.datum._intern_weyl(_integer_inverse(self.matrix))
         return self._inv
 
     def is_identity(self) -> bool:
@@ -125,9 +146,24 @@ class FiniteWeylElement:
 
     def act_root(self, root: Root) -> Root:
         """Dual action on roots (simple-root coordinates)."""
-        n = self.datum.n
-        minv = self.inverse().matrix
-        return tuple(sum(root[i] * minv[i][j] for i in range(n)) for j in range(n))
+        img = self._root_images.get(root)
+        if img is None:
+            n = self.datum.n
+            minv = self.inverse().matrix
+            img = tuple(sum(root[i] * minv[i][j] for i in range(n)) for j in range(n))
+            self._root_images[root] = img
+        return img
+
+    def inverse_negates(self) -> tuple[bool, ...]:
+        """One flag per positive root of the datum, in its order: True iff the
+        inverse of this element sends that root to a negative root."""
+        if self._inverse_negates is None:
+            datum = self.datum
+            uinv = self.inverse()
+            self._inverse_negates = tuple(
+                not datum.is_positive_root(uinv.act_root(rt))
+                for rt in datum.positive_roots)
+        return self._inverse_negates
 
     def __repr__(self):
         return f"FiniteWeylElement{self.datum.finite_word(self)}"
@@ -139,36 +175,16 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def _det(a) -> Fraction:
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [e * inv for e in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [e - f * g for e, g in zip(m[r], m[col])]
-    return det
-
-
-def _mat_inv(a):
-    """Exact inverse of an integer matrix; entries must come out integral."""
+def _fraction_inverse(a):
+    """Exact inverse of a square matrix over the rationals, as rows of
+    Fractions, or None when the matrix is singular."""
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise RootDatumError("singular matrix")
+            return None
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [e * inv for e in aug[col]]
@@ -176,46 +192,15 @@ def _mat_inv(a):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise RootDatumError("matrix is not invertible over the integers")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
+    return [row[n:] for row in aug]
 
 
-def _solve_rational(basis_rows, target):
-    """Solve sum_j c_j * basis_rows[j] = target over the rationals."""
-    n = len(basis_rows)
-    dim = len(target)
-    aug = [[Fraction(basis_rows[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(dim)]
-    c = [Fraction(0)] * n
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(row, dim) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [e * inv for e in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * g for e, g in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, dim):
-        if aug[r][n] != 0:
-            return None
-    for r, col in enumerate(pivots):
-        c[col] = aug[r][n]
-    return c
+def _integer_inverse(a):
+    """Exact inverse of an integer matrix; entries must come out integral."""
+    inv = _fraction_inverse(a)
+    if inv is None or any(v.denominator != 1 for row in inv for v in row):
+        raise RootDatumError("matrix is not invertible over the integers")
+    return tuple(tuple(int(v) for v in row) for row in inv)
 
 
 def _diagonalize_lattice(rows, dim):
@@ -295,6 +280,17 @@ class RootDatum:
     Positive roots are generated by closing the simple roots under simple
     reflections; coroots are carried along in parallel so no inner products
     are ever needed.
+
+    The datum owns every memo of the computations built on it, so a memo
+    lives and dies with its datum and can never answer for another one:
+
+    - here: the interned finite Weyl elements (each with its own memos, see
+      FiniteWeylElement), the Smith form of X/Q^vee and the list of W0;
+    - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
+      (by sorted index tuple), and `length_memo`, `word_memo`,
+      `bruhat_memo`, `lower_memo`, keyed by `(translation, finite)` of the
+      affine elements involved;
+    - for `oracle`: `subword_memo`, keyed the same way.
     """
 
     def __init__(self, cartan: CartanDatum, spec_string: str | None = None):
@@ -326,10 +322,17 @@ class RootDatum:
             self.dim = len(rows[0])
             if self.dim < self.n or len(rows) != self.dim:
                 raise RootDatumError("lattice basis must be square of size >= rank")
-            if _det(rows) == 0:
-                raise RootDatumError("lattice basis is singular")
             basis = list(rows)
         self.x_basis = tuple(basis)
+        inv = _fraction_inverse(self.x_basis)
+        if inv is None:
+            raise RootDatumError("lattice basis is singular")
+        # x_coords(v)[j] = <v, x_inverse_cols[j]> / x_inverse_den, integral
+        # exactly when v lies in the lattice.
+        self.x_inverse_den = math.lcm(*(v.denominator for row in inv for v in row))
+        self.x_inverse_cols = tuple(
+            tuple(int(row[j] * self.x_inverse_den) for row in inv)
+            for j in range(self.dim))
         self.lattice_label = cartan.lattice if cartan.lattice in ("sc", "ad") else "explicit"
 
         self.simple_coroots = tuple(
@@ -349,6 +352,14 @@ class RootDatum:
         self._snf_data = None
         self._w0_elements = None
         self.spec_string = spec_string or self._default_spec_string()
+
+        self.affine_system = None
+        self.facets: dict = {}
+        self.length_memo: dict = {}
+        self.word_memo: dict = {}
+        self.bruhat_memo: dict = {}
+        self.lower_memo: dict = {}
+        self.subword_memo: dict = {}
 
     # -- construction helpers --------------------------------------------------
 
@@ -431,10 +442,14 @@ class RootDatum:
 
     def x_coords(self, coweight: Coweight):
         """Coordinates in the chosen lattice basis, or None if outside X."""
-        sol = _solve_rational(self.x_basis, coweight)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        return tuple(int(x) for x in sol)
+        den = self.x_inverse_den
+        out = []
+        for col in self.x_inverse_cols:
+            c, rem = divmod(sum(v * a for v, a in zip(coweight, col)), den)
+            if rem:
+                return None
+            out.append(c)
+        return tuple(out)
 
     def coweight_from_x_coords(self, coords) -> Coweight:
         if len(coords) != self.dim:
@@ -468,33 +483,31 @@ class RootDatum:
         return self._w0_elements
 
     def finite_length(self, w: FiniteWeylElement) -> int:
-        return sum(1 for rt in self.positive_roots
-                   if not self.is_positive_root(w.act_root(rt)))
+        return sum(w.inverse_negates())  # ell(w) = ell(w^-1)
 
     def finite_word(self, w: FiniteWeylElement) -> tuple[int, ...]:
         """Canonical reduced word (smallest left descent first), as 0-based
         simple-root indices."""
-        word = []
-        cur = w
-        while True:
-            winv = cur.inverse()
-            for i in range(self.n):
-                alpha = tuple(int(j == i) for j in range(self.n))
-                if not self.is_positive_root(winv.act_root(alpha)):
-                    word.append(i)
-                    cur = self.simple_reflections[i] * cur
+        if w._word is None:
+            word = []
+            cur = w
+            while True:
+                winv = cur.inverse()
+                for i in range(self.n):
+                    alpha = tuple(int(j == i) for j in range(self.n))
+                    if not self.is_positive_root(winv.act_root(alpha)):
+                        word.append(i)
+                        cur = self.simple_reflections[i] * cur
+                        break
+                else:
                     break
-            else:
-                break
-        return tuple(word)
+            w._word = tuple(word)
+        return w._word
 
     # -- anti-dominance ---------------------------------------------------------------
 
     def is_antidominant(self, coweight: Coweight) -> bool:
         return all(self.pair(rt, coweight) <= 0 for rt in self.positive_roots)
-
-    def is_dominant(self, coweight: Coweight) -> bool:
-        return all(self.pair(rt, coweight) >= 0 for rt in self.positive_roots)
 
     def antidominant_representative(self, coweight: Coweight):
         """The unique anti-dominant point of the W0-orbit, plus a Weyl element
@@ -516,7 +529,7 @@ class RootDatum:
         if self._snf_data is None:
             coroot_rows = [self.x_coords(crt) for crt in self.simple_coroots]
             diag, ctrans = _diagonalize_lattice(coroot_rows, self.dim)
-            self._snf_data = (tuple(diag), ctrans, _mat_inv(ctrans))
+            self._snf_data = (tuple(diag), ctrans, _integer_inverse(ctrans))
         return self._snf_data
 
     def fundamental_group_class(self, coweight: Coweight) -> tuple[int, ...]:

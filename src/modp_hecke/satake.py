@@ -20,7 +20,6 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
@@ -464,33 +463,14 @@ def _translation_length(datum: RootDatum, z: Coweight) -> int:
 def _coordinate_radius(datum: RootDatum, length_cap: int) -> int:
     """Box radius r such that every anti-dominant z with ell(t_z) <= cap has
     lattice coordinates within [-r, r]: solve the basis pairings exactly."""
-    # For semisimple data the coordinates are a rational image of the simple
-    # pairings, each bounded by the cap; take the max row sum of the inverse.
-    n, dim = datum.n, datum.dim
-    mat = [[Fraction(datum.pair(tuple(int(j == i) for j in range(n)), b))
-            for b in datum.x_basis] for i in range(n)]
-    if n == dim:
-        inv = _fraction_inverse(mat)
-        norm = max(sum(abs(e) for e in row) for row in inv)
-        return int(norm * length_cap) + 1
+    # For semisimple data the simple pairings are the ambient coordinates,
+    # each bounded by the cap, and the lattice coordinates are their image
+    # under the inverse basis; take its largest absolute column sum.
+    if datum.n == datum.dim:
+        norm = max(sum(abs(e) for e in col) for col in datum.x_inverse_cols)
+        return norm * length_cap // datum.x_inverse_den + 1
     # Central directions do not affect length; bound them by the cap itself.
     return length_cap
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def special_satake_image(facet: Facet, prime: int, length_cap: int = 8,

@@ -213,3 +213,11 @@ def test_determinism():
 
 def test_main_entrypoint_direct():
     assert main(["weyl", "length", "A1", "--elt", "e"]) == 0
+
+
+def test_long_element_leq_is_not_a_traceback(capsys):
+    # t[-600] has length 1200: the Bruhat walk must not recurse per letter.
+    code = main(["weyl", "leq", "A1", "--u", "e", "--w", "t[-600]"])
+    assert code in (0, 3)
+    if code == 0:
+        assert capsys.readouterr().out.strip() == "true"

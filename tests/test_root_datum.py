@@ -1,7 +1,9 @@
+import gc
 import random
 
 import pytest
 
+from modp_hecke import affine_weyl as aw
 from modp_hecke import root_datum as rd
 
 
@@ -168,3 +170,22 @@ def test_explicit_lattice_with_central_torus():
     assert d.fundamental_group_order() is None
     cls = d.fundamental_group_class((1, 1))
     assert any(cls)
+
+
+def test_memos_do_not_outlive_their_datum():
+    # A2 and B2 on the same explicit lattice, built and freed in turn, so a
+    # new datum may reuse the address of the one just collected.
+    docs = ((dict(type="A2", rank=2, lattice_basis=[[1, 0], [0, 1]]), 2),
+            (dict(type="B2", rank=2, lattice_basis=[[1, 0], [0, 1]]), 3))
+    wrong = 0
+    gc.freeze()  # keep what earlier tests allocated out of the collections below
+    try:
+        for _ in range(200):
+            for doc, expected in docs:
+                gc.collect()
+                d = rd.from_json(doc)
+                if aw.length(aw.AffineWeylElement(d, (1, -1), d.weyl_identity)) != expected:
+                    wrong += 1
+    finally:
+        gc.unfreeze()
+    assert wrong == 0
