@@ -7,12 +7,12 @@ together with independent brute-force oracles for every layer.
 """
 
 from .root_datum import (CartanDatum, FiniteWeylElement, RootDatum,
-                         RootDatumError, build_root_datum, from_json, preset)
+                         RootDatumError, from_json, preset)
 from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           Facet, bruhat_leq, demazure_mult, demazure_product,
                           double_coset_rep, element_to_string,
                           enumerate_lower_interval, facet, hyperspecial,
-                          identity, is_special_facet, iwahori, length,
+                          identity, iwahori, length,
                           min_coset_rep, omega_conjugate, parse_element,
                           reduced_word, translation)
 from .hecke import (ConvolutionWitness, HeckeElement, HeckeError, convolve,

@@ -19,7 +19,8 @@ pair of each element; see RootDatum.
 
 from __future__ import annotations
 
-from .root_datum import Coweight, FiniteWeylElement, Root, RootDatum, RootDatumError
+from .root_datum import (Coweight, FiniteWeylElement, Root, RootDatum, RootDatumError,
+                         closure)
 
 AffineRoot = tuple[Root, int]
 
@@ -203,13 +204,11 @@ def reduced_word(w: AffineWeylElement):
     word = []
     cur = w
     while length(cur) > 0:
-        for i in sys.indices:
-            if length(sys.elements[i] * cur) < length(cur):
-                word.append(i)
-                cur = sys.elements[i] * cur
-                break
-        else:
+        i = next(left_descents(cur), None)
+        if i is None:
             raise RootDatumError("positive length element with no left descent")
+        word.append(i)
+        cur = sys.elements[i] * cur
     result = (tuple(word), cur)
     memo[key] = result
     return result
@@ -224,12 +223,10 @@ def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
     cur = translation(datum, coweight)
     sys = simple_system(datum)
     while length(cur) > 0:
-        for i in sys.indices:
-            if length(cur * sys.elements[i]) < length(cur):
-                cur = cur * sys.elements[i]
-                break
-        else:
+        i = next(right_descents(cur), None)
+        if i is None:
             raise RootDatumError("descent search failed")
+        cur = cur * sys.elements[i]
     return cur
 
 
@@ -369,22 +366,12 @@ class Facet:
         for i in self.indices:
             if i not in sys.elements:
                 raise RootDatumError(f"invalid affine simple index {i}")
-        cap = len(datum.w0_elements())
         gens = [sys.elements[i] for i in self.indices]
-        seen = {identity(datum)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    p = w * g
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-            if len(seen) > cap:
-                raise RootDatumError(
-                    f"facet {self.indices} does not generate a finite parabolic")
+        seen = closure([identity(datum)], lambda w: (w * g for g in gens),
+                       limit=len(datum.w0_elements()))
+        if seen is None:
+            raise RootDatumError(
+                f"facet {self.indices} does not generate a finite parabolic")
         self.elements = tuple(sorted(seen, key=element_sort_key))
         self._special = None
         self._hash = hash((id(datum), self.indices))
@@ -429,10 +416,6 @@ def iwahori(datum: RootDatum) -> Facet:
 def hyperspecial(datum: RootDatum) -> Facet:
     """The facet of all finite simple reflections (the base vertex)."""
     return facet(datum, simple_system(datum).finite_indices)
-
-
-def is_special_facet(f: Facet) -> bool:
-    return f.is_special()
 
 
 def element_sort_key(w: AffineWeylElement):
@@ -497,22 +480,14 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     return DoubleCosetIndex(f, best)
 
 
-def enumerate_lower_interval(idx: DoubleCosetIndex, cap: int | None = 20000,
-                             cache=None) -> frozenset:
+def enumerate_lower_interval(idx: DoubleCosetIndex, cap: int | None = 20000) -> frozenset:
     """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices."""
     f = idx.facet
-    if cache is not None:
-        hit = cache.get(f, idx.rep)
-        if hit is not None:
-            return frozenset(DoubleCosetIndex(f, parse_element(f.datum, s))
-                             for s in hit)
     out = set()
     for v in lower_set(idx.rep, cap):
         c = double_coset_rep(v, f)
         if c.rep == v:
             out.add(c)
-    if cache is not None:
-        cache.put(f, idx.rep, sorted(element_to_string(c.rep) for c in out))
     return frozenset(out)
 
 
@@ -528,17 +503,8 @@ def length_ball(datum: RootDatum, length_cap: int):
     sys = simple_system(datum)
     taus = [omega_element(datum, rep)
             for rep in datum.fundamental_group_torsion_reps()]
-    seen = set(taus)
-    frontier = list(taus)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in sys.indices:
-                p = w * sys.elements[i]
-                if length(p) <= length_cap and p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
+    seen = closure(taus, lambda w: (p for p in (w * sys.elements[i] for i in sys.indices)
+                                    if length(p) <= length_cap))
     return sorted(seen, key=element_sort_key)
 
 

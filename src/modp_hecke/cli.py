@@ -2,7 +2,7 @@
 
 Subcommands mirror the library layers: `weyl` for word-level computations,
 `hecke` for algebra products and point counts, `satake` for transforms,
-`oracle check` for the cross-validation matrix, and `cache` administration.
+and `oracle check` for the cross-validation matrix.
 
 Exit codes: 0 success, 2 parse error, 3 cap exceeded, 4 precondition
 violation, 5 I/O failure.
@@ -12,60 +12,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 from . import affine_weyl as aw
 from . import oracle as oracle_mod
 from . import root_datum as rd
 from . import satake as sat
 from .affine_weyl import CapExceeded, element_to_string, parse_element, word_form
-from .cache import CacheIOError, IntervalCache, warm
 from .hecke import (HeckeError, convolve_phi_classes, phi_basis_element,
                     point_count_polynomial, poly_string)
 from .root_datum import RootDatumError
 from .satake import SatakeError
-
-CACHE_ENV = "MODP_HECKE_CACHE_DIR"
-DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "modp-hecke")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
 EXIT_IO = 5
-
-
-@dataclass
-class SessionConfig:
-    """Resolved run configuration; round-trips through its canonical string."""
-
-    datum: str = "A1:sc"
-    facet: tuple = ()
-    levi: tuple | None = None
-    prime: int = 2
-    interval_cap: int = 20000
-    length_cap: int = 8
-    cache_dir: str = field(default_factory=lambda: os.environ.get(CACHE_ENV, DEFAULT_CACHE))
-
-    def canonical_string(self) -> str:
-        levi = "-" if self.levi is None else ",".join(map(str, self.levi))
-        return (f"datum={self.datum};facet={','.join(map(str, self.facet))};"
-                f"levi={levi};p={self.prime};interval_cap={self.interval_cap};"
-                f"length_cap={self.length_cap};cache={self.cache_dir}")
-
-    @classmethod
-    def from_canonical_string(cls, text: str) -> "SessionConfig":
-        fields = dict(part.split("=", 1) for part in text.split(";"))
-        levi = fields["levi"]
-        return cls(datum=fields["datum"],
-                   facet=_parse_indices(fields["facet"]),
-                   levi=None if levi == "-" else _parse_indices(levi),
-                   prime=int(fields["p"]),
-                   interval_cap=int(fields["interval_cap"]),
-                   length_cap=int(fields["length_cap"]),
-                   cache_dir=fields["cache"])
 
 
 def _parse_indices(text: str) -> tuple:
@@ -96,13 +59,10 @@ def _load_datum(spec: str):
 
 
 def _emit(args, payload):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+    if not getattr(args, "json", False) and isinstance(payload, dict) and "text" in payload:
+        print(payload["text"])
     else:
-        if isinstance(payload, dict) and "text" in payload:
-            print(payload["text"])
-        else:
-            print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
 
 
 # -- weyl ------------------------------------------------------------------------
@@ -172,7 +132,7 @@ def cmd_satake(args) -> int:
         rows = []
         for z in sat.enumerate_antidominant(datum, args.cap):
             rows.append({"coweight": list(datum.x_coords(z)),
-                         "length": sat._translation_length(datum, z)})
+                         "length": aw.length(aw.translation(datum, z))})
         text = "\n".join(f"t{r['coweight']}  ell={r['length']}" for r in rows)
         _emit(args, {"text": text, "lambda_minus": rows})
         return EXIT_OK
@@ -182,6 +142,8 @@ def cmd_satake(args) -> int:
             raise SatakeError("--special requires a special facet")
         if not levi.is_minimal:
             raise SatakeError("--special requires the minimal Levi")
+    if args.w is None:
+        raise ValueError("satake needs --w unless --list-lambda-minus is given")
     w = aw.double_coset_rep(parse_element(datum, args.w), f)
     label = sat.closed_attractor_component(w, levi, f)
     has_point = sat.component_has_levi_point(label)
@@ -211,26 +173,6 @@ def cmd_oracle(args) -> int:
         print(f"{r['datum']:>8}  {name:<12} {status}  {json.dumps(r, sort_keys=True)}")
     print("oracle check:", "all pass" if ok else "FAILURES")
     return EXIT_OK if ok else 1
-
-
-# -- cache ------------------------------------------------------------------------
-
-
-def cmd_cache(args) -> int:
-    cache = IntervalCache(args.dir)
-    if args.cache_cmd == "stats":
-        _emit(args, {"text": json.dumps(cache.stats(), sort_keys=True),
-                     **cache.stats()})
-    elif args.cache_cmd == "clear":
-        removed = cache.clear()
-        _emit(args, {"text": f"removed {removed} entries", "removed": removed})
-    elif args.cache_cmd == "warm":
-        datum = _load_datum(args.datum)
-        f = aw.facet(datum, _parse_indices(args.facet))
-        count = warm(cache, datum, f, args.len)
-        _emit(args, {"text": f"{count} interval entries", "classes": count,
-                     "entries": cache.entry_count()})
-    return EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -306,19 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bruhat-cap", type=int, default=4)
     q.add_argument("--length-cap", type=int, default=6)
 
-    c = sub.add_parser("cache", help="interval cache administration")
-    csub = c.add_subparsers(dest="cache_cmd", required=True)
-    for name in ("stats", "clear"):
-        q = csub.add_parser(name)
-        q.add_argument("--dir", default=os.environ.get(CACHE_ENV, DEFAULT_CACHE))
-        q.add_argument("--json", action="store_true")
-    q = csub.add_parser("warm")
-    q.add_argument("datum")
-    q.add_argument("--facet", default="")
-    q.add_argument("--len", type=int, default=6)
-    q.add_argument("--dir", default=os.environ.get(CACHE_ENV, DEFAULT_CACHE))
-    q.add_argument("--json", action="store_true")
-
     return p
 
 
@@ -327,6 +256,8 @@ def _apply_config(args, argv):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         given = set(argv)
         for key, val in doc.items():
             attr = key.replace("-", "_")
@@ -353,8 +284,6 @@ def main(argv=None) -> int:
             return cmd_satake(args)
         if args.cmd == "oracle":
             return cmd_oracle(args)
-        if args.cmd == "cache":
-            return cmd_cache(args)
         return EXIT_PARSE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,7 +294,7 @@ def main(argv=None) -> int:
     except (RootDatumError, HeckeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CacheIOError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -44,12 +44,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def poly_scale(a: Poly, c: int) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
 def poly_eval(a: Poly, q: int) -> int:
     val = 0
     for c in reversed(a):
@@ -224,8 +218,7 @@ def check_convolution(datum: RootDatum, length_cap: int = 3,
     """Compare hecke.convolve against the generic-Hecke oracle on all ordered
     pairs of Iwahori phi classes up to the length cap.  Returns a summary."""
     f = aw.iwahori(datum)
-    elements = [w for w in _ball(datum, length_cap)]
-    classes = [DoubleCosetIndex(f, w) for w in elements]
+    classes = [DoubleCosetIndex(f, w) for w in aw.length_ball(datum, length_cap)]
     pairs = 0
     for p in primes:
         for w1 in classes:
@@ -242,7 +235,7 @@ def check_convolution(datum: RootDatum, length_cap: int = 3,
 
 
 def check_bruhat(datum: RootDatum, length_cap: int = 4) -> dict:
-    elements = _ball(datum, length_cap)
+    elements = aw.length_ball(datum, length_cap)
     pairs = 0
     for u in elements:
         for w in elements:
@@ -255,16 +248,12 @@ def check_bruhat(datum: RootDatum, length_cap: int = 4) -> dict:
 
 
 def check_length(datum: RootDatum, length_cap: int = 6) -> dict:
-    elements = _ball(datum, length_cap)
+    elements = aw.length_ball(datum, length_cap)
     for w in elements:
         if length(w) != brute_length(w):
             return {"datum": datum.spec_string, "ok": False, "failed": repr(w)}
     return {"datum": datum.spec_string, "ok": True, "count": len(elements),
             "length_cap": length_cap}
-
-
-def _ball(datum: RootDatum, length_cap: int):
-    return aw.length_ball(datum, length_cap)
 
 
 def run_checks(specs=("A1", "A2"), conv_cap: int = 3, bruhat_cap: int = 4,

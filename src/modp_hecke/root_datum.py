@@ -11,6 +11,8 @@ Every memo of the package lives on the RootDatum it belongs to: finite Weyl
 elements are interned per datum and carry their own product, root-image,
 inversion and word memos, and the datum holds the tables of the affine and
 oracle layers.  Nothing is cached at module level except the preset data.
+The groups and orbits the package enumerates (W0, W_f, W0(M), the roots, the
+length balls of W) all come from one breadth-first search, `closure`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+import itertools
 import json
 import math
 
@@ -37,6 +40,24 @@ VALID_RANKS = {
 
 class RootDatumError(ValueError):
     pass
+
+
+def closure(seeds, neighbours, limit=None):
+    """Everything reachable from `seeds` through `neighbours(x)` (an iterable),
+    found level by level; None as soon as a level takes it past `limit`."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in neighbours(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+        if limit is not None and len(seen) > limit:
+            return None
+    return seen
 
 
 def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
@@ -380,20 +401,15 @@ class RootDatum:
         return self._intern_weyl(tuple(rows))
 
     def _generate_roots(self):
+        def reflect(pair):
+            rt, crt = pair
+            for i in range(self.n):
+                m = sum(rt[k] * self.cartan[k][i] for k in range(self.n))
+                yield (tuple(rt[j] - m * (j == i) for j in range(self.n)),
+                       self.simple_reflections[i].act(crt))
+
         simple_roots = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        pairs = dict(zip(simple_roots, self.simple_coroots))
-        frontier = list(pairs.items())
-        while frontier:
-            nxt = []
-            for rt, crt in frontier:
-                for i in range(self.n):
-                    m = sum(rt[k] * self.cartan[k][i] for k in range(self.n))
-                    new_rt = tuple(rt[j] - m * (j == i) for j in range(self.n))
-                    if new_rt not in pairs:
-                        new_crt = self.simple_reflections[i].act(crt)
-                        pairs[new_rt] = new_crt
-                        nxt.append((new_rt, new_crt))
-            frontier = nxt
+        pairs = dict(closure(zip(simple_roots, self.simple_coroots), reflect))
         pos = sorted(rt for rt in pairs if all(x >= 0 for x in rt))
         if len(pairs) != 2 * len(pos):
             raise RootDatumError("root closure is not symmetric")
@@ -468,17 +484,8 @@ class RootDatum:
     def w0_elements(self) -> tuple[FiniteWeylElement, ...]:
         """All elements of the finite Weyl group."""
         if self._w0_elements is None:
-            seen = {self.weyl_identity}
-            frontier = [self.weyl_identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for s in self.simple_reflections:
-                        p = s * w
-                        if p not in seen:
-                            seen.add(p)
-                            nxt.append(p)
-                frontier = nxt
+            seen = closure([self.weyl_identity],
+                           lambda w: (s * w for s in self.simple_reflections))
             self._w0_elements = tuple(sorted(seen, key=self.finite_word))
         return self._w0_elements
 
@@ -554,18 +561,11 @@ class RootDatum:
         """One coweight representative per torsion class of X/Q^vee."""
         diag, _, cinv = self._snf()
         reps = []
-
-        def rec(i, acc):
-            if i == len(diag):
-                y = acc + [0] * (self.dim - len(diag))
-                coords = tuple(sum(y[j] * cinv[j][i2] for j in range(self.dim))
-                               for i2 in range(self.dim))
-                reps.append(self.coweight_from_x_coords(coords))
-                return
-            for v in range(diag[i]):
-                rec(i + 1, acc + [v])
-
-        rec(0, [])
+        for torsion in itertools.product(*(range(d) for d in diag)):
+            y = torsion + (0,) * (self.dim - len(diag))
+            coords = tuple(sum(y[j] * cinv[j][i] for j in range(self.dim))
+                           for i in range(self.dim))
+            reps.append(self.coweight_from_x_coords(coords))
         return tuple(reps)
 
     def __repr__(self):
@@ -587,10 +587,6 @@ def _parse_components(typ: str) -> tuple[tuple[str, int], ...]:
     return tuple(comps)
 
 
-def build_root_datum(cartan: CartanDatum) -> RootDatum:
-    return RootDatum(cartan)
-
-
 def preset(spec: str) -> RootDatum:
     """Root datum for a preset string like 'A2', 'C2:sc' or 'A1:ad'.
 
@@ -610,11 +606,17 @@ def from_json(doc) -> RootDatum:
     """Explicit-lattice datum from a {type, rank, lattice_basis} document."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict) or not {"type", "lattice_basis"} <= doc.keys():
+        raise RootDatumError("datum document must be an object with 'type' and "
+                             "'lattice_basis'")
     typ = str(doc["type"])
     if not any(ch.isdigit() for ch in typ):
-        typ = f"{typ}{doc['rank']}"
+        typ = f"{typ}{doc.get('rank', '')}"
     comps = _parse_components(typ)
-    if "rank" in doc and sum(r for _, r in comps) != int(doc["rank"]):
-        raise RootDatumError("rank field disagrees with type string")
-    basis = tuple(tuple(int(e) for e in row) for row in doc["lattice_basis"])
+    try:
+        if "rank" in doc and sum(r for _, r in comps) != int(doc["rank"]):
+            raise RootDatumError("rank field disagrees with type string")
+        basis = tuple(tuple(int(e) for e in row) for row in doc["lattice_basis"])
+    except TypeError as exc:
+        raise RootDatumError(f"malformed datum document: {exc}") from exc
     return RootDatum(CartanDatum(comps, basis))

@@ -20,13 +20,14 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 
 from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           Facet, aff_act, element_sort_key, element_to_string,
                           length, reduced_word, simple_system)
 from .hecke import HeckeElement, _check_prime
-from .root_datum import Coweight, RootDatum
+from .root_datum import Coweight, RootDatum, closure
 
 
 class SatakeError(ValueError):
@@ -64,19 +65,9 @@ class LeviDatum:
         self.lam = tuple(lam)
 
         # W0(M): the parabolic subgroup generated by the Levi simple reflections.
-        seen = {datum.weyl_identity}
-        frontier = [datum.weyl_identity]
         gens = [datum.simple_reflections[i] for i in self.j_m]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    p = g * w
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        self.w0m = frozenset(seen)
+        self.w0m = frozenset(closure([datum.weyl_identity],
+                                     lambda w: (g * w for g in gens)))
         self._hash = hash((id(datum), self.j_m, self.lam))
 
     def _default_lambda(self) -> Coweight:
@@ -178,13 +169,8 @@ class ComponentLabel:
 
 def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> ComponentLabel:
     """Label of the attractor component through w."""
-    best = None
-    best_key = None
-    for v in facet.elements:
-        cand = _min_left_m_coset(levi, w * v)
-        key = element_sort_key(cand)
-        if best is None or key < best_key:
-            best, best_key = cand, key
+    best = min((_min_left_m_coset(levi, w * v) for v in facet.elements),
+               key=element_sort_key)
     return ComponentLabel(levi, facet, best)
 
 
@@ -244,16 +230,7 @@ def component_has_levi_point(label: ComponentLabel) -> bool:
 
 def _canon_m_coset(levi: LeviDatum, wmf, y: AffineWeylElement) -> AffineWeylElement:
     """Canonical representative of W_{M,f} y W_{M,f} (deterministic minimum)."""
-    best = None
-    best_key = None
-    for a in wmf:
-        ay = a * y
-        for b in wmf:
-            cand = ay * b
-            key = element_sort_key(cand)
-            if best is None or key < best_key:
-                best, best_key = cand, key
-    return best
+    return min((ay * b for ay in (a * y for a in wmf) for b in wmf), key=element_sort_key)
 
 
 class LeviHeckeElement:
@@ -441,23 +418,12 @@ def enumerate_antidominant(datum: RootDatum, length_cap: int):
     """
     out = []
     radius = _coordinate_radius(datum, length_cap)
-
-    def rec(j, acc):
-        if j == datum.dim:
-            z = datum.coweight_from_x_coords(acc)
-            if datum.is_antidominant(z) and _translation_length(datum, z) <= length_cap:
-                out.append(z)
-            return
-        for v in range(-radius, radius + 1):
-            rec(j + 1, acc + [v])
-
-    rec(0, [])
-    out.sort(key=lambda z: (_translation_length(datum, z), datum.x_coords(z)))
+    for coords in itertools.product(range(-radius, radius + 1), repeat=datum.dim):
+        z = datum.coweight_from_x_coords(coords)
+        if datum.is_antidominant(z) and length(aw.translation(datum, z)) <= length_cap:
+            out.append(z)
+    out.sort(key=lambda z: (length(aw.translation(datum, z)), datum.x_coords(z)))
     return tuple(out)
-
-
-def _translation_length(datum: RootDatum, z: Coweight) -> int:
-    return sum(abs(datum.pair(rt, z)) for rt in datum.positive_roots)
 
 
 def _coordinate_radius(datum: RootDatum, length_cap: int) -> int:
@@ -489,7 +455,7 @@ def special_satake_image(facet: Facet, prime: int, length_cap: int = 8,
             image = satake_phi(idx, levi, facet, prime).to_monoid()
             if image != MonoidAlgebraElement.single(datum, prime, z):
                 raise SatakeError(f"special transform of t_{z} is not e^z")
-        entries.append((z, idx, _translation_length(datum, z)))
+        entries.append((z, idx, length(aw.translation(datum, z))))
     return SpecialSatakeImage(datum, facet, prime, length_cap, tuple(entries))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
+from modp_hecke import satake as sat
 from modp_hecke.root_datum import preset
 
 
@@ -296,19 +297,43 @@ def test_interval_cap_guard():
 
 def test_is_special_facet():
     d = preset("A1")
-    assert aw.is_special_facet(aw.facet(d, [1]))
-    assert not aw.is_special_facet(aw.iwahori(d))
-    assert aw.is_special_facet(aw.facet(d, [0]))  # the other A1 vertex
+    assert aw.facet(d, [1]).is_special()
+    assert not aw.iwahori(d).is_special()
+    assert aw.facet(d, [0]).is_special()  # the other A1 vertex
     c2 = preset("C2")
-    assert aw.is_special_facet(aw.facet(c2, [1, 2]))
+    assert aw.facet(c2, [1, 2]).is_special()
     f02 = aw.facet(c2, [0, 2])
     # independent check: order of W_f and bijectivity of the projection
     finite_parts = {w.finite for w in f02.elements}
     expected = (len(f02.elements) == len(c2.w0_elements())
                 and len(finite_parts) == len(f02.elements))
-    assert aw.is_special_facet(f02) == expected
-    assert not aw.is_special_facet(f02)  # f={0,2} is A1xA1, order 4 < 8
-    assert aw.is_special_facet(aw.facet(c2, [0, 1]))
+    assert f02.is_special() == expected
+    assert not f02.is_special()  # f={0,2} is A1xA1, order 4 < 8
+    assert aw.facet(c2, [0, 1]).is_special()
+
+
+W0_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12, "F4": 1152}
+
+
+def _torsion_sizes(spec):
+    d = preset(spec)
+    return len(d.fundamental_group_torsion_reps()), d.fundamental_group_order()
+
+
+@pytest.mark.parametrize("size, expected", [
+    *[pytest.param(lambda t=t: len(preset(t).w0_elements()), n, id=f"W0-{t}")
+      for t, n in W0_ORDERS.items()],
+    *[pytest.param(lambda t=t: len(aw.hyperspecial(preset(t)).elements), n,
+                   id=f"hyperspecial-{t}") for t, n in W0_ORDERS.items()],
+    pytest.param(lambda: len(sat.LeviDatum(preset("A2"), (0,)).w0m), 2, id="W0M-A2"),
+    # A1 Iwahori: e plus two elements of each length 1..6 in the infinite
+    # dihedral group
+    pytest.param(lambda: len(aw.length_ball(preset("A1"), 6)), 13, id="ball-A1"),
+    *[pytest.param(lambda t=t: _torsion_sizes(t), (n, n), id=f"torsion-{t}")
+      for t, n in (("A1:ad", 2), ("A2:ad", 3), ("A3:ad", 4))],
+])
+def test_closure_sizes(size, expected):
+    assert size() == expected
 
 
 def test_invalid_facet_rejected():

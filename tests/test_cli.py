@@ -8,9 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from modp_hecke import affine_weyl as aw
-from modp_hecke.cache import IntervalCache, warm
-from modp_hecke.cli import SessionConfig, main
-from modp_hecke.root_datum import preset
+from modp_hecke.cli import EXIT_PARSE, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(aw.__file__), "schemas")
 
@@ -137,44 +135,6 @@ def test_oracle_check_cli():
     assert "all pass" in out
 
 
-def test_cache_roundtrip(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    code, out, _ = run_cli("cache", "clear", "--dir", cache_dir, "--json")
-    assert code == 0
-    code, out, _ = run_cli("cache", "stats", "--dir", cache_dir, "--json")
-    assert json.loads(out)["entries"] == 0
-    code, out, _ = run_cli("cache", "warm", "A1", "--facet", "", "--len", "6",
-                           "--dir", cache_dir, "--json")
-    assert code == 0
-    first = json.loads(out)
-    # e plus two classes per length 1..6 in the infinite dihedral group
-    assert first["classes"] == 13
-    entries = first["entries"]
-    code, out, _ = run_cli("cache", "warm", "A1", "--facet", "", "--len", "6",
-                           "--dir", cache_dir, "--json")
-    assert json.loads(out)["entries"] == entries  # idempotent
-
-
-def test_cache_transparency(tmp_path):
-    d = preset("A2")
-    f = aw.facet(d, (1, 2))
-    idx = aw.double_coset_rep(aw.parse_element(d, "t[-1,-1]"), f)
-    plain = aw.enumerate_lower_interval(idx)
-    cache = IntervalCache(str(tmp_path / "c"))
-    warm(cache, d, f, 4)
-    cached = aw.enumerate_lower_interval(idx, cache=cache)
-    assert plain == cached
-    assert cache.stats()["entries"] > 0
-
-
-def test_session_config_roundtrip():
-    cfg = SessionConfig(datum="C2:sc", facet=(1, 2), levi=(0,), prime=5,
-                        interval_cap=1000, length_cap=6, cache_dir="/tmp/x")
-    text = cfg.canonical_string()
-    assert SessionConfig.from_canonical_string(text) == cfg
-    assert SessionConfig.from_canonical_string(text).canonical_string() == text
-
-
 def test_config_file(tmp_path):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"p": 3}))
@@ -186,6 +146,23 @@ def test_config_file(tmp_path):
     code, out, _ = run_cli("--config", str(cfg), "hecke", "basis", "A1",
                            "--facet", "", "--w", "e", "--p", "5", "--json")
     assert json.loads(out)["prime"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "length", '{"rank":1}', "--elt", "e"],
+    ["weyl", "length", '{"type":"A1"}', "--elt", "e"],
+    ["weyl", "length", '{"type":"A1","lattice_basis":5}', "--elt", "e"],
+    ["weyl", "length", '{"type":"A1","rank":[1],"lattice_basis":[[1]]}', "--elt", "e"],
+    ["satake", "A1", "--facet", "1"],  # neither --w nor --list-lambda-minus
+    ["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"],
+], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
+        "satake-without-w", "config-not-an-object"])
+def test_malformed_input_is_a_parse_error(argv, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text("[1]")  # valid JSON, but not an object
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cap_exceeded_exit_code():
