@@ -355,9 +355,14 @@ def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylEleme
 
 
 class Facet:
-    """A subset J of affine simple indices generating a finite parabolic W_f."""
+    """A subset J of affine simple indices generating a finite parabolic W_f.
 
-    __slots__ = ("datum", "indices", "elements", "_special", "_hash")
+    W_f is finite exactly when J leaves out a node of every component's block
+    (its affine node and its finite nodes): a proper subdiagram of a
+    connected affine diagram is of finite type.
+    """
+
+    __slots__ = ("datum", "indices", "elements", "_hash")
 
     def __init__(self, datum: RootDatum, indices):
         self.datum = datum
@@ -366,14 +371,13 @@ class Facet:
         for i in self.indices:
             if i not in sys.elements:
                 raise RootDatumError(f"invalid affine simple index {i}")
+        for a, rng in zip(sys.affine_indices, datum.component_ranges):
+            if set(range(a, a + 1 + len(rng))) <= set(self.indices):
+                raise RootDatumError(
+                    f"facet {self.indices} does not generate a finite parabolic")
         gens = [sys.elements[i] for i in self.indices]
-        seen = closure([identity(datum)], lambda w: (w * g for g in gens),
-                       limit=len(datum.w0_elements()))
-        if seen is None:
-            raise RootDatumError(
-                f"facet {self.indices} does not generate a finite parabolic")
+        seen = closure([identity(datum)], lambda w: (w * g for g in gens))
         self.elements = tuple(sorted(seen, key=element_sort_key))
-        self._special = None
         self._hash = hash((id(datum), self.indices))
 
     def __eq__(self, other):
@@ -391,13 +395,10 @@ class Facet:
         return not self.indices
 
     def is_special(self) -> bool:
-        """True iff W_f projects bijectively onto the finite Weyl group."""
-        if self._special is None:
-            w0 = self.datum.w0_elements()
-            finite_parts = {w.finite for w in self.elements}
-            self._special = (len(self.elements) == len(w0)
-                             and len(finite_parts) == len(w0))
-        return self._special
+        """True iff W_f projects bijectively onto the finite Weyl group.  The
+        projection is injective, as its kernel W_f meet X is a finite subgroup
+        of a lattice, so comparing orders decides it."""
+        return len(self.elements) == len(self.datum.w0_elements())
 
 
 def facet(datum: RootDatum, indices) -> Facet:
@@ -470,31 +471,18 @@ class DoubleCosetIndex:
 
 
 def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
-    """The representative _f w^f: the unique longest element among the
-    minimal coset representatives {(v w)^f : v in W_f}."""
-    candidates = {min_coset_rep(v * w, f) for v in f.elements}
-    best = max(candidates, key=length)
-    ties = [c for c in candidates if length(c) == length(best)]
-    if len(ties) != 1:
-        raise RootDatumError("double coset has no unique maximal min-rep")
-    return DoubleCosetIndex(f, best)
+    """The representative _f w^f, the longest of the (v w)^f for v in W_f.
+    It is x^f for x the longest element of W_f w, because the right W_f-coset
+    of x holds the longest element of the double coset."""
+    longest = max((v * w for v in f.elements), key=length)
+    return DoubleCosetIndex(f, min_coset_rep(longest, f))
 
 
 def enumerate_lower_interval(idx: DoubleCosetIndex, cap: int | None = 20000) -> frozenset:
     """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices."""
     f = idx.facet
-    out = set()
-    for v in lower_set(idx.rep, cap):
-        c = double_coset_rep(v, f)
-        if c.rep == v:
-            out.add(c)
-    return frozenset(out)
-
-
-def coset_min_reps(idx: DoubleCosetIndex):
-    """Minimal coset representatives u in W^f whose double coset is idx."""
-    f = idx.facet
-    return {min_coset_rep(g * idx.rep, f) for g in f.elements}
+    return frozenset(DoubleCosetIndex(f, v) for v in lower_set(idx.rep, cap)
+                     if double_coset_rep(v, f).rep == v)
 
 
 def length_ball(datum: RootDatum, length_cap: int):
@@ -560,9 +548,14 @@ def parse_element(datum: RootDatum, text: str) -> AffineWeylElement:
         elif ch in "tw":
             if i + 1 >= len(s) or s[i + 1] != "[":
                 raise RootDatumError(f"cannot parse element {text!r} at {i}")
-            close = s.index("]", i)
+            close = s.find("]", i)
+            if close < 0:
+                raise RootDatumError(f"cannot parse element {text!r} at {i}")
             body = s[i + 2:close]
-            nums = [int(v) for v in body.split(",")] if body else []
+            try:
+                nums = [int(v) for v in body.split(",")] if body else []
+            except ValueError:
+                raise RootDatumError(f"cannot parse element {text!r} at {i + 2}") from None
             if ch == "t":
                 atoms.append(translation(datum, datum.coweight_from_x_coords(nums)))
             else:

@@ -23,11 +23,42 @@ class HeckeError(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _check_prime(p: int):
     if not isinstance(p, int) or p < 2:
         raise HeckeError(f"coefficient modulus must be a prime >= 2, got {p}")
-    if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p >= _MR_BOUND:
+        raise HeckeError(f"coefficient modulus must be below {_MR_BOUND}, "
+                         "the bound of the deterministic primality test")
+    if not _is_prime(p):
         raise HeckeError(f"coefficient modulus {p} is not prime")
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_BOUND."""
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class HeckeElement:
@@ -226,10 +257,11 @@ def convolve(a: HeckeElement, b: HeckeElement, cap: int | None = 20000) -> Hecke
 def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = 20000):
     """Coefficients (low to high) of sum_u q^{ell(u)} over the minimal coset
     representatives u with _f u^f <= idx: the cell count of the associated
-    Schubert scheme over F_q.  The constant term is always 1."""
+    Schubert scheme over F_q.  The constant term is always 1.  These u are
+    the u = u^f in lower_set(idx.rep), as the scheme is lower_set(idx.rep) W_f."""
     coeffs = [0] * (idx.length + 1)
-    for v in enumerate_lower_interval(idx, cap):
-        for u in aw.coset_min_reps(v):
+    for u in aw.lower_set(idx.rep, cap):
+        if aw.min_coset_rep(u, idx.facet) == u:
             coeffs[aw.length(u)] += 1
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

@@ -1,9 +1,9 @@
 """Independent brute-force implementations used only for validation.
 
-Three oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
+Four oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
 specialization must reproduce the phi-basis convolution, a subword-property
-Bruhat test, and an exact alcove-walk length count.  None of them share code
-paths with the implementations they check.
+Bruhat test, an exact alcove-walk length count and a W_f sweep for double
+cosets.  Beyond min_coset_rep, they share no code path with what they check.
 """
 
 from __future__ import annotations
@@ -208,6 +208,19 @@ def brute_length(w: AffineWeylElement) -> int:
 
 def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
+
+
+# -- double-coset representative by a sweep of W_f --------------------------------------
+
+def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
+    """The representative _f w^f: the unique longest element among the
+    minimal coset representatives {(v w)^f : v in W_f}."""
+    candidates = {aw.min_coset_rep(v * w, f) for v in f.elements}
+    best = max(candidates, key=length)
+    ties = [c for c in candidates if length(c) == length(best)]
+    if len(ties) != 1:
+        raise RootDatumError("double coset has no unique maximal min-rep")
+    return DoubleCosetIndex(f, best)
 
 
 # -- cross-validation suite --------------------------------------------------------------

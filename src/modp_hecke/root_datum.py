@@ -42,9 +42,9 @@ class RootDatumError(ValueError):
     pass
 
 
-def closure(seeds, neighbours, limit=None):
+def closure(seeds, neighbours):
     """Everything reachable from `seeds` through `neighbours(x)` (an iterable),
-    found level by level; None as soon as a level takes it past `limit`."""
+    found level by level."""
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
@@ -55,8 +55,6 @@ def closure(seeds, neighbours, limit=None):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-        if limit is not None and len(seen) > limit:
-            return None
     return seen
 
 

@@ -342,7 +342,8 @@ class MonoidAlgebraElement:
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
             facet: Facet, prime: int, cap: int | None = 20000) -> LeviHeckeElement:
     """Indicator sum over the Levi double cosets lying in the component of
-    `label` and inside the Schubert scheme of idx."""
+    `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
+    subword property splits the interval below idx.rep w_f, a reduced product."""
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
     datum = levi.datum
@@ -351,21 +352,13 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
         if any(datum.fundamental_group_class(h.translation)):
             raise SatakeError("W_{M,f} meets a nontrivial Levi component; "
                               "unsupported facet/Levi combination")
-    seen = set()
     coeffs = {}
-    for v in aw.enumerate_lower_interval(idx, cap):
-        for g in facet.elements:
-            gv = g * v.rep
-            for h in facet.elements:
-                y = gv * h
-                if not levi.in_w_m(y) or y in seen:
-                    continue
-                seen.add(y)
-                canon = _canon_m_coset(levi, wmf, y)
-                if canon in coeffs:
-                    continue
-                if component_of(canon, levi, facet) == label:
-                    coeffs[canon] = 1
+    for y in {a * u for a in aw.lower_set(idx.rep, cap) for u in facet.elements}:
+        if not levi.in_w_m(y):
+            continue
+        canon = _canon_m_coset(levi, wmf, y)
+        if canon not in coeffs and component_of(canon, levi, facet) == label:
+            coeffs[canon] = 1
     return LeviHeckeElement(levi, facet, prime, coeffs)
 
 

@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import preset
+from modp_hecke.root_datum import RootDatumError, preset
 
 
 def els(datum, *strings):
@@ -326,6 +327,8 @@ def _torsion_sizes(spec):
     *[pytest.param(lambda t=t: len(aw.hyperspecial(preset(t)).elements), n,
                    id=f"hyperspecial-{t}") for t, n in W0_ORDERS.items()],
     pytest.param(lambda: len(sat.LeviDatum(preset("A2"), (0,)).w0m), 2, id="W0M-A2"),
+    pytest.param(lambda: len(aw.facet(preset("A1xA1"), (0, 2)).elements), 4,
+                 id="affine-nodes-A1xA1"),
     # A1 Iwahori: e plus two elements of each length 1..6 in the infinite
     # dihedral group
     pytest.param(lambda: len(aw.length_ball(preset("A1"), 6)), 13, id="ball-A1"),
@@ -337,9 +340,21 @@ def test_closure_sizes(size, expected):
 
 
 def test_invalid_facet_rejected():
-    d = preset("A1")
-    with pytest.raises(Exception):
-        aw.facet(d, [0, 1])  # whole affine diagram: infinite group
+    # a whole block of a component (affine node and finite nodes) generates
+    # an infinite group
+    for spec, indices in (("A1", (0, 1)), ("A1xA1", (0, 1)), ("A1xA1", (2, 3)),
+                          ("A1xA1", (0, 1, 2))):
+        with pytest.raises(RootDatumError, match="finite parabolic"):
+            aw.facet(preset(spec), indices)
+
+
+@pytest.mark.parametrize("spec", ["E6", "E8"])
+def test_iwahori_facet_does_not_enumerate_w0(spec):
+    # W(E6) has 51,840 elements and W(E8) 696,729,600: no W0 walk may run.
+    start = time.perf_counter()
+    f = aw.iwahori(preset(spec))
+    assert time.perf_counter() - start < 1.0
+    assert len(f.elements) == 1
 
 
 def test_element_string_roundtrip():

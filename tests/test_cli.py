@@ -148,21 +148,30 @@ def test_config_file(tmp_path):
     assert json.loads(out)["prime"] == 5
 
 
-@pytest.mark.parametrize("argv", [
-    ["weyl", "length", '{"rank":1}', "--elt", "e"],
-    ["weyl", "length", '{"type":"A1"}', "--elt", "e"],
-    ["weyl", "length", '{"type":"A1","lattice_basis":5}', "--elt", "e"],
-    ["weyl", "length", '{"type":"A1","rank":[1],"lattice_basis":[[1]]}', "--elt", "e"],
-    ["satake", "A1", "--facet", "1"],  # neither --w nor --list-lambda-minus
-    ["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"],
+@pytest.mark.parametrize("argv, says", [
+    (["weyl", "length", '{"rank":1}', "--elt", "e"], ""),
+    (["weyl", "length", '{"type":"A1"}', "--elt", "e"], ""),
+    (["weyl", "length", '{"type":"A1","lattice_basis":5}', "--elt", "e"], ""),
+    (["weyl", "length", '{"type":"A1","rank":[1],"lattice_basis":[[1]]}', "--elt", "e"],
+     ""),
+    (["satake", "A1", "--facet", "1"], ""),  # neither --w nor --list-lambda-minus
+    (["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"], ""),
+    (["weyl", "length", "A1", "--elt", "t[1"], "cannot parse element 't[1' at "),
+    (["weyl", "length", "A1", "--elt", "t[a]"], "cannot parse element 't[a]' at "),
+    (["hecke", "multiply", "A1", "--p", str(10 ** 30 + 57), "--w1", "e", "--w2", "e"],
+     "3317044064679887385961981"),
+    (["hecke", "multiply", "A1", "--p", str(10 ** 400 + 1), "--w1", "e", "--w2", "e"],
+     "3317044064679887385961981"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
-        "satake-without-w", "config-not-an-object"])
-def test_malformed_input_is_a_parse_error(argv, tmp_path, capsys):
+        "satake-without-w", "config-not-an-object", "unclosed-bracket",
+        "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range"])
+def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("[1]")  # valid JSON, but not an object
     argv = [str(config) if a == "CONFIG" else a for a in argv]
     assert main(argv) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
 
 
 def test_cap_exceeded_exit_code():

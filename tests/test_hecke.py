@@ -16,11 +16,18 @@ def test_prime_validation():
     d = preset("A1")
     f = aw.iwahori(d)
     e = cls(d, f, "e")
-    with pytest.raises(hk.HeckeError):
-        hk.phi_basis_element(e, 0)
-    with pytest.raises(hk.HeckeError):
-        hk.phi_basis_element(e, 4)
-    hk.phi_basis_element(e, 2)
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the bases
+    # 2, 3, 5 and 7.
+    for p in (0, 1, 4, 561, 3215031751, 1_000_000_007 ** 2):
+        with pytest.raises(hk.HeckeError):
+            hk.phi_basis_element(e, p)
+    # Beyond the bound below which the primality test is exact, and beyond
+    # the range of a float.
+    for p in (10 ** 30 + 57, 10 ** 400 + 1):
+        with pytest.raises(hk.HeckeError, match=str(hk._MR_BOUND)):
+            hk.phi_basis_element(e, p)
+    for p in (2, 41, 43, 1_000_000_007):
+        assert hk.phi_basis_element(e, p).prime == p
 
 
 def test_phi_expansion_examples():

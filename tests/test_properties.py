@@ -2,6 +2,7 @@
 path and against the independent oracles, on random words."""
 
 from functools import reduce
+import itertools
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,6 +86,30 @@ def test_x_coords_off_the_lattice():
     assert central.x_coords((1, 0)) is None  # odd coordinate sum
     assert central.x_coords((0, 1)) is None
     assert central.x_coords((1, 1)) == (1, 0)
+
+
+def _finite_facets(d):
+    """Every facet of a single-component datum: the proper subsets of nodes."""
+    indices = aw.simple_system(d).indices
+    return [aw.facet(d, J) for r in range(len(indices))
+            for J in itertools.combinations(indices, r)]
+
+
+@given(st.sampled_from(("A1", "A2", "C2", "G2")).flatmap(affine_elements))
+def test_double_coset_rep_matches_the_sweep(w):
+    for f in _finite_facets(w.datum):
+        assert aw.double_coset_rep(w, f).rep == oracle.brute_double_coset_rep(w, f).rep
+
+
+def test_schubert_scheme_is_lower_set_times_parabolic():
+    """The union of the double cosets below idx is lower_set(idx.rep) * W_f."""
+    facets = [aw.hyperspecial(rd.preset("A2")), aw.hyperspecial(rd.preset("G2")),
+              aw.facet(rd.preset("C2"), (0, 2))]  # the last is A1 x A1, not special
+    for f in facets:
+        for idx in {aw.double_coset_rep(w, f) for w in aw.length_ball(f.datum, 4)}:
+            swept = {g * v.rep * h for v in aw.enumerate_lower_interval(idx)
+                     for g in f.elements for h in f.elements}
+            assert swept == {a * u for a in aw.lower_set(idx.rep) for u in f.elements}
 
 
 def _results(w):
