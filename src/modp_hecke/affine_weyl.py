@@ -319,7 +319,8 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
 
 def _check_interval_cap(val: frozenset, cap: int | None):
     if cap is not None and len(val) > cap:
-        raise CapExceeded(f"lower interval has {len(val)} > {cap} elements")
+        raise CapExceeded(f"lower interval reached {len(val)} elements, over the limit "
+                          f"{cap} set by --cap (parameter cap)")
 
 
 # -- Demazure product ---------------------------------------------------------------
@@ -395,10 +396,18 @@ class Facet:
         return not self.indices
 
     def is_special(self) -> bool:
-        """True iff W_f projects bijectively onto the finite Weyl group.  The
-        projection is injective, as its kernel W_f meet X is a finite subgroup
-        of a lattice, so comparing orders decides it."""
-        return len(self.elements) == len(self.datum.w0_elements())
+        """True iff W_f projects onto the finite Weyl group: in each component
+        block J leaves out exactly one node, and that node has highest-root
+        coefficient 1 (the affine node counts 1), the rule for special
+        vertices of the base alcove (Iwahori and Matsumoto, Publ. Math. IHES
+        25, 1965; Bourbaki, Lie Groups and Lie Algebras, Ch. VI §2)."""
+        sys = simple_system(self.datum)
+        for a, rng, (theta, _) in zip(sys.affine_indices, self.datum.component_ranges,
+                                      self.datum.highest_roots):
+            marks = (1,) + tuple(theta[i] for i in rng)
+            if [m for k, m in enumerate(marks) if a + k not in self.indices] != [1]:
+                return False
+        return True
 
 
 def facet(datum: RootDatum, indices) -> Facet:

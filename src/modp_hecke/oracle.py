@@ -161,7 +161,8 @@ def _subword_products(w: AffineWeylElement, cap: int):
     val = memo.get(key)
     if val is None:
         if length(w) > cap:
-            raise aw.CapExceeded(f"length {length(w)} exceeds subword cap {cap}")
+            raise aw.CapExceeded(f"subword search reached length {length(w)}, over the "
+                                 f"limit {cap} set by --bruhat-cap (brute_bruhat(cap=))")
         word, tau = reduced_word(w)
         sys = simple_system(w.datum)
         partial = {aw.identity(w.datum)}
@@ -252,7 +253,7 @@ def check_bruhat(datum: RootDatum, length_cap: int = 4) -> dict:
     pairs = 0
     for u in elements:
         for w in elements:
-            if aw.bruhat_leq(u, w) != brute_bruhat(u, w):
+            if aw.bruhat_leq(u, w) != brute_bruhat(u, w, cap=length_cap):
                 return {"datum": datum.spec_string, "ok": False,
                         "failed": (repr(u), repr(w))}
             pairs += 1

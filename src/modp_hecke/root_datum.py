@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 import itertools
 import json
 import math
@@ -222,77 +221,6 @@ def _integer_inverse(a):
     return tuple(tuple(int(v) for v in row) for row in inv)
 
 
-def _diagonalize_lattice(rows, dim):
-    """Diagonalize the integer matrix whose rows span a sublattice of Z^dim.
-
-    Returns (diag, col_transform) such that after the change of coordinates
-    y = x @ col_transform, the sublattice becomes sum_i diag[i] * Z e_i.
-    Row operations are free; column operations are accumulated.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    c = [[int(i == j) for j in range(dim)] for i in range(dim)]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in c:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(src, dst, f):
-        for r in m:
-            r[dst] += f * r[src]
-        for r in c:
-            r[dst] += f * r[src]
-
-    def neg_col(i):
-        for r in m:
-            r[i] = -r[i]
-        for r in c:
-            r[i] = -r[i]
-
-    diag = []
-    top = 0
-    for col in range(dim):
-        if top >= nr:
-            break
-        while True:
-            piv = None
-            best = None
-            for r in range(top, nr):
-                for cc in range(col, dim):
-                    v = abs(m[r][cc])
-                    if v and (best is None or v < best):
-                        best, piv = v, (r, cc)
-            if piv is None:
-                break
-            r0, c0 = piv
-            m[top], m[r0] = m[r0], m[top]
-            if c0 != col:
-                swap_cols(col, c0)
-            if m[top][col] < 0:
-                neg_col(col)
-            clean = True
-            for r in range(top + 1, nr):
-                q = m[r][col] // m[top][col]
-                if q:
-                    m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-                if m[r][col]:
-                    clean = False
-            for cc in range(col + 1, dim):
-                q = m[top][cc] // m[top][col]
-                if q:
-                    add_col(col, cc, -q)
-                if m[top][cc]:
-                    clean = False
-            if clean:
-                break
-        if top < nr and m[top][col]:
-            diag.append(m[top][col])
-            top += 1
-    return diag, tuple(tuple(r) for r in c)
-
-
 class RootDatum:
     """A finite root system with a chosen coweight lattice.
 
@@ -304,7 +232,7 @@ class RootDatum:
     lives and dies with its datum and can never answer for another one:
 
     - here: the interned finite Weyl elements (each with its own memos, see
-      FiniteWeylElement), the Smith form of X/Q^vee and the list of W0;
+      FiniteWeylElement) and the list of W0;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (by sorted index tuple), and `length_memo`, `word_memo`,
       `bruhat_memo`, `lower_memo`, keyed by `(translation, finite)` of the
@@ -368,7 +296,6 @@ class RootDatum:
         self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
 
         self._generate_roots()
-        self._snf_data = None
         self._w0_elements = None
         self.spec_string = spec_string or self._default_spec_string()
 
@@ -530,41 +457,20 @@ class RootDatum:
 
     # -- fundamental group X/Q^vee -------------------------------------------------------
 
-    def _snf(self):
-        if self._snf_data is None:
-            coroot_rows = [self.x_coords(crt) for crt in self.simple_coroots]
-            diag, ctrans = _diagonalize_lattice(coroot_rows, self.dim)
-            self._snf_data = (tuple(diag), ctrans, _integer_inverse(ctrans))
-        return self._snf_data
-
-    def fundamental_group_class(self, coweight: Coweight) -> tuple[int, ...]:
-        """Class in X/Q^vee as a canonical tuple: torsion coordinates reduced
-        modulo their orders, then free (central) coordinates."""
-        coords = self.x_coords(coweight)
-        if coords is None:
-            raise RootDatumError("coweight is not in the lattice")
-        diag, ctrans, _ = self._snf()
-        y = [sum(coords[i] * ctrans[i][j] for i in range(self.dim))
-             for j in range(self.dim)]
-        return tuple(v % diag[i] if i < len(diag) else v for i, v in enumerate(y))
-
-    def fundamental_group_order(self):
-        """|X/Q^vee|, or None when there are free (central) directions."""
-        diag, _, _ = self._snf()
-        if len(diag) < self.dim:
-            return None
-        return reduce(lambda x, y: x * y, diag, 1)
-
     def fundamental_group_torsion_reps(self) -> tuple[Coweight, ...]:
-        """One coweight representative per torsion class of X/Q^vee."""
-        diag, _, cinv = self._snf()
-        reps = []
-        for torsion in itertools.product(*(range(d) for d in diag)):
-            y = torsion + (0,) * (self.dim - len(diag))
-            coords = tuple(sum(y[j] * cinv[j][i] for j in range(self.dim))
-                           for i in range(self.dim))
-            reps.append(self.coweight_from_x_coords(coords))
-        return tuple(reps)
+        """One coweight representative per torsion class of X/Q^vee.
+
+        On each component, zero and the minuscule fundamental coweights (the
+        e_i whose node has highest-root coefficient 1) represent P^vee/Q^vee
+        (Bourbaki, Lie Groups and Lie Algebras, Ch. VI §2).  The torsion of
+        X/Q^vee is (X meet Q^vee (x) Q)/Q^vee, inside P^vee/Q^vee, so its
+        classes are the sums of one such choice per component that lie in X.
+        """
+        choices = [[None] + [i for i in rng if theta[i] == 1]
+                   for rng, (theta, _) in zip(self.component_ranges, self.highest_roots)]
+        sums = (tuple(int(i in picks) for i in range(self.dim))
+                for picks in itertools.product(*choices))
+        return tuple(z for z in sums if self.in_lattice(z))
 
     def __repr__(self):
         return f"RootDatum({self.spec_string})"

@@ -181,7 +181,8 @@ def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
                   enumerate_all: bool, cap: int | None = None) -> set:
     word, tau = reduced_word(idx.rep)
     if cap is not None and len(word) > cap:
-        raise CapExceeded(f"word length {len(word)} exceeds cap {cap}")
+        raise CapExceeded(f"closed-chain word reached length {len(word)}, over the "
+                          f"limit {cap} set by enumerate_closed_chains(cap=)")
     sys = simple_system(levi.datum)
     labels = set()
     stack = [(0, aw.identity(levi.datum))]
@@ -346,12 +347,7 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     subword property splits the interval below idx.rep w_f, a reduced product."""
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
-    datum = levi.datum
     wmf = levi_induced_facet(levi, facet)
-    for h in wmf:
-        if any(datum.fundamental_group_class(h.translation)):
-            raise SatakeError("W_{M,f} meets a nontrivial Levi component; "
-                              "unsupported facet/Levi combination")
     coeffs = {}
     for y in {a * u for a in aw.lower_set(idx.rep, cap) for u in facet.elements}:
         if not levi.in_w_m(y):
@@ -464,12 +460,9 @@ def special_satake_fast(idx: DoubleCosetIndex, prime: int) -> MonoidAlgebraEleme
 
 def _antidominant_of_class(idx: DoubleCosetIndex) -> Coweight:
     """The anti-dominant coweight z with _f(t_z)^f = idx, for special facets."""
-    datum = idx.facet.datum
-    # Special facet: W_f covers W0, so the translations in the double coset
-    # form one W0-orbit; pick the anti-dominant member.
-    for v in idx.facet.elements:
-        for g in idx.facet.elements:
-            y = g * idx.rep * v
-            if y.finite.is_identity() and datum.is_antidominant(y.translation):
-                return y.translation
-    raise SatakeError("class contains no anti-dominant translation")
+    # Special facet: W_f meets each W0-fibre once, so one h in W_f makes
+    # idx.rep * h a translation t_mu.  The translations in the double coset
+    # form the W0-orbit of mu; pick its anti-dominant member.
+    uinv = idx.rep.finite.inverse()
+    h = next(h for h in idx.facet.elements if h.finite is uinv)
+    return idx.facet.datum.antidominant_representative((idx.rep * h).translation)[0]

@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import RootDatumError, preset
+from modp_hecke.root_datum import RootDatumError, from_json, preset
 
 
 def els(datum, *strings):
@@ -316,11 +316,6 @@ def test_is_special_facet():
 W0_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12, "F4": 1152}
 
 
-def _torsion_sizes(spec):
-    d = preset(spec)
-    return len(d.fundamental_group_torsion_reps()), d.fundamental_group_order()
-
-
 @pytest.mark.parametrize("size, expected", [
     *[pytest.param(lambda t=t: len(preset(t).w0_elements()), n, id=f"W0-{t}")
       for t, n in W0_ORDERS.items()],
@@ -332,7 +327,8 @@ def _torsion_sizes(spec):
     # A1 Iwahori: e plus two elements of each length 1..6 in the infinite
     # dihedral group
     pytest.param(lambda: len(aw.length_ball(preset("A1"), 6)), 13, id="ball-A1"),
-    *[pytest.param(lambda t=t: _torsion_sizes(t), (n, n), id=f"torsion-{t}")
+    *[pytest.param(lambda t=t: len(preset(t).fundamental_group_torsion_reps()), n,
+                   id=f"torsion-{t}")
       for t, n in (("A1:ad", 2), ("A2:ad", 3), ("A3:ad", 4))],
 ])
 def test_closure_sizes(size, expected):
@@ -355,6 +351,64 @@ def test_iwahori_facet_does_not_enumerate_w0(spec):
     f = aw.iwahori(preset(spec))
     assert time.perf_counter() - start < 1.0
     assert len(f.elements) == 1
+    start = time.perf_counter()
+    assert not f.is_special()
+    assert time.perf_counter() - start < 1.0
+
+
+def _finite_facets(d):
+    """Every facet of d whose W_f is finite, the Iwahori facet included."""
+    indices = aw.simple_system(d).indices
+    out = []
+    for r in range(len(indices)):
+        for J in itertools.combinations(indices, r):
+            try:
+                out.append(aw.facet(d, J))
+            except RootDatumError:
+                pass  # J holds a whole component block
+    return out
+
+
+def _explicit_a1(basis):
+    return from_json({"type": "A1", "rank": 1, "lattice_basis": basis})
+
+
+@pytest.mark.parametrize("make, size", [
+    *[pytest.param(lambda t=t: preset(t), n, id=t)
+      for t, n in (("A1", 1), ("A1:ad", 2), ("A2:ad", 3), ("A3:ad", 4), ("B2:ad", 2),
+                   ("C3:ad", 2), ("D4:ad", 4), ("A1xA2:ad", 6))],
+    pytest.param(lambda: _explicit_a1([[1, 0], [0, 1]]), 2, id="A1-explicit-split"),
+    pytest.param(lambda: _explicit_a1([[1, 1], [1, -1]]), 1, id="A1-explicit-central"),
+])
+def test_torsion_reps_give_every_length_zero_element(make, size):
+    # A length-zero t_lambda u with lambda in Q^vee (x) Q has minuscule lambda:
+    # its simple pairings are in {-1, 0, 1} and its central coordinates are 0.
+    d = make()
+    omegas = {aw.omega_element(d, z) for z in d.fundamental_group_torsion_reps()}
+    brute = set()
+    for pairings in itertools.product((-1, 0, 1), repeat=d.n):
+        lam = pairings + (0,) * (d.dim - d.n)
+        if d.in_lattice(lam):
+            brute.update(w for w in (aw.AffineWeylElement(d, lam, u)
+                                     for u in d.w0_elements()) if aw.length(w) == 0)
+    assert omegas == brute
+    assert len(omegas) == len(d.fundamental_group_torsion_reps()) == size
+
+
+@pytest.mark.parametrize("spec", ["A1:ad", "A2:ad", "C2", "G2", "A1xA2:ad"])
+def test_finite_parabolics_lie_in_the_affine_weyl_group(spec):
+    # W_f is generated by affine simple reflections, so its Omega part is trivial
+    # and its translations lie in Q^vee.
+    for f in _finite_facets(preset(spec)):
+        assert all(aw.omega_part(h).is_identity() for h in f.elements), f
+
+
+@pytest.mark.parametrize("spec", ["A1", "A1:ad", "A2:ad", "B3", "C3", "G2", "A1xA2:ad"])
+def test_is_special_matches_the_order_of_w_f(spec):
+    # W_f -> W0 is injective, so W_f is special iff it has |W0| elements.
+    d = preset(spec)
+    for f in _finite_facets(d):
+        assert f.is_special() == (len(f.elements) == len(d.w0_elements())), f
 
 
 def test_element_string_roundtrip():

@@ -135,6 +135,14 @@ def test_oracle_check_cli():
     assert "all pass" in out
 
 
+def test_oracle_check_bruhat_cap_is_the_only_cap():
+    # elements of length 17 exceed the subword search's own default of 16
+    code, out, err = run_cli("oracle", "check", "A1", "--bruhat-cap", "17",
+                             "--conv-cap", "1", "--length-cap", "1")
+    assert code == 0, err
+    assert "all pass" in out
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"p": 3}))
@@ -179,6 +187,7 @@ def test_cap_exceeded_exit_code():
                            "--w", "t[-4]", "--cap", "3")
     assert code == 3
     assert "cap" in err.lower() or "interval" in err.lower()
+    assert "--cap" in err and "3" in err and "4" in err  # flag, limit, size reached
 
 
 def test_levi_index_convention_matches_facet():

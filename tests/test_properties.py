@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modp_hecke import affine_weyl as aw
+from modp_hecke import hecke
 from modp_hecke import oracle
 from modp_hecke import root_datum as rd
 
@@ -21,12 +22,12 @@ def finite_words(draw, spec):
 
 
 @st.composite
-def affine_elements(draw, spec):
+def affine_elements(draw, spec, radius=3, letters=8):
     """A lattice translation times a random word in the affine simples."""
     d = rd.preset(spec)
     sys = aw.simple_system(d)
-    coords = draw(st.lists(st.integers(-3, 3), min_size=d.dim, max_size=d.dim))
-    word = draw(st.lists(st.sampled_from(sys.indices), max_size=8))
+    coords = draw(st.lists(st.integers(-radius, radius), min_size=d.dim, max_size=d.dim))
+    word = draw(st.lists(st.sampled_from(sys.indices), max_size=letters))
     w = aw.translation(d, d.coweight_from_x_coords(coords))
     for i in word:
         w = w * sys.elements[i]
@@ -110,6 +111,28 @@ def test_schubert_scheme_is_lower_set_times_parabolic():
             swept = {g * v.rep * h for v in aw.enumerate_lower_interval(idx)
                      for g in f.elements for h in f.elements}
             assert swept == {a * u for a in aw.lower_set(idx.rep) for u in f.elements}
+
+
+ASSOCIATIVITY_SPECS = ("A1", "A1:ad", "A2", "A2:ad", "C2", "G2")
+
+
+def _triples(spec):
+    small = affine_elements(spec, radius=2, letters=6)
+    return st.tuples(st.sampled_from((aw.iwahori, aw.hyperspecial)), small, small, small)
+
+
+@given(st.sampled_from(ASSOCIATIVITY_SPECS).flatmap(_triples))
+def test_demazure_and_convolution_are_associative(case):
+    make_facet, a, b, c = case
+    assert aw.demazure_mult(aw.demazure_mult(a, b), c) == \
+        aw.demazure_mult(a, aw.demazure_mult(b, c))
+    f = make_facet(a.datum)
+    x, y, z = (aw.double_coset_rep(w, f) for w in (a, b, c))
+
+    def conv(u, v):
+        return hecke.convolve_phi_classes(u, v)[0]
+
+    assert conv(conv(x, y), z) == conv(x, conv(y, z))
 
 
 def _results(w):

@@ -141,18 +141,6 @@ def test_antidominant_representative_orbit_invariant():
         assert z2 == z and w2.is_identity()
 
 
-def test_fundamental_group_classes():
-    sc = rd.preset("A1")
-    assert not any(sc.fundamental_group_class((2,)))   # coroot: identity class
-    assert sc.fundamental_group_order() == 1
-    ad = rd.preset("A1:ad")
-    assert ad.fundamental_group_order() == 2
-    assert ad.fundamental_group_class((1,)) == (1,)    # omega^vee: nontrivial
-    assert ad.fundamental_group_class((2,)) == (0,)
-    a2ad = rd.preset("A2:ad")
-    assert a2ad.fundamental_group_order() == 3
-
-
 def test_product_type_datum():
     d = rd.preset("A1xA1")
     assert d.n == 2
@@ -167,9 +155,8 @@ def test_explicit_lattice_with_central_torus():
                       "lattice_basis": [[1, 1], [1, -1]]})
     assert d.dim == 2
     assert d.in_lattice((2, 0))            # alpha^vee = (2, 0)
-    assert d.fundamental_group_order() is None
-    cls = d.fundamental_group_class((1, 1))
-    assert any(cls)
+    # X/Q^vee is Z: the torsion part is trivial, as omega^vee = (1, 0) is not in X
+    assert d.fundamental_group_torsion_reps() == ((0, 0),)
 
 
 def test_memos_do_not_outlive_their_datum():

@@ -403,3 +403,20 @@ def test_nonbase_special_vertices_collapse():
                 == sat.component_of(t, lev, f)
             assert sat.satake_phi(idx, lev, f, 2).to_monoid() \
                 == sat.MonoidAlgebraElement.single(d, 2, z)
+
+
+@pytest.mark.parametrize("spec", ["A1:ad", "A2:ad", "B2:ad", "C2", "G2"])
+def test_fast_path_at_every_special_facet(spec):
+    # every class at a special facet is the class of one anti-dominant t_z,
+    # and the fast path finds that z, also at the non-base special vertices
+    d = preset(spec)
+    lev = sat.minimal_levi(d)
+    indices = aw.simple_system(d).indices
+    facets = [aw.facet(d, [i for i in indices if i != k]) for k in indices]
+    for f in (f for f in facets if f.is_special()):
+        for idx in facet_classes(d, f, 4):
+            z = sat._antidominant_of_class(idx)
+            assert d.is_antidominant(z)
+            assert aw.double_coset_rep(aw.translation(d, z), f) == idx
+            assert sat.special_satake_fast(idx, 3) == \
+                sat.satake_phi(idx, lev, f, 3).to_monoid()
