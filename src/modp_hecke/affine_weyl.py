@@ -29,6 +29,10 @@ class CapExceeded(RuntimeError):
     """An enumeration guard (interval size or word length cap) was hit."""
 
 
+# Default limit on the size of a lower Bruhat interval.
+INTERVAL_CAP = 20000
+
+
 class AffineWeylElement:
     """t_lambda * u with lambda a lattice coweight and u a finite Weyl element.
 
@@ -219,15 +223,9 @@ def omega_part(w: AffineWeylElement) -> AffineWeylElement:
 
 
 def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
-    """The length-zero element of t_mu W_af, for mu in the lattice."""
-    cur = translation(datum, coweight)
-    sys = simple_system(datum)
-    while length(cur) > 0:
-        i = next(right_descents(cur), None)
-        if i is None:
-            raise RootDatumError("descent search failed")
-        cur = cur * sys.elements[i]
-    return cur
+    """The length-zero element of t_mu W_af, for mu in the lattice: the Omega
+    part of t_mu, which is the same read on either side as W = W_af x| Omega."""
+    return omega_part(translation(datum, coweight))
 
 
 def omega_conjugate(tau: AffineWeylElement, i: int) -> int:
@@ -487,7 +485,8 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     return DoubleCosetIndex(f, min_coset_rep(longest, f))
 
 
-def enumerate_lower_interval(idx: DoubleCosetIndex, cap: int | None = 20000) -> frozenset:
+def enumerate_lower_interval(idx: DoubleCosetIndex,
+                             cap: int | None = INTERVAL_CAP) -> frozenset:
     """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices."""
     f = idx.facet
     return frozenset(DoubleCosetIndex(f, v) for v in lower_set(idx.rep, cap)

@@ -130,7 +130,8 @@ def cmd_satake(args) -> int:
     f = aw.facet(datum, _parse_indices(args.facet))
     if args.list_lambda_minus:
         rows = []
-        for z in sat.enumerate_antidominant(datum, args.cap):
+        cap = 8 if args.cap is None else args.cap
+        for z in sat.enumerate_antidominant(datum, cap):
             rows.append({"coweight": list(datum.x_coords(z)),
                          "length": aw.length(aw.translation(datum, z))})
         text = "\n".join(f"t{r['coweight']}  ell={r['length']}" for r in rows)
@@ -152,7 +153,8 @@ def cmd_satake(args) -> int:
         terms = [{"z": "t[" + ",".join(map(str, datum.x_coords(z))) + "]", "coeff": c}
                  for z, c in sorted(image.coeffs.items())]
     else:
-        out = sat.satake_phi(w, levi, f, args.p)
+        cap = aw.INTERVAL_CAP if args.cap is None else args.cap
+        out = sat.satake_phi(w, levi, f, args.p, cap)
         terms = [t for t in out.to_json()["terms"]]
     _emit(args, {"closed_component": element_to_string(label.rep),
                  "has_levi_point": has_point, "image": terms})
@@ -178,11 +180,18 @@ def cmd_oracle(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other malformed input: an
+    'error: ' line on stderr (then the usage) and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="modp-hecke",
-                                description="mod p parahoric Hecke algebra computations")
+    p = _Parser(prog="modp-hecke",
+                description="mod p parahoric Hecke algebra computations")
     p.add_argument("--config", help="JSON config file mirroring the flags")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     w = sub.add_parser("weyl", help="affine Weyl group computations")
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--w1", required=True)
     q.add_argument("--w2", required=True)
     q.add_argument("--witness", action="store_true")
-    q.add_argument("--cap", type=int, default=20000)
+    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
     q = hsub.add_parser("basis")
     q.add_argument("datum")
@@ -219,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, default=2)
     q.add_argument("--w", required=True)
     q.add_argument("--to", choices=("indicator", "phi"), default="indicator")
-    q.add_argument("--cap", type=int, default=20000)
+    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
     q = hsub.add_parser("pointcount")
     q.add_argument("datum")
     q.add_argument("--facet", default="")
     q.add_argument("--w", required=True)
-    q.add_argument("--cap", type=int, default=20000)
+    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
 
     s = sub.add_parser("satake", help="Satake transform")
@@ -237,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--special", action="store_true",
                    help="assert a special facet and use the anti-dominant fast path")
     s.add_argument("--list-lambda-minus", action="store_true")
-    s.add_argument("--cap", type=int, default=8)
+    s.add_argument("--cap", type=int,
+                   help="length cap of --list-lambda-minus (default 8), else the "
+                        f"interval cap of the transform (default {aw.INTERVAL_CAP})")
     s.add_argument("--json", action="store_true")
 
     o = sub.add_parser("oracle", help="cross-validation suite")

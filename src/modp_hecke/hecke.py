@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine_weyl as aw
-from .affine_weyl import (DoubleCosetIndex, Facet, demazure_product,
+from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_product,
                           double_coset_rep, element_to_string,
                           enumerate_lower_interval, omega_conjugate,
                           parse_element, reduced_word)
@@ -113,7 +113,7 @@ class HeckeElement:
         if self.prime != other.prime:
             raise HeckeError("prime mismatch")
 
-    def convert(self, basis: str, cap: int | None = 20000) -> "HeckeElement":
+    def convert(self, basis: str, cap: int | None = INTERVAL_CAP) -> "HeckeElement":
         if basis == self.basis:
             return self
         if basis == "indicator":
@@ -239,7 +239,8 @@ def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
     return out, witness
 
 
-def convolve(a: HeckeElement, b: HeckeElement, cap: int | None = 20000) -> HeckeElement:
+def convolve(a: HeckeElement, b: HeckeElement,
+             cap: int | None = INTERVAL_CAP) -> HeckeElement:
     """Convolution product, computed bilinearly in the phi basis; the result
     is returned in the basis of the left operand."""
     a._check_compatible(b)
@@ -254,7 +255,7 @@ def convolve(a: HeckeElement, b: HeckeElement, cap: int | None = 20000) -> Hecke
     return result.convert(a.basis, cap)
 
 
-def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = 20000):
+def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP):
     """Coefficients (low to high) of sum_u q^{ell(u)} over the minimal coset
     representatives u with _f u^f <= idx: the cell count of the associated
     Schubert scheme over F_q.  The constant term is always 1.  These u are

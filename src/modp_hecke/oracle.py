@@ -156,13 +156,13 @@ def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
 # -- Bruhat order by subwords ---------------------------------------------------------
 
 def _subword_products(w: AffineWeylElement, cap: int):
+    if length(w) > cap:
+        raise aw.CapExceeded(f"subword search reached length {length(w)}, over the "
+                             f"limit {cap} set by --bruhat-cap (brute_bruhat(cap=))")
     memo = w.datum.subword_memo
     key = (w.translation, w.finite)
     val = memo.get(key)
     if val is None:
-        if length(w) > cap:
-            raise aw.CapExceeded(f"subword search reached length {length(w)}, over the "
-                                 f"limit {cap} set by --bruhat-cap (brute_bruhat(cap=))")
         word, tau = reduced_word(w)
         sys = simple_system(w.datum)
         partial = {aw.identity(w.datum)}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import itertools
 
 from . import affine_weyl as aw
-from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
+from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           Facet, aff_act, element_sort_key, element_to_string,
                           length, reduced_word, simple_system)
 from .hecke import HeckeElement, _check_prime
@@ -317,13 +317,19 @@ class MonoidAlgebraElement:
     def __hash__(self):
         return hash((id(self.datum), self.prime, frozenset(self.coeffs.items())))
 
+    def _check_operand(self, other):
+        if self.datum is not other.datum or self.prime != other.prime:
+            raise SatakeError("operand mismatch")
+
     def __add__(self, other):
+        self._check_operand(other)
         out = dict(self.coeffs)
         for z, c in other.coeffs.items():
             out[z] = out.get(z, 0) + c
         return MonoidAlgebraElement(self.datum, self.prime, out)
 
     def __mul__(self, other):
+        self._check_operand(other)
         out = {}
         for z1, c1 in self.coeffs.items():
             for z2, c2 in other.coeffs.items():
@@ -341,7 +347,8 @@ class MonoidAlgebraElement:
 
 
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
-            facet: Facet, prime: int, cap: int | None = 20000) -> LeviHeckeElement:
+            facet: Facet, prime: int,
+            cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """Indicator sum over the Levi double cosets lying in the component of
     `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
     subword property splits the interval below idx.rep w_f, a reduced product."""
@@ -359,7 +366,7 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
 
 
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
-               cap: int | None = 20000) -> LeviHeckeElement:
+               cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """Transform of a single phi basis element: the indicator of the closed
     attractor intersection, or zero when that component misses the Levi."""
     label = closed_attractor_component(idx, levi, facet)
@@ -368,7 +375,8 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     return phi_c_w(label, idx, levi, facet, prime, cap)
 
 
-def satake(a: HeckeElement, levi: LeviDatum, cap: int | None = 20000) -> LeviHeckeElement:
+def satake(a: HeckeElement, levi: LeviDatum,
+           cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """F_p-linear extension of satake_phi over the phi basis."""
     if levi.datum is not a.facet.datum:
         raise SatakeError("Levi and element live over different data")
@@ -398,34 +406,33 @@ class SpecialSatakeImage:
 
 
 def enumerate_antidominant(datum: RootDatum, length_cap: int):
-    """Anti-dominant coweights z with ell(t_z) <= length_cap, sorted.
+    """Anti-dominant coweights z with ell(t_z) <= length_cap, sorted by
+    (ell, lattice coordinates).
 
-    The coordinate search box is exact on the semisimple part: each simple
-    pairing of an anti-dominant z is bounded by the length, and coordinates
-    are a rational image of the pairings.  Central directions (which never
-    contribute length) are boxed by the cap itself.
+    Lambda_- is the cone z[i] <= 0 (i < n), on which ell(t_z) = -sum_i h_i z[i]
+    is linear, h_i being the alpha_i-coefficient of 2 rho; so the semisimple
+    parts are walked down from 0 one step at a time.  Central directions never
+    add length and are kept to lattice coordinates within [-cap, cap].
     """
+    h = [sum(rt[i] for rt in datum.positive_roots) for i in range(datum.n)]
+
+    def down(node):
+        ell, s = node
+        for i, hi in enumerate(h):
+            if ell + hi <= length_cap:
+                yield ell + hi, s[:i] + (s[i] - 1,) + s[i + 1:]
+
+    cone = closure([(0, (0,) * datum.n)], down)
+    central = [range(-r, r + 1) for r in
+               (length_cap * sum(abs(b[k]) for b in datum.x_basis)
+                for k in range(datum.n, datum.dim))]
     out = []
-    radius = _coordinate_radius(datum, length_cap)
-    for coords in itertools.product(range(-radius, radius + 1), repeat=datum.dim):
-        z = datum.coweight_from_x_coords(coords)
-        if datum.is_antidominant(z) and length(aw.translation(datum, z)) <= length_cap:
-            out.append(z)
-    out.sort(key=lambda z: (length(aw.translation(datum, z)), datum.x_coords(z)))
-    return tuple(out)
-
-
-def _coordinate_radius(datum: RootDatum, length_cap: int) -> int:
-    """Box radius r such that every anti-dominant z with ell(t_z) <= cap has
-    lattice coordinates within [-r, r]: solve the basis pairings exactly."""
-    # For semisimple data the simple pairings are the ambient coordinates,
-    # each bounded by the cap, and the lattice coordinates are their image
-    # under the inverse basis; take its largest absolute column sum.
-    if datum.n == datum.dim:
-        norm = max(sum(abs(e) for e in col) for col in datum.x_inverse_cols)
-        return norm * length_cap // datum.x_inverse_den + 1
-    # Central directions do not affect length; bound them by the cap itself.
-    return length_cap
+    for ell, s in cone:
+        for c in itertools.product(*central):
+            coords = datum.x_coords(s + c)
+            if coords is not None and (not c or max(map(abs, coords)) <= length_cap):
+                out.append((ell, coords, s + c))
+    return tuple(z for _, _, z in sorted(out))
 
 
 def special_satake_image(facet: Facet, prime: int, length_cap: int = 8,

@@ -89,6 +89,24 @@ def test_reduced_word_of_omega_element():
     assert len(word) == 1 and aw.length(tau) == 0 and not tau.is_identity()
 
 
+def _omega_by_right_descents(d, z):
+    cur = aw.translation(d, z)
+    sys = aw.simple_system(d)
+    while aw.length(cur) > 0:
+        cur = cur * sys.elements[next(aw.right_descents(cur))]
+    return cur
+
+
+@pytest.mark.parametrize("spec", ["A1", "A1:ad", "A2:ad", "B2:ad", "G2", "A1xA2:ad"])
+def test_omega_element_is_read_on_either_side(spec):
+    # W = W_af x| Omega, so stripping right descents off t_z reaches the same
+    # length-zero element as the left-descent reduced word.
+    d = preset(spec)
+    for pairings in itertools.product(range(-2, 3), repeat=d.n):
+        if d.in_lattice(pairings):
+            assert aw.omega_element(d, pairings) == _omega_by_right_descents(d, pairings)
+
+
 def test_omega_action_is_diagram_automorphism():
     # A1:ad swaps the two nodes; A2:ad rotates the three nodes
     d = preset("A1:ad")

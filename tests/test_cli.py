@@ -126,6 +126,20 @@ def test_satake_lambda_minus_table():
     doc = json.loads(out)
     assert {"coweight": [0, 0], "length": 0} in doc["lambda_minus"]
     assert len(doc["lambda_minus"]) == 5
+    # without --cap the listing keeps its length cap of 8
+    assert run_cli("satake", "--list-lambda-minus", "A2", "--facet", "1,2",
+                   "--json") == (code, out, "")
+
+
+def test_satake_w_honours_cap():
+    code, _, err = run_cli("satake", "A1", "--facet", "1", "--p", "2", "--w", "t[-3]",
+                           "--cap", "1")
+    assert code == 3
+    assert "--cap" in err
+    code, out, _ = run_cli("satake", "A1", "--facet", "1", "--p", "2", "--w", "t[-3]",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["image"] == [{"rep": "t[-3]", "coeff": 1}]
 
 
 def test_oracle_check_cli():
@@ -170,9 +184,12 @@ def test_config_file(tmp_path):
      "3317044064679887385961981"),
     (["hecke", "multiply", "A1", "--p", str(10 ** 400 + 1), "--w1", "e", "--w2", "e"],
      "3317044064679887385961981"),
+    (["--json", "weyl", "length", "A1", "--elt", "t[1]"],
+     "unrecognized arguments: --json"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "satake-without-w", "config-not-an-object", "unclosed-bracket",
-        "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range"])
+        "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range",
+        "json-before-the-subcommand"])
 def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("[1]")  # valid JSON, but not an object

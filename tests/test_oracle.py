@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
-from modp_hecke.root_datum import preset
+from modp_hecke.root_datum import CartanDatum, RootDatum, preset
 
 
 def test_quadratic_relation():
@@ -96,3 +98,11 @@ def test_brute_length_examples():
 def test_run_checks_all_pass():
     rows = orc.run_checks(specs=("A1",), conv_cap=2, bruhat_cap=3, length_cap=4)
     assert all(r["ok"] for _, r in rows)
+
+
+def test_subword_cap_does_not_depend_on_the_memo():
+    d = RootDatum(CartanDatum((("A", 1),), "sc"))
+    e, w = aw.identity(d), aw.parse_element(d, "t[-10]")
+    assert orc.brute_bruhat(e, w, cap=30)
+    with pytest.raises(aw.CapExceeded, match="limit 4"):
+        orc.brute_bruhat(e, w, cap=4)

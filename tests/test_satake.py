@@ -1,11 +1,13 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import preset
+from modp_hecke.root_datum import from_json, preset
 
 
 def cls(datum, facet, text):
@@ -281,6 +283,18 @@ def test_monoid_algebra_ops():
     assert s.coeffs == {(-2,): 1, (0,): 2}
 
 
+def test_monoid_algebra_operands_must_match():
+    d = preset("A1")
+    a = sat.MonoidAlgebraElement.single(d, 2, (-2,))
+    b = sat.MonoidAlgebraElement.single(d, 3, (-2,))
+    c = sat.MonoidAlgebraElement.single(preset("A1xA2"), 2, (-2, 0, 0))
+    for x, y in ((a, b), (a, c), (c, a)):
+        with pytest.raises(sat.SatakeError, match="operand mismatch"):
+            x + y
+        with pytest.raises(sat.SatakeError, match="operand mismatch"):
+            x * y
+
+
 def test_special_satake_image_and_fast_path():
     d = preset("A2")
     f = aw.hyperspecial(d)
@@ -329,6 +343,64 @@ def test_enumerate_antidominant_a1():
     d = preset("A1")
     zs = sat.enumerate_antidominant(d, 8)
     assert [d.x_coords(z) for z in zs] == [(0,), (-1,), (-2,), (-3,), (-4,)]
+
+
+def _datum(spec):
+    return from_json(spec) if isinstance(spec, dict) else preset(spec)
+
+
+def _brute_antidominant(d, cap):
+    """Every anti-dominant z of the ambient box [-cap, 0]^n (semisimple part)
+    plus central coordinates whose lattice coordinates lie in [-cap, cap],
+    filtered by the length of t_z."""
+    central = [range(-r, r + 1) for r in
+               (cap * sum(abs(b[k]) for b in d.x_basis) for k in range(d.n, d.dim))]
+    out = []
+    for s in itertools.product(range(-cap, 1), repeat=d.n):
+        for c in itertools.product(*central):
+            z = s + c
+            coords = d.x_coords(z)
+            if coords is None or (c and max(map(abs, coords)) > cap):
+                continue
+            ell = aw.length(aw.translation(d, z))
+            if ell <= cap:
+                out.append((ell, coords, z))
+    return tuple(z for _, _, z in sorted(out))
+
+
+EXPLICIT_A1_CENTRAL = {"type": "A1", "lattice_basis": [[1, 1], [1, -1]]}
+EXPLICIT_A1_SPLIT = {"type": "A1", "lattice_basis": [[1, 0], [0, 1]]}
+EXPLICIT_A2_CENTRAL = {"type": "A2", "lattice_basis": [[1, 0, 0], [0, 1, 0], [1, 2, 3]]}
+EXPLICIT_A1XA1_SKEW = {"type": "A1xA1", "lattice_basis": [[1, 100], [0, 1]]}
+
+
+@pytest.mark.parametrize("spec, cap", [
+    ("A1", 8), ("A2:ad", 6), ("B2:ad", 6), ("G2", 12), ("A3:ad", 10), ("A1xA2:ad", 8),
+    (EXPLICIT_A1_CENTRAL, 8), (EXPLICIT_A1_SPLIT, 6), (EXPLICIT_A2_CENTRAL, 4),
+    (EXPLICIT_A1XA1_SKEW, 6),
+], ids=["A1", "A2:ad", "B2:ad", "G2", "A3:ad", "A1xA2:ad", "A1-explicit-central",
+        "A1-explicit-split", "A2-explicit-central", "A1xA1-explicit-skew"])
+def test_enumerate_antidominant_matches_brute_force(spec, cap):
+    d = _datum(spec)
+    assert sat.enumerate_antidominant(d, cap) == _brute_antidominant(d, cap)
+
+
+@pytest.mark.parametrize("spec, cap, count, timed", [
+    ("G2", 80, 66, False), ("A1xA2:ad", 20, 506, False),
+    (EXPLICIT_A1_CENTRAL, 8, 117, False), ("A3", 40, 112, True), ("B3", 24, 11, True),
+    (EXPLICIT_A1XA1_SKEW, 10, 66, True),
+], ids=["G2", "A1xA2:ad", "A1-explicit-central", "A3", "B3", "A1xA1-explicit-skew"])
+def test_enumerate_antidominant_counts(spec, cap, count, timed):
+    # The walk visits the cone, not a coordinate box: the timed cases took
+    # 35-110 s as a box scan (single runs, 2 shared CPUs).
+    d = _datum(spec)
+    start = time.perf_counter()
+    zs = sat.enumerate_antidominant(d, cap)
+    elapsed = time.perf_counter() - start
+    assert len(zs) == count
+    assert all(d.is_antidominant(z) for z in zs)
+    if timed:
+        assert elapsed < 1.0
 
 
 def test_m_affine_elements_label_identity():
