@@ -11,10 +11,12 @@ element factors as (word in affine simples) * (Omega part).
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
-This module keeps no state of its own.  Its memos (the affine simple system,
-the facets, and the length, reduced-word, Bruhat and lower-interval tables)
-live on the RootDatum they belong to, keyed by the (translation, finite)
-pair of each element; see RootDatum.
+This module keeps no state of its own.  Its memos live on the RootDatum they
+belong to (see RootDatum): the affine simple system, the facets, the length,
+reduced-word, Bruhat and lower-interval tables keyed by the (translation,
+finite) pair of each element, and `coset_memo`, which holds the
+DoubleCosetIndex of each element for each facet, keyed by (translation,
+finite, facet indices).
 """
 
 from __future__ import annotations
@@ -480,9 +482,17 @@ class DoubleCosetIndex:
 def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     """The representative _f w^f, the longest of the (v w)^f for v in W_f.
     It is x^f for x the longest element of W_f w, because the right W_f-coset
-    of x holds the longest element of the double coset."""
-    longest = max((v * w for v in f.elements), key=length)
-    return DoubleCosetIndex(f, min_coset_rep(longest, f))
+    of x holds the longest element of the double coset.  Memoized on the
+    datum per (element, facet)."""
+    if f.datum is not w.datum:
+        raise RootDatumError("datum mismatch")
+    memo = w.datum.coset_memo
+    key = (w.translation, w.finite, f.indices)
+    idx = memo.get(key)
+    if idx is None:
+        longest = max((v * w for v in f.elements), key=length)
+        idx = memo[key] = DoubleCosetIndex(f, min_coset_rep(longest, f))
+    return idx
 
 
 def enumerate_lower_interval(idx: DoubleCosetIndex,

@@ -262,19 +262,57 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args, argv):
-    """Config file values override flag defaults but never explicit flags."""
+def _chosen_options(parser, args) -> dict:
+    """dest -> optional action, over the parser and each subcommand parser
+    args chose."""
+    actions = {}
+    while parser is not None:
+        chosen = None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                chosen = action.choices.get(getattr(args, action.dest))
+            elif action.option_strings:
+                actions[action.dest] = action
+        parser = chosen
+    return actions
+
+
+def _config_value(key: str, action, val):
+    """val as the flag's own parsing would give it; a value of the wrong
+    JSON kind, or one the flag's type or choices reject, is a ValueError."""
+    if action.nargs == 0:  # store_true
+        ok = isinstance(val, bool)
+    elif action.type is not None:
+        ok = isinstance(val, (str, int)) and not isinstance(val, bool)
+        if ok:
+            try:
+                val = action.type(str(val))
+            except ValueError:
+                ok = False
+    else:
+        ok = isinstance(val, str)
+    if not ok or (action.choices is not None and val not in action.choices):
+        raise ValueError(f"config value {val!r} is not valid for {key!r}")
+    return val
+
+
+def _apply_config(parser, args, argv):
+    """Config file values override the defaults of optional flags but never
+    a flag the command line gives (in any spelling argparse accepts), and
+    pass the same type and choice checks as the flags."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        given = set(argv)
+        options = _chosen_options(parser, args)
+        for action in options.values():
+            action.default = argparse.SUPPRESS
+        given = vars(parser.parse_args(argv))  # now holds explicit flags only
         for key, val in doc.items():
-            attr = key.replace("-", "_")
-            flag = "--" + key.replace("_", "-")
-            if hasattr(args, attr) and flag not in given:
-                setattr(args, attr, val)
+            action = options.get(key.replace("-", "_"))
+            if action is not None and action.dest not in given:
+                setattr(args, action.dest, _config_value(key, action, val))
 
 
 def main(argv=None) -> int:
@@ -286,7 +324,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         if args.cmd == "weyl":
             return cmd_weyl(args)
         if args.cmd == "hecke":

@@ -236,8 +236,11 @@ class RootDatum:
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (by sorted index tuple), and `length_memo`, `word_memo`,
       `bruhat_memo`, `lower_memo`, keyed by `(translation, finite)` of the
-      affine elements involved;
-    - for `oracle`: `subword_memo`, keyed the same way.
+      affine elements involved, and `coset_memo`, the DoubleCosetIndex of
+      an element for a facet, keyed by `(translation, finite, facet indices)`;
+    - for `satake`: `satake_memo`, the canonical W_{M,f} representatives in
+      the image of one phi class, keyed by `(class, Levi, facet)`;
+    - for `oracle`: `subword_memo`, keyed by `(translation, finite)`.
     """
 
     def __init__(self, cartan: CartanDatum, spec_string: str | None = None):
@@ -305,6 +308,8 @@ class RootDatum:
         self.word_memo: dict = {}
         self.bruhat_memo: dict = {}
         self.lower_memo: dict = {}
+        self.coset_memo: dict = {}
+        self.satake_memo: dict = {}
         self.subword_memo: dict = {}
 
     # -- construction helpers --------------------------------------------------

@@ -368,11 +368,26 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
                cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """Transform of a single phi basis element: the indicator of the closed
-    attractor intersection, or zero when that component misses the Levi."""
-    label = closed_attractor_component(idx, levi, facet)
-    if not component_has_levi_point(label):
-        return LeviHeckeElement(levi, facet, prime, {})
-    return phi_c_w(label, idx, levi, facet, prime, cap)
+    attractor intersection, or zero when that component misses the Levi.
+
+    The canonical representatives in the image are memoized on the datum per
+    (idx, levi, facet), an empty tuple when the component misses the Levi.
+    The prime is not part of the key: every coefficient is 1, so the prime
+    only reduces it, and the element is built (and the prime checked) on
+    every call.  A hit with a nonempty image still walks the interval under
+    `cap`, so the cap raises as it does on a miss."""
+    memo = facet.datum.satake_memo
+    key = (idx, levi, facet)
+    reps = memo.get(key)
+    if reps is None:
+        label = closed_attractor_component(idx, levi, facet)
+        reps = ()
+        if component_has_levi_point(label):
+            reps = tuple(phi_c_w(label, idx, levi, facet, prime, cap).coeffs)
+        memo[key] = reps
+    elif reps:
+        aw.lower_set(idx.rep, cap)
+    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
 def satake(a: HeckeElement, levi: LeviDatum,

@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import RootDatumError, from_json, preset
+from modp_hecke.root_datum import RootDatum, RootDatumError, from_json, preset
 
 
 def els(datum, *strings):
@@ -312,6 +312,15 @@ def test_interval_cap_guard():
     idx = aw.double_coset_rep(aw.translation(d, (-8,)), f)
     with pytest.raises(aw.CapExceeded):
         aw.enumerate_lower_interval(idx, cap=3)
+
+
+def test_double_coset_rep_rejects_a_foreign_facet():
+    d = preset("A2")
+    other = RootDatum(d.cartan_datum, spec_string=d.spec_string)
+    w = aw.parse_element(d, "t[-1,-1]")
+    aw.double_coset_rep(w, aw.hyperspecial(d))  # fills the memo of d
+    with pytest.raises(RootDatumError):
+        aw.double_coset_rep(w, aw.hyperspecial(other))
 
 
 def test_is_special_facet():

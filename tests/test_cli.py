@@ -170,6 +170,18 @@ def test_config_file(tmp_path):
     assert json.loads(out)["prime"] == 5
 
 
+@pytest.mark.parametrize("given", [["--p=5"], ["--p", "5"]])
+def test_config_never_overrides_the_command_line(given, tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"p": 3, "datum": "G2"}))
+    code, out, _ = run_cli("--config", str(cfg), "hecke", "basis", "A1",
+                           "--w", "t[1]", *given, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["prime"] == 5
+    assert {t["rep"] for t in doc["terms"]} == {"e", "s1", "t[1]", "t[1]*s1"}  # A1
+
+
 @pytest.mark.parametrize("argv, says", [
     (["weyl", "length", '{"rank":1}', "--elt", "e"], ""),
     (["weyl", "length", '{"type":"A1"}', "--elt", "e"], ""),
@@ -186,14 +198,22 @@ def test_config_file(tmp_path):
      "3317044064679887385961981"),
     (["--json", "weyl", "length", "A1", "--elt", "t[1]"],
      "unrecognized arguments: --json"),
+    (["--config", 'CONFIG:{"cap": "abc"}', "hecke", "basis", "A1", "--w", "t[1]"],
+     "'abc' is not valid for 'cap'"),
+    (["--config", 'CONFIG:{"facet": 5}', "hecke", "basis", "A1", "--w", "t[1]"],
+     "5 is not valid for 'facet'"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "satake-without-w", "config-not-an-object", "unclosed-bracket",
         "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range",
-        "json-before-the-subcommand"])
+        "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string"])
 def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
+    # "CONFIG" names a config file holding "[1]" (valid JSON, but not an
+    # object); "CONFIG:<json>" names one holding <json>.
     config = tmp_path / "c.json"
-    config.write_text("[1]")  # valid JSON, but not an object
-    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    for a in argv:
+        if a.startswith("CONFIG"):
+            config.write_text(a.partition(":")[2] or "[1]")
+    argv = [str(config) if a.startswith("CONFIG") else a for a in argv]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err

@@ -1,7 +1,8 @@
 """Property tests of the memoized Weyl group arithmetic against its miss
-path and against the independent oracles, on random words."""
+path and against the independent oracles, on random words, and of the
+algebraic laws of convolution and the Satake transform on random elements."""
 
-from functools import reduce
+from functools import cache, reduce
 import itertools
 
 from hypothesis import given
@@ -11,6 +12,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke
 from modp_hecke import oracle
 from modp_hecke import root_datum as rd
+from modp_hecke import satake as sat
 
 SPECS = ("A1", "A2", "C2", "G2", "A3")
 
@@ -135,15 +137,32 @@ def test_demazure_and_convolution_are_associative(case):
     assert conv(conv(x, y), z) == conv(x, conv(y, z))
 
 
-def _results(w):
-    """What every layer says about w, as strings and numbers."""
-    word, tau = aw.reduced_word(w)
+def _results(w, reverse=False):
+    """What every layer says about w, as strings and numbers, asked in a
+    fixed order or in its reverse."""
     f = aw.hyperspecial(w.datum)
-    below = aw.lower_set(w)
-    return (aw.element_to_string(w), aw.length(w), word, aw.element_to_string(tau),
-            sorted(aw.element_to_string(v) for v in below),
-            sum(aw.bruhat_leq(v, w) for v in below),
-            aw.element_to_string(aw.double_coset_rep(w, f).rep))
+    levi = sat.minimal_levi(w.datum)
+
+    def word():
+        word, tau = aw.reduced_word(w)
+        return word, aw.element_to_string(tau)
+
+    def satake(p):
+        return sat.satake_phi(aw.double_coset_rep(w, f), levi, f, p).to_json()
+
+    steps = {
+        "class": lambda: aw.element_to_string(aw.double_coset_rep(w, f).rep),
+        "interval": lambda: sorted(aw.element_to_string(v.rep) for v in
+                                   aw.enumerate_lower_interval(aw.double_coset_rep(w, f))),
+        "leq": lambda: sum(aw.bruhat_leq(v, w) for v in aw.lower_set(w)),
+        "length": lambda: aw.length(w),
+        "lower": lambda: sorted(aw.element_to_string(v) for v in aw.lower_set(w)),
+        "satake2": lambda: satake(2),
+        "satake3": lambda: satake(3),
+        "string": lambda: aw.element_to_string(w),
+        "word": word,
+    }
+    return {name: steps[name]() for name in sorted(steps, reverse=reverse)}
 
 
 @given(st.sampled_from(("A1", "A2", "C2", "G2")).flatmap(
@@ -154,13 +173,65 @@ def test_fresh_and_warm_datum_agree(case):
     spec, coords, word = case
     warm = rd.preset(spec)
 
-    def results_on(d):
+    def results_on(d, reverse=False):
         sys = aw.simple_system(d)
         w = aw.translation(d, d.coweight_from_x_coords(coords[:d.dim]))
         for i in word:
             w = w * sys.elements[sys.indices[i % len(sys.indices)]]
-        return _results(w)
+        return _results(w, reverse)
 
     first = results_on(warm)  # fills the memos of the preset, if cold
     fresh = rd.RootDatum(warm.cartan_datum, spec_string=warm.spec_string)
-    assert results_on(fresh) == results_on(warm) == first
+    assert results_on(fresh, reverse=True) == results_on(warm) == first
+
+
+@cache
+def _short_classes(spec, make_facet):
+    """The classes of length <= 4, in the global element order.  The cap is
+    6 for G2, whose hyperspecial classes of length <= 4 are the unit alone."""
+    length_cap = 6 if spec == "G2" else 4
+    d = rd.preset(spec)
+    f = make_facet(d)
+    found = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, length_cap)}
+    return f, sorted((c for c in found if c.length <= length_cap),
+                     key=lambda c: aw.element_sort_key(c.rep))
+
+
+def _sparse(f, classes, prime, basis):
+    """One to three terms on the given classes, in the given basis."""
+    terms = st.lists(st.tuples(st.sampled_from(classes), st.integers(1, prime - 1)),
+                     min_size=1, max_size=3)
+    return terms.map(lambda ts: hecke.HeckeElement(f, prime, basis, dict(ts)))
+
+
+def _operands(spec, make_facet, count):
+    """`count` sparse elements over one prime; the first half share one
+    basis and the second half another."""
+    f, classes = _short_classes(spec, make_facet)
+    bases = st.sampled_from(("phi", "indicator"))
+    return st.tuples(st.sampled_from((2, 3, 5)), bases, bases).flatmap(
+        lambda pbb: st.tuples(*(_sparse(f, classes, pbb[0], pbb[1 + 2 * k // count])
+                                for k in range(count))))
+
+
+@given(st.sampled_from(("A1", "A2", "C2", "G2")).flatmap(
+    lambda spec: _operands(spec, aw.hyperspecial, 2)))
+def test_satake_is_multiplicative_at_special_facets(case):
+    a, b = case
+    levi = sat.minimal_levi(a.facet.datum)
+
+    def transform(x):
+        return sat.satake(x, levi).to_monoid()
+
+    assert transform(a * b) == transform(a) * transform(b)
+
+
+@given(st.tuples(st.sampled_from(("A1", "A2", "C2")),
+                 st.sampled_from((aw.iwahori, aw.hyperspecial))).flatmap(
+    lambda sf: _operands(*sf, 4)), st.integers(1, 4))
+def test_convolve_is_bilinear(case, c):
+    a, a2, b, b2 = case
+    conv = hecke.convolve
+    assert conv(a + a2, b) == conv(a, b) + conv(a2, b)
+    assert conv(a, b + b2) == conv(a, b) + conv(a, b2)
+    assert conv(a.scale(c), b) == conv(a, b).scale(c) == conv(a, b.scale(c))

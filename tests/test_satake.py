@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import from_json, preset
+from modp_hecke.root_datum import RootDatum, from_json, preset
 
 
 def cls(datum, facet, text):
@@ -492,3 +492,40 @@ def test_fast_path_at_every_special_facet(spec):
             assert aw.double_coset_rep(aw.translation(d, z), f) == idx
             assert sat.special_satake_fast(idx, 3) == \
                 sat.satake_phi(idx, lev, f, 3).to_monoid()
+
+
+def fresh(spec):
+    """A new datum with empty memos, unlike the shared preset."""
+    return RootDatum(preset(spec).cartan_datum, spec_string=preset(spec).spec_string)
+
+
+def test_memo_hit_still_applies_the_cap():
+    d = fresh("A2")
+    f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
+    idx = cls(d, f, "t[-2,-1]")
+    assert not sat.satake_phi(idx, lev, f, 3).is_zero()
+    with pytest.raises(aw.CapExceeded, match="--cap"):
+        sat.satake_phi(idx, lev, f, 3, cap=1)
+    assert aw.enumerate_lower_interval(idx)
+    with pytest.raises(aw.CapExceeded, match="--cap"):
+        aw.enumerate_lower_interval(idx, cap=1)
+
+
+def test_memo_hit_still_checks_the_prime():
+    d = fresh("A2")
+    f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
+    idx = cls(d, f, "t[-1,-1]")
+    image = sat.satake_phi(idx, lev, f, 2)
+    assert sat.satake_phi(idx, lev, f, 3).to_json()["terms"] == image.to_json()["terms"]
+    with pytest.raises(hk.HeckeError):
+        sat.satake_phi(idx, lev, f, 4)
+
+
+def test_zero_image_walks_no_interval_on_a_memo_hit():
+    # the image of s1 is zero (test_satake_phi_iwahori_values); its interval
+    # has 2 elements, which cap=1 would refuse
+    d = fresh("A1")
+    f, lev = aw.iwahori(d), sat.minimal_levi(d)
+    idx = cls(d, f, "s1")
+    for _ in range(2):
+        assert sat.satake_phi(idx, lev, f, 2, cap=1).is_zero()
