@@ -21,6 +21,8 @@ finite, facet indices).
 
 from __future__ import annotations
 
+from operator import add, neg, sub
+
 from .root_datum import (Coweight, FiniteWeylElement, Root, RootDatum, RootDatumError,
                          closure)
 
@@ -60,13 +62,14 @@ class AffineWeylElement:
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.datum is not other.datum:
             raise RootDatumError("datum mismatch")
-        lam = tuple(a + b for a, b in zip(self.translation,
-                                          self.finite.act(other.translation)))
+        lam = self.translation
+        if any(other.translation):
+            lam = tuple(map(add, lam, self.finite.act(other.translation)))
         return AffineWeylElement(self.datum, lam, self.finite * other.finite)
 
     def inverse(self) -> "AffineWeylElement":
         uinv = self.finite.inverse()
-        lam = tuple(-x for x in uinv.act(self.translation))
+        lam = tuple(map(neg, uinv.act(self.translation)))
         return AffineWeylElement(self.datum, lam, uinv)
 
     def is_identity(self) -> bool:
@@ -224,6 +227,14 @@ def omega_part(w: AffineWeylElement) -> AffineWeylElement:
     return reduced_word(w)[1]
 
 
+def same_omega_part(u: AffineWeylElement, w: AffineWeylElement) -> bool:
+    """omega_part(u) == omega_part(w), read without reduced words.  W_af =
+    Q^vee x| W0 is the kernel of W -> X / Q^vee, t_lambda v -> lambda mod
+    Q^vee (as v(mu) - mu lies in Q^vee), so the Omega parts agree iff the
+    translations differ by an element of Q^vee."""
+    return u.datum.in_coroot_lattice(tuple(map(sub, u.translation, w.translation)))
+
+
 def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
     """The length-zero element of t_mu W_af, for mu in the lattice: the Omega
     part of t_mu, which is the same read on either side as W = W_af x| Omega."""
@@ -253,7 +264,7 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
         return False
     if u == w:
         return True
-    if omega_part(u) != omega_part(w):
+    if not same_omega_part(u, w):
         return False
     return _bruhat_descend(u, w)
 
@@ -293,8 +304,9 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
 
     Walks down w > ws > wss ... by smallest right descents to a memo hit or
     a length-zero element, then builds each lower set on the way back up as
-    below | below * s.  Every set built is memoized, and the first one
-    larger than the cap raises CapExceeded.
+    below | below * s, one element at a time.  Every set built is memoized;
+    the first to pass the cap raises CapExceeded as soon as it does, before
+    it is stored, so no set larger than the cap is built or kept.
     """
     memo = w.datum.lower_memo
     sys = simple_system(w.datum)
@@ -312,12 +324,15 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
         w = w * s
     _check_interval_cap(val, cap)
     for key, s in reversed(passed):
-        val = memo[key] = frozenset(val | {v * s for v in val})
-        _check_interval_cap(val, cap)
+        below = set(val)
+        for v in val:
+            below.add(v * s)
+            _check_interval_cap(below, cap)
+        val = memo[key] = frozenset(below)
     return val
 
 
-def _check_interval_cap(val: frozenset, cap: int | None):
+def _check_interval_cap(val, cap: int | None):
     if cap is not None and len(val) > cap:
         raise CapExceeded(f"lower interval reached {len(val)} elements, over the limit "
                           f"{cap} set by --cap (parameter cap)")

@@ -22,6 +22,7 @@ from fractions import Fraction
 import itertools
 import json
 import math
+from operator import mul
 
 Root = tuple[int, ...]      # coordinates in the simple-root basis
 Coweight = tuple[int, ...]  # ambient coordinates
@@ -117,8 +118,9 @@ class FiniteWeylElement:
 
     Elements are interned per datum by their matrix, so each one carries its
     own lazy memos: products with other elements, images of roots, the
-    positive roots its inverse makes negative, and its canonical word.  The
-    matrix arithmetic runs only on a memo miss.
+    positive roots its inverse makes negative, and its canonical word.
+    Products, inverses and root images run their matrix arithmetic only on a
+    memo miss; `act` on coweights has no memo and multiplies every time.
     """
 
     __slots__ = ("datum", "matrix", "_hash", "_inv", "_products", "_root_images",
@@ -159,8 +161,7 @@ class FiniteWeylElement:
         return self is self.datum.weyl_identity
 
     def act(self, x: Coweight) -> Coweight:
-        m = self.matrix
-        return tuple(sum(m[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
+        return tuple([sum(map(mul, row, x)) for row in self.matrix])
 
     def act_root(self, root: Root) -> Root:
         """Dual action on roots (simple-root coordinates)."""
@@ -211,6 +212,18 @@ def _fraction_inverse(a):
                 f = aug[r][col]
                 aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _coordinate_functionals(basis):
+    """(den, cols) such that the coordinates of v in the basis are
+    <v, cols[j]> / den, integral exactly when v lies in the lattice the basis
+    spans (a v longer than the basis is paired on its first entries); None
+    when the basis is singular."""
+    inv = _fraction_inverse(basis)
+    if inv is None:
+        return None
+    den = math.lcm(*(v.denominator for row in inv for v in row))
+    return den, tuple(tuple(int(row[j] * den) for row in inv) for j in range(len(basis)))
 
 
 def _integer_inverse(a):
@@ -274,15 +287,10 @@ class RootDatum:
                 raise RootDatumError("lattice basis must be square of size >= rank")
             basis = list(rows)
         self.x_basis = tuple(basis)
-        inv = _fraction_inverse(self.x_basis)
-        if inv is None:
+        functionals = _coordinate_functionals(self.x_basis)
+        if functionals is None:
             raise RootDatumError("lattice basis is singular")
-        # x_coords(v)[j] = <v, x_inverse_cols[j]> / x_inverse_den, integral
-        # exactly when v lies in the lattice.
-        self.x_inverse_den = math.lcm(*(v.denominator for row in inv for v in row))
-        self.x_inverse_cols = tuple(
-            tuple(int(row[j] * self.x_inverse_den) for row in inv)
-            for j in range(self.dim))
+        self.x_inverse_den, self.x_inverse_cols = functionals
         self.lattice_label = cartan.lattice if cartan.lattice in ("sc", "ad") else "explicit"
 
         self.simple_coroots = tuple(
@@ -292,6 +300,8 @@ class RootDatum:
             if self.x_coords(crt) is None:
                 raise RootDatumError(
                     f"lattice does not contain the simple coroot alpha_{j + 1}^vee")
+        self.q_inverse_den, self.q_inverse_cols = _coordinate_functionals(
+            [crt[:self.n] for crt in self.simple_coroots])
 
         self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
@@ -396,6 +406,14 @@ class RootDatum:
                 return None
             out.append(c)
         return tuple(out)
+
+    def in_coroot_lattice(self, coweight: Coweight) -> bool:
+        """True iff the coweight lies in Q^vee, the span of the simple
+        coroots: its central coordinates are zero, and its semisimple part has
+        integral simple-coroot coordinates."""
+        den = self.q_inverse_den
+        return not any(coweight[self.n:]) and all(
+            sum(map(mul, coweight, col)) % den == 0 for col in self.q_inverse_cols)
 
     def coweight_from_x_coords(self, coords) -> Coweight:
         if len(coords) != self.dim:

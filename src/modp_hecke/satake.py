@@ -351,17 +351,35 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
             cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """Indicator sum over the Levi double cosets lying in the component of
     `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
-    subword property splits the interval below idx.rep w_f, a reduced product."""
+    subword property splits the interval below idx.rep w_f, a reduced product.
+
+    Only the products a * u in W_M = X x| W0(M) are formed: for a in the
+    lower set these are the u in W_f with u.finite in a.finite^-1 W0(M), read
+    off a map from finite parts to W_f.  That map is one-to-one because W_f
+    is finite, so it holds no nonzero translation and meets each fibre of
+    W -> W0 at most once.  Each canonical W_{M,f} double coset is checked
+    against the label once, whether it is kept or not."""
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
     wmf = levi_induced_facet(levi, facet)
+    by_finite = {u.finite: u for u in facet.elements}
+    partners = {}  # a.finite -> the u in W_f with a.finite * u.finite in W0(M)
+    ys = set()
+    for a in aw.lower_set(idx.rep, cap):
+        us = partners.get(a.finite)
+        if us is None:
+            ainv = a.finite.inverse()
+            us = partners[a.finite] = [by_finite[v] for v in (ainv * m for m in levi.w0m)
+                                       if v in by_finite]
+        ys.update([a * u for u in us])
     coeffs = {}
-    for y in {a * u for a in aw.lower_set(idx.rep, cap) for u in facet.elements}:
-        if not levi.in_w_m(y):
-            continue
+    checked = set()
+    for y in ys:
         canon = _canon_m_coset(levi, wmf, y)
-        if canon not in coeffs and component_of(canon, levi, facet) == label:
-            coeffs[canon] = 1
+        if canon not in checked:
+            checked.add(canon)
+            if component_of(canon, levi, facet) == label:
+                coeffs[canon] = 1
     return LeviHeckeElement(levi, facet, prime, coeffs)
 
 

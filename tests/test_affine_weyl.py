@@ -141,6 +141,23 @@ def test_bruhat_basics():
     assert aw.bruhat_leq(s1, s010)
 
 
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda t=t: preset(t), id=t) for t in ("A1:ad", "A2:ad", "C2", "G2")],
+    pytest.param(lambda: _explicit_a1([[1, 1], [1, -1]]), id="A1-explicit-central"),
+])
+def test_same_omega_part_matches_reduced_words(make):
+    # The ball holds torsion Omega parts only, whose translations have zero
+    # central coordinates; its translates by the lattice basis reach the
+    # other classes of X / Q^vee, central ones included.
+    d = make()
+    ball = aw.length_ball(d, 3)
+    elements = ball + [aw.translation(d, b) * w for b in d.x_basis for w in ball]
+    for u in elements:
+        for w in elements:
+            assert aw.same_omega_part(u, w) == (aw.omega_part(u) == aw.omega_part(w)), \
+                (aw.element_to_string(u), aw.element_to_string(w))
+
+
 def test_bruhat_vs_subword_oracle():
     for spec in ("A1", "A2", "C2"):
         d = preset(spec)
@@ -312,6 +329,18 @@ def test_interval_cap_guard():
     idx = aw.double_coset_rep(aw.translation(d, (-8,)), f)
     with pytest.raises(aw.CapExceeded):
         aw.enumerate_lower_interval(idx, cap=3)
+
+
+@pytest.mark.parametrize("spec, text", [("A1", "t[-8]"), ("A2", "t[-2,-2]*s1"),
+                                        ("G2", "t[-1,-1]")])
+def test_interval_cap_bounds_the_sets_built(spec, text):
+    # The cap is checked while a set is built, so no set larger than the cap
+    # is ever stored.
+    for cap in (1, 2, 5, 9, 20):
+        d = RootDatum(preset(spec).cartan_datum)
+        with pytest.raises(aw.CapExceeded, match=f"reached {cap + 1} elements"):
+            aw.lower_set(aw.parse_element(d, text), cap=cap)
+        assert max(map(len, d.lower_memo.values())) <= cap
 
 
 def test_double_coset_rep_rejects_a_foreign_facet():

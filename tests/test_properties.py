@@ -7,6 +7,7 @@ import itertools
 
 from hypothesis import given
 from hypothesis import strategies as st
+import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke
@@ -63,6 +64,44 @@ def test_memoized_finite_product_matches_matrix_product(case):
             sum(rt[i] * a.inverse().matrix[i][j] for i in range(d.n)) for j in range(d.n))
 
 
+CENTRAL_A1 = rd.from_json({"type": "A1", "rank": 1, "lattice_basis": [[1, 1], [1, -1]]})
+PRODUCT_DATA = (rd.preset("A1"), rd.preset("A2:ad"), rd.preset("C2"), rd.preset("G2"),
+                CENTRAL_A1)
+
+
+@st.composite
+def elements_from_parts(draw, d):
+    """t_lambda u assembled from its two parts, with no affine product; the
+    translation is often zero and the finite part often the identity."""
+    coords = draw(st.one_of(st.just([0] * d.dim),
+                            st.lists(st.integers(-3, 3), min_size=d.dim, max_size=d.dim)))
+    word = draw(st.one_of(st.just([]), st.lists(st.integers(0, d.n - 1), max_size=8)))
+    u = reduce(lambda x, i: x * d.simple_reflections[i], word, d.weyl_identity)
+    return aw.AffineWeylElement(d, d.coweight_from_x_coords(coords), u)
+
+
+def _affine_matrix(w):
+    """The (dim+1) x (dim+1) matrix [[u, lambda], [0, 1]] of t_lambda u."""
+    rows = [row + (lam,) for row, lam in zip(w.finite.matrix, w.translation)]
+    return tuple(rows) + ((0,) * w.datum.dim + (1,),)
+
+
+def _matrix_product(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+@given(st.sampled_from(PRODUCT_DATA).flatmap(
+    lambda d: st.tuples(elements_from_parts(d), elements_from_parts(d))))
+def test_affine_product_matches_affine_matrices(case):
+    x, y = case
+    mx = _affine_matrix(x)
+    assert _affine_matrix(x * y) == _matrix_product(mx, _affine_matrix(y))
+    one = _affine_matrix(aw.identity(x.datum))
+    assert _matrix_product(_affine_matrix(x.inverse()), mx) == one
+    assert _matrix_product(mx, _affine_matrix(x.inverse())) == one
+
+
 @given(st.sampled_from(SPECS).flatmap(affine_elements))
 def test_length_matches_alcove_walk(w):
     assert aw.length(w) == oracle.brute_length(w)
@@ -113,6 +152,37 @@ def test_schubert_scheme_is_lower_set_times_parabolic():
             swept = {g * v.rep * h for v in aw.enumerate_lower_interval(idx)
                      for g in f.elements for h in f.elements}
             assert swept == {a * u for a in aw.lower_set(idx.rep) for u in f.elements}
+
+
+def _swept_phi_c_w(label, idx, levi, facet, prime):
+    """phi_c_w by the full sweep: every product of lower_set(idx.rep) x W_f,
+    kept when it lies in W_M."""
+    wmf = sat.levi_induced_facet(levi, facet)
+    coeffs = {}
+    for y in {a * u for a in aw.lower_set(idx.rep) for u in facet.elements}:
+        if not levi.in_w_m(y):
+            continue
+        canon = sat._canon_m_coset(levi, wmf, y)
+        if canon not in coeffs and sat.component_of(canon, levi, facet) == label:
+            coeffs[canon] = 1
+    return sat.LeviHeckeElement(levi, facet, prime, coeffs)
+
+
+@pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2"))
+def test_phi_c_w_matches_the_full_sweep(spec):
+    """Every finite facet, every standard Levi (G itself included) and every
+    class of length <= 4."""
+    d = rd.preset(spec)
+    levis = [sat.levi_datum(d, j_m) for r in range(d.n + 1)
+             for j_m in itertools.combinations(range(d.n), r)]
+    for f in _finite_facets(d):
+        classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 4)}
+        for idx in (c for c in classes if c.length <= 4):
+            for levi in levis:
+                label = sat.closed_attractor_component(idx, levi, f)
+                if sat.component_has_levi_point(label):
+                    assert sat.phi_c_w(label, idx, levi, f, 2) == \
+                        _swept_phi_c_w(label, idx, levi, f, 2), (f, idx, levi)
 
 
 ASSOCIATIVITY_SPECS = ("A1", "A1:ad", "A2", "A2:ad", "C2", "G2")
