@@ -16,8 +16,8 @@ from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           min_coset_rep, omega_conjugate, parse_element,
                           reduced_word, translation)
 from .hecke import (ConvolutionWitness, HeckeElement, HeckeError, convolve,
-                    convolve_phi_classes, indicator_basis_element,
-                    phi_basis_element, point_count_polynomial, unit)
+                    convolve_phi_classes, phi_basis_element,
+                    point_count_polynomial, unit)
 from .satake import (ComponentLabel, LeviDatum, LeviHeckeElement,
                      MonoidAlgebraElement, SatakeError,
                      closed_attractor_component, component_has_levi_point,

@@ -169,10 +169,6 @@ def hecke_from_json(datum, doc) -> HeckeElement:
     return HeckeElement(f, doc["prime"], doc["basis"], coeffs)
 
 
-def indicator_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
-    return HeckeElement(idx.facet, prime, "indicator", {idx: 1})
-
-
 def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
     """phi_w as a single phi-basis term; convert() expands it to the sum of
     indicators over the lower interval."""

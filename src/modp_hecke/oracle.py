@@ -4,6 +4,11 @@ Four oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
 specialization must reproduce the phi-basis convolution, a subword-property
 Bruhat test, an exact alcove-walk length count and a W_f sweep for double
 cosets.  Beyond min_coset_rep, they share no code path with what they check.
+
+The generic algebra packs each Z[q] coefficient into one int, its value at
+q = 2^64, and builds self * T_w from self * T_{ws} one length level at a
+time.  A product whose coefficient bound reaches 2^63 raises CapExceeded
+before it is formed, so a packed coefficient never wraps.
 """
 
 from __future__ import annotations
@@ -13,114 +18,106 @@ from fractions import Fraction
 from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, DoubleCosetIndex, Facet,
                           element_to_string, length, lower_set, reduced_word,
-                          simple_system)
+                          right_descents, simple_system)
 from .hecke import HeckeElement, convolve_phi_classes, phi_basis_element
 from .root_datum import RootDatum, RootDatumError
 
-Poly = tuple[int, ...]  # dense integer coefficients, low degree first
+# A coefficient c_0 + c_1 q + ... is stored as the int c_0 + c_1 B + ..., its
+# value at q = B (Kronecker substitution).  The digits are read back balanced,
+# in [-B/2, B/2), so the encoding is exact while every |c_i| < PACK_LIMIT.
+B = 1 << 64
+PACK_LIMIT = B >> 1
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_eval(a: Poly, q: int) -> int:
+def pack(poly) -> int:
+    """Dense integer coefficients, low degree first -> value at q = B."""
     val = 0
-    for c in reversed(a):
-        val = val * q + c
+    for c in reversed(poly):
+        val = val * B + c
     return val
 
 
-P_ONE: Poly = (1,)
-P_Q: Poly = (0, 1)
-P_QM1: Poly = (-1, 1)
+def _constant_term(x: int) -> int:
+    return (x + PACK_LIMIT) % B - PACK_LIMIT
+
+
+def unpack(x: int) -> tuple:
+    """Inverse of pack: the balanced base-B digits, low degree first."""
+    out = []
+    while x:
+        out.append(_constant_term(x))
+        x = (x - out[-1]) // B
+    return tuple(out)
 
 
 class GenericHeckeElement:
-    """Sparse combination of T_w with coefficients in Z[q], Iwahori level."""
+    """Sparse combination of T_w with packed coefficients in Z[q], Iwahori
+    level.  `bound` is an upper bound on the sum of the absolute values of all
+    coefficient digits."""
 
-    __slots__ = ("datum", "coeffs")
+    __slots__ = ("datum", "coeffs", "bound")
 
-    def __init__(self, datum: RootDatum, coeffs: dict):
+    def __init__(self, datum: RootDatum, coeffs: dict, bound: int | None = None):
         self.datum = datum
-        self.coeffs = {w: p for w, p in coeffs.items() if p}
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
+        if bound is None:
+            bound = sum(sum(map(abs, unpack(c))) for c in self.coeffs.values())
+        self.bound = bound
 
     @classmethod
     def t_basis(cls, w: AffineWeylElement):
-        return cls(w.datum, {w: P_ONE})
-
-    @classmethod
-    def unit(cls, datum: RootDatum):
-        return cls(datum, {aw.identity(datum): P_ONE})
+        return cls(w.datum, {w: 1}, 1)
 
     def __eq__(self, other):
         return (isinstance(other, GenericHeckeElement)
                 and self.datum is other.datum and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, p in other.coeffs.items():
-            out[w] = poly_add(out.get(w, ()), p)
-        return GenericHeckeElement(self.datum, out)
-
-    def _mul_simple(self, i: int) -> "GenericHeckeElement":
-        # T_w * T_s = T_{ws} if ws > w, else (q-1) T_w + q T_{ws}
-        s = simple_system(self.datum).simple(i)
-        out = {}
-
-        def acc(w, p):
-            if p:
-                out[w] = poly_add(out.get(w, ()), p)
-
-        for w, p in self.coeffs.items():
-            ws = w * s
-            if length(ws) > length(w):
-                acc(ws, p)
-            else:
-                acc(w, poly_mul(p, P_QM1))
-                acc(ws, poly_mul(p, P_Q))
-        return GenericHeckeElement(self.datum, out)
-
-    def _mul_t_basis(self, w: AffineWeylElement) -> "GenericHeckeElement":
-        word, tau = reduced_word(w)
-        cur = self
-        for i in word:
-            cur = cur._mul_simple(i)
-        if tau.is_identity():
-            return cur
-        return GenericHeckeElement(self.datum,
-                                   {v * tau: p for v, p in cur.coeffs.items()})
-
     def __mul__(self, other: "GenericHeckeElement") -> "GenericHeckeElement":
-        out = GenericHeckeElement(self.datum, {})
-        for w, p in other.coeffs.items():
-            term = self._mul_t_basis(w)
-            out = out + GenericHeckeElement(
-                self.datum, {v: poly_mul(pp, p) for v, pp in term.coeffs.items()})
-        return out
+        # self * T_w is built as (self * T_{ws}) * T_s, s the smallest right
+        # descent of w, from the level of length l(w) - 1; a length-zero w
+        # relabels v -> v w.  Only the previous level is kept.
+        sys = simple_system(self.datum)
+        levels = {}  # length -> {w: smallest right descent s, None at length 0}
+        todo = list(other.coeffs)
+        while todo:
+            w = todo.pop()
+            level = levels.setdefault(length(w), {})
+            if w not in level:
+                level[w] = next((sys.elements[i] for i in right_descents(w)), None)
+                if level[w] is not None:
+                    todo.append(w * level[w])
+        # |q - 1| + |q| = 3 bounds the growth of the digit sum per letter.
+        bound = self.bound * other.bound * 3 ** max(levels, default=0)
+        if bound >= PACK_LIMIT:
+            raise aw.CapExceeded(
+                f"generic product coefficient bound reached {bound}, over the limit "
+                f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
+        out, prev = {}, {}
+        for lw in range(len(levels)):
+            cur = {}
+            for w, s in levels[lw].items():
+                if s is None:
+                    terms = {v * w: c for v, c in self.coeffs.items()}
+                else:
+                    terms = {}
+                    for v, c in prev[w * s].items():
+                        vs = v * s
+                        # T_v T_s = T_vs if vs > v, else (q - 1) T_v + q T_vs
+                        if length(vs) > length(v):
+                            terms[vs] = terms.get(vs, 0) + c
+                        else:
+                            terms[v] = terms.get(v, 0) + c * (B - 1)
+                            terms[vs] = terms.get(vs, 0) + c * B
+                cur[w] = terms
+                cw = other.coeffs.get(w)
+                if cw:
+                    for v, c in terms.items():
+                        out[v] = out.get(v, 0) + c * cw
+            prev = cur
+        return GenericHeckeElement(self.datum, out, bound)
 
     def __repr__(self):
-        terms = sorted((element_to_string(w), p) for w, p in self.coeffs.items())
+        terms = sorted((element_to_string(w), unpack(c)) for w, c in self.coeffs.items())
         return " + ".join(f"({p})*T[{w}]" for w, p in terms) or "0"
 
 
@@ -130,8 +127,8 @@ def specialize_q0_mod_p(a: GenericHeckeElement, p: int, facet: Facet) -> HeckeEl
     if not facet.is_iwahori:
         raise RootDatumError("the generic oracle is Iwahori-only")
     coeffs = {}
-    for w, poly in a.coeffs.items():
-        c = poly_eval(poly, 0) % p
+    for w, packed in a.coeffs.items():
+        c = _constant_term(packed) % p
         if c:
             coeffs[DoubleCosetIndex(facet, w)] = c
     return HeckeElement(facet, p, "indicator", coeffs)
@@ -141,8 +138,9 @@ def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
     """phi_w as the Bruhat-interval sum of T-basis elements (Iwahori)."""
     if not idx.facet.is_iwahori:
         raise RootDatumError("the generic oracle is Iwahori-only")
-    return GenericHeckeElement(idx.facet.datum,
-                               {v: P_ONE for v in lower_set(idx.rep)})
+    interval = lower_set(idx.rep)
+    return GenericHeckeElement(idx.facet.datum, dict.fromkeys(interval, 1),
+                               len(interval))
 
 
 def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,

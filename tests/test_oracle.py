@@ -13,15 +13,15 @@ def test_quadratic_relation():
     s1 = aw.parse_element(d, "s1")
     t = orc.GenericHeckeElement.t_basis(s1)
     sq = t * t
-    assert sq.coeffs[s1] == (-1, 1)                   # (q - 1) T_s
-    assert sq.coeffs[aw.identity(d)] == (0, 1)        # q T_e
+    assert orc.unpack(sq.coeffs[s1]) == (-1, 1)                 # (q - 1) T_s
+    assert orc.unpack(sq.coeffs[aw.identity(d)]) == (0, 1)      # q T_e
 
 
 def test_lengths_add():
     d = preset("A1")
     s0, s1 = aw.parse_element(d, "s0"), aw.parse_element(d, "s1")
     prod = orc.GenericHeckeElement.t_basis(s0) * orc.GenericHeckeElement.t_basis(s1)
-    assert prod.coeffs == {s0 * s1: (1,)}
+    assert prod.coeffs == {s0 * s1: orc.pack((1,))}
 
 
 def test_generic_associativity_random():
@@ -42,7 +42,7 @@ def test_q1_degenerates_to_group_algebra():
         prod = orc.GenericHeckeElement.t_basis(u) * orc.GenericHeckeElement.t_basis(w)
         collapsed = {}
         for v, p in prod.coeffs.items():
-            c = orc.poly_eval(p, 1)
+            c = sum(orc.unpack(p))
             if c:
                 collapsed[v] = collapsed.get(v, 0) + c
         assert collapsed == {u * w: 1}
@@ -52,11 +52,32 @@ def test_specialize_q0_mod_p():
     d = preset("A1")
     f = aw.iwahori(d)
     s1 = aw.parse_element(d, "s1")
-    a = orc.GenericHeckeElement(d, {s1: (-1, 1), aw.identity(d): (0, 1)})
+    a = orc.GenericHeckeElement(d, {s1: orc.pack((-1, 1)), aw.identity(d): orc.pack((0, 1))})
     out = orc.specialize_q0_mod_p(a, 3, f)
     assert out.coeffs == {aw.DoubleCosetIndex(f, s1): 2}
-    b = orc.GenericHeckeElement(d, {aw.identity(d): (0, 1)})
+    b = orc.GenericHeckeElement(d, {aw.identity(d): orc.pack((0, 1))})
     assert orc.specialize_q0_mod_p(b, 5, f).is_zero()
+
+
+def test_pack_round_trip_and_repr():
+    limit = orc.PACK_LIMIT
+    for poly in ((), (1,), (-1, 1), (0, 1), (3, 0, -2), (-limit, limit - 1, -1)):
+        assert orc.unpack(orc.pack(poly)) == poly
+    d = preset("A1")
+    s1 = aw.parse_element(d, "s1")
+    t = orc.GenericHeckeElement.t_basis(s1)
+    assert repr(t * t) == "((0, 1))*T[e] + ((-1, 1))*T[s1]"
+
+
+def test_product_over_the_packing_limit_raises():
+    # l(t[20]) = 40 and 3^40 > 2^63: the bound is refused before any product
+    d = preset("A1")
+    t20 = orc.GenericHeckeElement.t_basis(aw.parse_element(d, "t[20]"))
+    with pytest.raises(aw.CapExceeded, match=f"reached {3 ** 40}, over the limit "
+                                             f"{orc.PACK_LIMIT} set by the packed Z"):
+        t20 * t20
+    t10 = orc.GenericHeckeElement.t_basis(aw.parse_element(d, "t[10]"))
+    assert (t10 * t10).bound == 3 ** 20
 
 
 def test_oracle_convolution_example():

@@ -305,3 +305,79 @@ def test_convolve_is_bilinear(case, c):
     assert conv(a + a2, b) == conv(a, b) + conv(a2, b)
     assert conv(a, b + b2) == conv(a, b) + conv(a, b2)
     assert conv(a.scale(c), b) == conv(a, b).scale(c) == conv(a, b.scale(c))
+
+
+def _poly_add(a, b):
+    out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _tuple_product(a, b, d):
+    """The generic product with tuple coefficients, one letter of a reduced
+    word of each w at a time: T_v T_s = T_vs if vs > v, else
+    (q - 1) T_v + q T_vs; the Omega part relabels."""
+    sys = aw.simple_system(d)
+    out = {}
+
+    def acc(terms, v, p):
+        terms[v] = _poly_add(terms.get(v, ()), p)
+
+    for w, p in b.items():
+        word, tau = aw.reduced_word(w)
+        cur = dict(a)
+        for i in word:
+            s, nxt = sys.elements[i], {}
+            for v, c in cur.items():
+                vs = v * s
+                if aw.length(vs) > aw.length(v):
+                    acc(nxt, vs, c)
+                else:
+                    acc(nxt, v, _poly_mul(c, (-1, 1)))
+                    acc(nxt, vs, _poly_mul(c, (0, 1)))
+            cur = nxt
+        for v, c in cur.items():
+            acc(out, v * tau, _poly_mul(c, p))
+    return {v: c for v, c in out.items() if c}
+
+
+@st.composite
+def generic_terms(draw, d):
+    """One to three T_w with Z[q] coefficients of both signs and degree <= 2;
+    w is an Omega element (often nontrivial) times up to four affine simples."""
+    sys = aw.simple_system(d)
+
+    def element():
+        coords = draw(st.lists(st.integers(-1, 1), min_size=d.dim, max_size=d.dim))
+        w = aw.omega_element(d, d.coweight_from_x_coords(coords))
+        for i in draw(st.lists(st.sampled_from(sys.indices), max_size=4)):
+            w = w * sys.elements[i]
+        return w
+
+    coeff = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+        lambda c: _poly_add(c, ())).filter(bool)
+    return {element(): draw(coeff) for _ in range(draw(st.integers(1, 3)))}
+
+
+@given(st.sampled_from(PRODUCT_DATA).flatmap(
+    lambda d: st.tuples(generic_terms(d), generic_terms(d))))
+def test_packed_generic_product_matches_tuple_product(case):
+    a, b = case
+    d = next(iter(a)).datum
+
+    def packed(terms):
+        return oracle.GenericHeckeElement(d, {w: oracle.pack(p) for w, p in terms.items()})
+
+    prod = packed(a) * packed(b)
+    assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(a, b, d)

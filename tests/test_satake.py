@@ -273,6 +273,22 @@ def test_satake_homomorphism_special():
             assert left == right
 
 
+def test_satake_not_multiplicative_at_iwahori():
+    # Multiplicativity is a special-parahoric statement: with the minimal
+    # Levi at the A1 Iwahori facet, phi_{s1} * phi_{t[-1]} = phi_{t[-1]} has
+    # transform e^{t[-1]}, while the transform of phi_{s1} is zero.
+    d = preset("A1")
+    f = aw.iwahori(d)
+    lev = sat.minimal_levi(d)
+    a = hk.phi_basis_element(cls(d, f, "s1"), 2)
+    b = hk.phi_basis_element(cls(d, f, "t[-1]"), 2)
+    left = sat.satake(hk.convolve(a, b), lev).to_monoid()
+    right = sat.satake(a, lev).to_monoid() * sat.satake(b, lev).to_monoid()
+    assert left == sat.MonoidAlgebraElement.single(d, 2, d.coweight_from_x_coords((-1,)))
+    assert right.is_zero()
+    assert left != right
+
+
 def test_monoid_algebra_ops():
     d = preset("A1")
     a = sat.MonoidAlgebraElement(d, 3, {(-2,): 2, (0,): 1})
