@@ -23,7 +23,7 @@ from .satake import (ComponentLabel, LeviDatum, LeviHeckeElement,
                      closed_attractor_component, component_has_levi_point,
                      component_of, enumerate_antidominant,
                      enumerate_closed_chains, levi_datum, levi_induced_facet,
-                     minimal_levi, phi_c_w, satake_phi, special_satake_image)
+                     minimal_levi, phi_c_w, satake_phi)
 from .satake import satake as satake_transform
 from . import oracle
 

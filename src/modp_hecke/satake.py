@@ -6,7 +6,10 @@ variety into attractor components indexed by W_{M,af} \\ W / W_f.  For each
 double coset w there is a unique component whose intersection with the
 Schubert scheme of w is closed; the transform sends phi_w to the indicator
 sum of that intersection when the component meets W_M, and to zero
-otherwise.
+otherwise.  A component is labelled by the set of minimal elements of the
+left W_{M,af}-cosets it is made of, one per W_{M,af} w v for v in W_f; its
+representative is the least of them, so membership and the Levi-point test
+each read the set instead of reducing |W_f| products.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -19,15 +22,14 @@ component of an anti-dominant translation t_z is the component of t_z itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import itertools
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           Facet, aff_act, element_sort_key, element_to_string,
-                          length, reduced_word, simple_system)
+                          reduced_word, simple_system)
 from .hecke import HeckeElement, _check_prime
-from .root_datum import Coweight, RootDatum, closure
+from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
 
 
 class SatakeError(ValueError):
@@ -145,16 +147,20 @@ def _min_left_m_coset(levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElemen
 
 
 class ComponentLabel:
-    """Canonical representative of a class in W_{M,af} \\ W / W_f: the
-    minimal-length element, ties broken by the global element order."""
+    """A class W_{M,af} \\ W / W_f, held as its set of left-coset minima: the
+    class of w is the union of the left cosets W_{M,af} w v (v in W_f), each
+    with a unique minimal element, and y lies in the class iff the minimum of
+    W_{M,af} y is in `cosets`.  `rep`, the least of them in the global element
+    order, is the canonical representative; labels compare by `rep`."""
 
-    __slots__ = ("levi", "facet", "rep", "_hash")
+    __slots__ = ("levi", "facet", "cosets", "rep", "_hash")
 
-    def __init__(self, levi: LeviDatum, facet: Facet, rep: AffineWeylElement):
+    def __init__(self, levi: LeviDatum, facet: Facet, cosets: frozenset):
         self.levi = levi
         self.facet = facet
-        self.rep = rep
-        self._hash = hash((levi, facet, rep))
+        self.cosets = cosets
+        self.rep = min(cosets, key=element_sort_key)
+        self._hash = hash((levi, facet, self.rep))
 
     def __eq__(self, other):
         return (isinstance(other, ComponentLabel) and self.levi == other.levi
@@ -169,9 +175,8 @@ class ComponentLabel:
 
 def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> ComponentLabel:
     """Label of the attractor component through w."""
-    best = min((_min_left_m_coset(levi, w * v) for v in facet.elements),
-               key=element_sort_key)
-    return ComponentLabel(levi, facet, best)
+    return ComponentLabel(levi, facet, frozenset(_min_left_m_coset(levi, w * v)
+                                                 for v in facet.elements))
 
 
 # -- closed attractor selection ----------------------------------------------------
@@ -225,8 +230,9 @@ def levi_induced_facet(levi: LeviDatum, facet: Facet) -> tuple:
 
 
 def component_has_levi_point(label: ComponentLabel) -> bool:
-    """True iff the double coset W_{M,af} rep W_f meets W_M."""
-    return any(label.levi.in_w_m(label.rep * v) for v in label.facet.elements)
+    """True iff the double coset W_{M,af} rep W_f meets W_M: since
+    W_{M,af} lies in W_M, iff one of its left-coset minima does."""
+    return any(label.levi.in_w_m(c) for c in label.cosets)
 
 
 def _canon_m_coset(levi: LeviDatum, wmf, y: AffineWeylElement) -> AffineWeylElement:
@@ -358,7 +364,8 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     off a map from finite parts to W_f.  That map is one-to-one because W_f
     is finite, so it holds no nonzero translation and meets each fibre of
     W -> W0 at most once.  Each canonical W_{M,f} double coset is checked
-    against the label once, whether it is kept or not."""
+    against the label once, whether it is kept or not, by one left-coset
+    reduction looked up in `label.cosets`."""
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
     wmf = levi_induced_facet(levi, facet)
@@ -378,7 +385,7 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
         canon = _canon_m_coset(levi, wmf, y)
         if canon not in checked:
             checked.add(canon)
-            if component_of(canon, levi, facet) == label:
+            if _min_left_m_coset(levi, canon) in label.cosets:
                 coeffs[canon] = 1
     return LeviHeckeElement(levi, facet, prime, coeffs)
 
@@ -423,21 +430,6 @@ def satake(a: HeckeElement, levi: LeviDatum,
 # -- the special-parahoric picture ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialSatakeImage:
-    """Description of the image F_p[Lambda_-]: the anti-dominant coweights up
-    to a length cap, each paired with its double coset."""
-
-    datum: RootDatum
-    facet: Facet
-    prime: int
-    cap: int
-    entries: tuple  # ((coweight, DoubleCosetIndex, length), ...)
-
-    def coweights(self):
-        return tuple(z for z, _, _ in self.entries)
-
-
 def enumerate_antidominant(datum: RootDatum, length_cap: int):
     """Anti-dominant coweights z with ell(t_z) <= length_cap, sorted by
     (ell, lattice coordinates).
@@ -445,7 +437,11 @@ def enumerate_antidominant(datum: RootDatum, length_cap: int):
     Lambda_- is the cone z[i] <= 0 (i < n), on which ell(t_z) = -sum_i h_i z[i]
     is linear, h_i being the alpha_i-coefficient of 2 rho; so the semisimple
     parts are walked down from 0 one step at a time.  Central directions never
-    add length and are kept to lattice coordinates within [-cap, cap].
+    add length and are kept to lattice coordinates within [-cap, cap]: the
+    other dim - n coordinates range over [-cap, cap] and the semisimple part
+    fixes those of n pivot basis vectors (ones whose semisimple parts are
+    independent), so the work per semisimple part is (2 cap + 1)^(dim - n)
+    whatever the basis entries.
     """
     h = [sum(rt[i] for rt in datum.positive_roots) for i in range(datum.n)]
 
@@ -455,37 +451,25 @@ def enumerate_antidominant(datum: RootDatum, length_cap: int):
             if ell + hi <= length_cap:
                 yield ell + hi, s[:i] + (s[i] - 1,) + s[i + 1:]
 
-    cone = closure([(0, (0,) * datum.n)], down)
-    central = [range(-r, r + 1) for r in
-               (length_cap * sum(abs(b[k]) for b in datum.x_basis)
-                for k in range(datum.n, datum.dim))]
+    n, basis = datum.n, datum.x_basis
+    pivots, (den, cols) = next(
+        (p, fn) for p in itertools.combinations(range(datum.dim), n)
+        if (fn := _coordinate_functionals([basis[j][:n] for j in p])) is not None)
+    free = [j for j in range(datum.dim) if j not in pivots]
     out = []
-    for ell, s in cone:
-        for c in itertools.product(*central):
-            coords = datum.x_coords(s + c)
-            if coords is not None and (not c or max(map(abs, coords)) <= length_cap):
-                out.append((ell, coords, s + c))
+    for ell, s in closure([(0, (0,) * n)], down):
+        for f in itertools.product(range(-length_cap, length_cap + 1), repeat=len(free)):
+            rest = [s[i] - sum(c * basis[j][i] for c, j in zip(f, free)) for i in range(n)]
+            coords = dict(zip(free, f))
+            for j, col in zip(pivots, cols):
+                c, rem = divmod(sum(r * v for r, v in zip(rest, col)), den)
+                if rem or (free and abs(c) > length_cap):
+                    break
+                coords[j] = c
+            else:
+                coords = tuple(coords[j] for j in range(datum.dim))
+                out.append((ell, coords, datum.coweight_from_x_coords(coords)))
     return tuple(z for _, _, z in sorted(out))
-
-
-def special_satake_image(facet: Facet, prime: int, length_cap: int = 8,
-                         check: bool = True) -> SpecialSatakeImage:
-    """The image F_p[Lambda_-] of the special-parahoric transform: the
-    anti-dominant coweights up to the length cap with their double cosets.
-    With check=True, asserts the transform of each phi_z is exactly e^z."""
-    datum = facet.datum
-    if not facet.is_special():
-        raise SatakeError("facet is not special")
-    levi = minimal_levi(datum)
-    entries = []
-    for z in enumerate_antidominant(datum, length_cap):
-        idx = aw.double_coset_rep(aw.translation(datum, z), facet)
-        if check:
-            image = satake_phi(idx, levi, facet, prime).to_monoid()
-            if image != MonoidAlgebraElement.single(datum, prime, z):
-                raise SatakeError(f"special transform of t_{z} is not e^z")
-        entries.append((z, idx, length(aw.translation(datum, z))))
-    return SpecialSatakeImage(datum, facet, prime, length_cap, tuple(entries))
 
 
 def special_satake_fast(idx: DoubleCosetIndex, prime: int) -> MonoidAlgebraElement:

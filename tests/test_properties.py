@@ -168,6 +168,37 @@ def _swept_phi_c_w(label, idx, levi, facet, prime):
     return sat.LeviHeckeElement(levi, facet, prime, coeffs)
 
 
+def _standard_levis(d):
+    return [sat.levi_datum(d, j_m) for r in range(d.n + 1)
+            for j_m in itertools.combinations(range(d.n), r)]
+
+
+@given(st.sampled_from(PRODUCT_DATA).flatmap(
+    lambda d: st.tuples(elements_from_parts(d), st.data())))
+def test_component_label_is_its_set_of_left_coset_minima(case):
+    """A label is fixed by its class W_{M,af} w W_f: moving w by W_{M,af}
+    reflections on the left and by W_f on the right keeps the label, its set
+    of left-coset minima, and membership of the moved element in that set;
+    the Levi-point test from the set agrees with the |W_f| sweep."""
+    w, data = case
+    d = w.datum
+    for f in _finite_facets(d):
+        for levi in _standard_levis(d):
+            label = sat.component_of(w, levi, f)
+            a = aw.identity(d)
+            if levi.phi_m:
+                for beta, k in data.draw(st.lists(st.tuples(st.sampled_from(levi.phi_m),
+                                                            st.integers(-3, 3)), max_size=3)):
+                    a = aw.reflection(d, (beta, k)) * a
+            y = a * w * data.draw(st.sampled_from(f.elements))
+            moved = sat.component_of(y, levi, f)
+            assert moved == label and moved.cosets == label.cosets, (f, levi, y)
+            assert sat._min_left_m_coset(levi, y) in label.cosets
+            assert label.rep in label.cosets
+            assert sat.component_has_levi_point(label) == \
+                any(levi.in_w_m(label.rep * v) for v in f.elements)
+
+
 @pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2"))
 def test_phi_c_w_matches_the_full_sweep(spec):
     """Every finite facet, every standard Levi (G itself included) and every

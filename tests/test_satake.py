@@ -312,20 +312,28 @@ def test_monoid_algebra_operands_must_match():
 
 
 def test_special_satake_image_and_fast_path():
+    # The image of the special transform is F_p[Lambda_-]: phi of each
+    # anti-dominant translation class goes to e^z, by the sweep and by the
+    # fast path alike.
     d = preset("A2")
     f = aw.hyperspecial(d)
-    img = sat.special_satake_image(f, 2, length_cap=6)
-    assert (0, 0) in {d.x_coords(z) for z in img.coweights()}
-    for z, idx, ell in img.entries:
+    lev = sat.minimal_levi(d)
+    zs = sat.enumerate_antidominant(d, 6)
+    assert (0, 0) in {d.x_coords(z) for z in zs}
+    for z in zs:
+        t = aw.translation(d, z)
+        idx = aw.double_coset_rep(t, f)
         fast = sat.special_satake_fast(idx, 2)
+        assert sat.satake_phi(idx, lev, f, 2).to_monoid() == fast
         assert fast == sat.MonoidAlgebraElement.single(d, 2, z)
-        assert ell == idx.length
+        assert aw.length(t) == idx.length
 
 
 def test_special_satake_image_preconditions():
     d = preset("A1")
-    with pytest.raises(sat.SatakeError):
-        sat.special_satake_image(aw.iwahori(d), 2, length_cap=4)
+    idx = aw.double_coset_rep(aw.translation(d, (-2,)), aw.iwahori(d))
+    with pytest.raises(sat.SatakeError, match="not special"):
+        sat.special_satake_fast(idx, 2)
 
 
 def test_injectivity_on_lambda_minus():
@@ -417,6 +425,39 @@ def test_enumerate_antidominant_counts(spec, cap, count, timed):
     assert all(d.is_antidominant(z) for z in zs)
     if timed:
         assert elapsed < 1.0
+
+
+def _lattice_box_antidominant(d, cap):
+    """Every z with lattice coordinates in [-cap, cap]^dim, kept when it is
+    anti-dominant and ell(t_z) <= cap: a reference for data with a central
+    direction, where the enumeration bounds exactly those coordinates."""
+    out = []
+    for coords in itertools.product(range(-cap, cap + 1), repeat=d.dim):
+        z = d.coweight_from_x_coords(coords)
+        if d.is_antidominant(z):
+            ell = aw.length(aw.translation(d, z))
+            if ell <= cap:
+                out.append((ell, coords, z))
+    return tuple(z for _, _, z in sorted(out))
+
+
+@pytest.mark.parametrize("spec, cap, count", [
+    ({"type": "A1", "lattice_basis": [[1, 1], [1, -1]]}, 8, 117),
+    ({"type": "A1", "lattice_basis": [[1, 1000], [1, -1000]]}, 8, 117),
+    ({"type": "A1", "lattice_basis": [[1, 10000], [1, -10000]]}, 8, 117),
+    ({"type": "A2", "lattice_basis": [[1, 0, 0], [0, 1, 0], [1, 2, 3000]]}, 4, 28),
+], ids=["A1-entries-1", "A1-entries-1000", "A1-entries-10000", "A2-entries-3000"])
+def test_enumerate_antidominant_cost_follows_the_output(spec, cap, count):
+    # A scan of the ambient central box |z_k| <= cap * sum_b |b[k]| grows with
+    # the basis entries: 3.7 s for the 117 coweights of the A1 case with
+    # entries 10000 (single run, 2 shared CPUs).
+    d = from_json(spec)
+    start = time.perf_counter()
+    zs = sat.enumerate_antidominant(d, cap)
+    elapsed = time.perf_counter() - start
+    assert zs == _lattice_box_antidominant(d, cap)
+    assert len(zs) == count
+    assert elapsed < 1.0
 
 
 def test_m_affine_elements_label_identity():
