@@ -17,7 +17,7 @@ from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           reduced_word, translation)
 from .hecke import (ConvolutionWitness, HeckeElement, HeckeError, convolve,
                     convolve_phi_classes, phi_basis_element,
-                    point_count_polynomial, unit)
+                    point_count_polynomial)
 from .satake import (ComponentLabel, LeviDatum, LeviHeckeElement,
                      MonoidAlgebraElement, SatakeError,
                      closed_attractor_component, component_has_levi_point,

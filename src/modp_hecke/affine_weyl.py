@@ -6,7 +6,8 @@ reflections plus, for each irreducible component, the reflection
 s_0 = t_{theta^vee} s_theta in the wall <theta, x> = 1 of the base alcove
 {x : 0 < <alpha, x> < 1 for all positive alpha}.  Length-zero elements form
 the subgroup Omega, which permutes the affine simple reflections; every
-element factors as (word in affine simples) * (Omega part).
+element factors as (word in affine simples) * (Omega part).  The 0-Hecke
+(Demazure) product is one fold, demazure_decomposition, with Omega outside.
 
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
@@ -354,17 +355,22 @@ def demazure_product(datum: RootDatum, word) -> AffineWeylElement:
     return x
 
 
-def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
-    """0-Hecke monoid product a * b.
-
-    Only the W_af parts participate; Omega parts multiply through by
-    conjugating b's word (tau s_i tau^{-1} is again simple), matching
-    concatenation of the decompositions a = a_af tau_a, b = b_af tau_b."""
+def demazure_decomposition(a: AffineWeylElement, b: AffineWeylElement):
+    """(tau_a, word_a, word_b, folded, tau_b) with the 0-Hecke product a * b =
+    tau_a * folded * tau_b, folded = fold(word_a ++ word_b), a = tau_a * word_a
+    and b = word_b * tau_b.  word_a is a's reduced word conjugated by tau_a^{-1};
+    Omega permutes the simple reflections, so it commutes with the fold."""
     word_a, tau_a = reduced_word(a)
     word_b, tau_b = reduced_word(b)
-    shifted = [omega_conjugate(tau_a, i) for i in word_b]
-    folded = demazure_product(a.datum, tuple(word_a) + tuple(shifted))
-    return folded * tau_a * tau_b
+    tau_a_inv = tau_a.inverse()
+    word_a = tuple(omega_conjugate(tau_a_inv, i) for i in word_a)
+    return tau_a, word_a, word_b, demazure_product(a.datum, word_a + word_b), tau_b
+
+
+def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
+    """0-Hecke monoid product a * b."""
+    tau_a, _, _, folded, tau_b = demazure_decomposition(a, b)
+    return tau_a * folded * tau_b
 
 
 # -- facets and coset representatives -------------------------------------------------

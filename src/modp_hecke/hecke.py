@@ -3,9 +3,9 @@
 The phi basis element attached to a double coset w is the sum of the
 indicator functions of all double cosets below it in Bruhat order.  Products
 of phi basis elements are again phi basis elements: the product class is the
-double coset of the 0-Hecke (Demazure) fold of concatenated reduced words,
-with the length-zero parts pulled to the outside.  Indicator-basis products
-are computed by converting through the phi basis.
+double coset of the 0-Hecke (Demazure) product of the representatives;
+convolve_phi_classes also records its fold (affine_weyl.demazure_decomposition)
+as a replayable witness.  Indicator-basis products convert through phi.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine_weyl as aw
-from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_product,
-                          double_coset_rep, element_to_string,
-                          enumerate_lower_interval, omega_conjugate,
-                          parse_element, reduced_word)
+from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_decomposition,
+                          demazure_mult, demazure_product, double_coset_rep,
+                          element_to_string, enumerate_lower_interval, parse_element)
 
 
 class HeckeError(ValueError):
@@ -126,8 +125,8 @@ class HeckeElement:
         remaining = dict(self.coeffs)
         out = {}
         while remaining:
-            idx = max(remaining, key=lambda i: (i.length,
-                                                aw.element_sort_key(i.rep)))
+            # Classes below idx are shorter, so equal lengths may go in any order.
+            idx = max(remaining, key=lambda i: i.length)
             c = remaining.pop(idx)
             out[idx] = c
             for v in enumerate_lower_interval(idx, cap):
@@ -160,24 +159,10 @@ class HeckeElement:
                           for r, c in terms)
 
 
-def hecke_from_json(datum, doc) -> HeckeElement:
-    f = aw.facet(datum, doc["facet"])
-    coeffs = {}
-    for term in doc["terms"]:
-        idx = double_coset_rep(parse_element(datum, term["rep"]), f)
-        coeffs[idx] = coeffs.get(idx, 0) + term["coeff"]
-    return HeckeElement(f, doc["prime"], doc["basis"], coeffs)
-
-
 def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
     """phi_w as a single phi-basis term; convert() expands it to the sum of
     indicators over the lower interval."""
     return HeckeElement(idx.facet, prime, "phi", {idx: 1})
-
-
-def unit(facet: Facet, prime: int) -> HeckeElement:
-    e_idx = double_coset_rep(aw.identity(facet.datum), facet)
-    return phi_basis_element(e_idx, prime)
 
 
 @dataclass(frozen=True)
@@ -212,25 +197,17 @@ class ConvolutionWitness:
 
 
 def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
-    """Product class of phi_{w1} * phi_{w2} = phi_w, with a witness.
-
-    Reduced decompositions are taken with the length-zero part of w1 pulled
-    to the left and that of w2 kept on the right; the product class is the
-    double coset of tau1 * fold(word1 ++ word2) * tau2.
-    """
+    """Product class of phi_{w1} * phi_{w2} = phi_w, with a witness: the
+    double coset of tau1 * fold(word1 ++ word2) * tau2, the decomposition of
+    affine_weyl.demazure_decomposition."""
     if w1.facet != w2.facet:
         raise HeckeError("facet mismatch")
-    datum = w1.facet.datum
-    word1_r, tau1 = reduced_word(w1.rep)
-    word2, tau2 = reduced_word(w2.rep)
-    tau1_inv = tau1.inverse()
-    word1 = tuple(omega_conjugate(tau1_inv, i) for i in word1_r)
-    folded = demazure_product(datum, word1 + tuple(word2))
+    tau1, word1, word2, folded, tau2 = demazure_decomposition(w1.rep, w2.rep)
     out = double_coset_rep(tau1 * folded * tau2, w1.facet)
     witness = ConvolutionWitness(
         facet=w1.facet, w1=element_to_string(w1.rep), w2=element_to_string(w2.rep),
         tau1=element_to_string(tau1), tau2=element_to_string(tau2),
-        word1=word1, word2=tuple(word2),
+        word1=word1, word2=word2,
         folded=element_to_string(folded), result=element_to_string(out.rep))
     return out, witness
 
@@ -245,7 +222,7 @@ def convolve(a: HeckeElement, b: HeckeElement,
     out = {}
     for i1, c1 in pa.coeffs.items():
         for i2, c2 in pb.coeffs.items():
-            prod, _ = convolve_phi_classes(i1, i2)
+            prod = double_coset_rep(demazure_mult(i1.rep, i2.rep), a.facet)
             out[prod] = out.get(prod, 0) + c1 * c2
     result = HeckeElement(a.facet, a.prime, "phi", out)
     return result.convert(a.basis, cap)

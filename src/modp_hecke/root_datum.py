@@ -377,9 +377,6 @@ class RootDatum:
     def is_positive_root(self, root: Root) -> bool:
         return any(root) and all(x >= 0 for x in root)
 
-    def is_root(self, root: Root) -> bool:
-        return root in self.coroot_of or tuple(-x for x in root) in self.coroot_of
-
     def coroot(self, root: Root) -> Coweight:
         if root in self.coroot_of:
             return self.coroot_of[root]
@@ -436,9 +433,6 @@ class RootDatum:
                            lambda w: (s * w for s in self.simple_reflections))
             self._w0_elements = tuple(sorted(seen, key=self.finite_word))
         return self._w0_elements
-
-    def finite_length(self, w: FiniteWeylElement) -> int:
-        return sum(w.inverse_negates())  # ell(w) = ell(w^-1)
 
     def finite_word(self, w: FiniteWeylElement) -> tuple[int, ...]:
         """Canonical reduced word (smallest left descent first), as 0-based

@@ -202,15 +202,21 @@ def test_demazure_trivial_and_absorption():
 
 
 def test_demazure_word_independence_exhaustive():
-    # all reduced words of either factor give the same fold, rank-1 case
-    d = preset("A1")
-    for w1 in aw.length_ball(d, 3):
-        for w2 in aw.length_ball(d, 3):
-            expected = aw.demazure_mult(w1, w2)
-            for r1 in _reduced_words(w1):
-                for r2 in _reduced_words(w2):
-                    assert aw.demazure_product(d, r1 + r2) * _tau(w1) * _tau(w2) \
-                        == expected
+    # all reduced words of either factor give the same fold; with
+    # w1 = r1 * tau1 and w2 = r2 * tau2, the product is
+    # fold(r1 ++ tau1 r2 tau1^{-1}) * tau1 * tau2, so on the adjoint data,
+    # where Omega is nontrivial, this checks the conjugation direction
+    for spec, ball in (("A1", 3), ("A1:ad", 3), ("A2:ad", 2)):
+        d = preset(spec)
+        for w1 in aw.length_ball(d, ball):
+            tau1 = _tau(w1)
+            for w2 in aw.length_ball(d, ball):
+                expected = aw.demazure_mult(w1, w2)
+                for r1 in _reduced_words(w1):
+                    for r2 in _reduced_words(w2):
+                        r2c = tuple(aw.omega_conjugate(tau1, i) for i in r2)
+                        assert aw.demazure_product(d, r1 + r2c) * tau1 * _tau(w2) \
+                            == expected, (spec, r1, r2)
 
 
 def _tau(w):

@@ -116,6 +116,13 @@ def test_brute_length_examples():
     assert orc.brute_length(aw.parse_element(d, "w[0,1,0]")) == 3
 
 
+def test_check_convolution_on_adjoint_data():
+    # Omega is nontrivial here, so the convolution's tau1 and tau2 are too
+    for spec, cap, pairs in (("A1:ad", 3, 588), ("A2:ad", 2, 2700)):
+        row = orc.check_convolution(preset(spec), cap)
+        assert row["ok"] and row["pairs"] == pairs, row
+
+
 def test_run_checks_all_pass():
     rows = orc.run_checks(specs=("A1",), conv_cap=2, bruhat_cap=3, length_cap=4)
     assert all(r["ok"] for _, r in rows)
