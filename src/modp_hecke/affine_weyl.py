@@ -12,12 +12,11 @@ element factors as (word in affine simples) * (Omega part).  The 0-Hecke
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
-This module keeps no state of its own.  Its memos live on the RootDatum they
-belong to (see RootDatum): the affine simple system, the facets, the length,
-reduced-word, Bruhat and lower-interval tables keyed by the (translation,
-finite) pair of each element, and `coset_memo`, which holds the
-DoubleCosetIndex of each element for each facet, keyed by (translation,
-finite, facet indices).
+This module keeps no state of its own.  Elements are interned per datum, and
+each keeps its length, reduced word and lower Bruhat set; the memos keyed by
+more than one element live on the RootDatum (see RootDatum): the affine
+simple system, the facets, `bruhat_memo` by (u, w) and `coset_memo` by
+(w, facet indices).
 """
 
 from __future__ import annotations
@@ -41,21 +40,24 @@ INTERVAL_CAP = 20000
 class AffineWeylElement:
     """t_lambda * u with lambda a lattice coweight and u a finite Weyl element.
 
-    Elements are not interned; memo tables on the datum key them by the pair
-    (translation, finite), whose hash equals the element's own.
+    Elements are interned per datum by (translation, finite), as finite ones
+    are by their matrix, so equality is identity and each element carries
+    its own memos of `length`, `reduced_word` and `lower_set`.  The hash is
+    that of the pair, so set and dict orders do not depend on addresses.
     """
 
-    __slots__ = ("datum", "translation", "finite", "_hash")
+    __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower")
 
-    def __init__(self, datum: RootDatum, translation: Coweight, finite: FiniteWeylElement):
-        self.datum = datum
-        self.translation = translation
-        self.finite = finite
-        self._hash = hash((translation, finite))
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineWeylElement) and self.datum is other.datum
-                and self.translation == other.translation and self.finite == other.finite)
+    def __new__(cls, datum: RootDatum, translation: Coweight, finite: FiniteWeylElement):
+        key = (translation, finite)
+        el = datum._affine_cache.get(key)
+        if el is None:
+            el = object.__new__(cls)
+            el.datum, el.translation, el.finite = datum, translation, finite
+            el._hash = hash(key)
+            el._length = el._word = el._lower = None
+            el = datum._affine_cache.setdefault(key, el)
+        return el
 
     def __hash__(self):
         return self._hash
@@ -166,16 +168,14 @@ def simple_system(datum: RootDatum) -> AffineSimpleSystem:
 def length(w: AffineWeylElement) -> int:
     """Iwahori-Matsumoto closed form, pinned to agree with the alcove-walk
     count for the base alcove 0 < <alpha, x> < 1 (see oracle.brute_length)."""
-    memo = w.datum.length_memo
-    key = (w.translation, w.finite)
-    val = memo.get(key)
+    val = w._length
     if val is None:
         datum = w.datum
         val = 0
         for rt, negated in zip(datum.positive_roots, w.finite.inverse_negates()):
             m = datum.pair(rt, w.translation)
             val += abs(m - 1) if negated else abs(m)
-        memo[key] = val
+        w._length = val
     return val
 
 
@@ -205,11 +205,8 @@ def right_descents(w: AffineWeylElement):
 def reduced_word(w: AffineWeylElement):
     """(word, tau): w = s_{i1} ... s_{ik} * tau with the word reduced and tau
     of length zero.  Deterministic: smallest left descent at every step."""
-    memo = w.datum.word_memo
-    key = (w.translation, w.finite)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    if w._word is not None:
+        return w._word
     sys = simple_system(w.datum)
     word = []
     cur = w
@@ -219,9 +216,8 @@ def reduced_word(w: AffineWeylElement):
             raise RootDatumError("positive length element with no left descent")
         word.append(i)
         cur = sys.elements[i] * cur
-    result = (tuple(word), cur)
-    memo[key] = result
-    return result
+    w._word = (tuple(word), cur)
+    return w._word
 
 
 def omega_part(w: AffineWeylElement) -> AffineWeylElement:
@@ -245,7 +241,7 @@ def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
 def omega_conjugate(tau: AffineWeylElement, i: int) -> int:
     """Index j with tau s_i tau^{-1} = s_j."""
     sys = simple_system(tau.datum)
-    key = (tau.translation, tau.finite, i)
+    key = (tau, i)
     j = sys._omega_conj_cache.get(key)
     if j is None:
         conj = tau * sys.simple(i) * tau.inverse()
@@ -263,7 +259,7 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
         raise RootDatumError("datum mismatch")
     if length(u) > length(w):
         return False
-    if u == w:
+    if u is w:
         return True
     if not same_omega_part(u, w):
         return False
@@ -278,14 +274,14 @@ def _bruhat_descend(u, w):
     sys = simple_system(u.datum)
     passed = []
     while True:
-        if u == w:
+        if u is w:
             val = True
             break
         lu, lw = length(u), length(w)
         if lu > lw or lw == 0:
             val = False
             break
-        key = (u.translation, u.finite, w.translation, w.finite)
+        key = (u, w)
         val = memo.get(key)
         if val is not None:
             break
@@ -305,31 +301,26 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
 
     Walks down w > ws > wss ... by smallest right descents to a memo hit or
     a length-zero element, then builds each lower set on the way back up as
-    below | below * s, one element at a time.  Every set built is memoized;
-    the first to pass the cap raises CapExceeded as soon as it does, before
-    it is stored, so no set larger than the cap is built or kept.
+    below | below * s, one element at a time.  Every set built is kept on its
+    element; the first to pass the cap raises CapExceeded as soon as it does,
+    before it is stored, so no set larger than the cap is built or kept.
     """
-    memo = w.datum.lower_memo
     sys = simple_system(w.datum)
-    passed = []  # (key, s) from w downwards
-    while True:
-        key = (w.translation, w.finite)
-        val = memo.get(key)
-        if val is not None:
-            break
+    passed = []  # (element, s) from w downwards
+    while (val := w._lower) is None:
         if length(w) == 0:
-            val = memo[key] = frozenset([w])
+            val = w._lower = frozenset([w])
             break
         s = sys.elements[next(iter(right_descents(w)))]
-        passed.append((key, s))
+        passed.append((w, s))
         w = w * s
     _check_interval_cap(val, cap)
-    for key, s in reversed(passed):
+    for x, s in reversed(passed):
         below = set(val)
         for v in val:
             below.add(v * s)
             _check_interval_cap(below, cap)
-        val = memo[key] = frozenset(below)
+        val = x._lower = frozenset(below)
     return val
 
 
@@ -508,7 +499,7 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     if f.datum is not w.datum:
         raise RootDatumError("datum mismatch")
     memo = w.datum.coset_memo
-    key = (w.translation, w.finite, f.indices)
+    key = (w, f.indices)
     idx = memo.get(key)
     if idx is None:
         longest = max((v * w for v in f.elements), key=length)

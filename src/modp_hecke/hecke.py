@@ -180,13 +180,19 @@ class ConvolutionWitness:
     result: str
 
     def replay(self) -> DoubleCosetIndex:
+        """Re-fold the words and re-reduce; HeckeError if either disagrees
+        with the recorded `folded` or `result`."""
         datum = self.facet.datum
         folded = demazure_product(datum, self.word1 + self.word2)
-        assert element_to_string(folded) == self.folded
+        if element_to_string(folded) != self.folded:
+            raise HeckeError(f"witness fold gives {element_to_string(folded)}, "
+                             f"not the recorded {self.folded}")
         tau1 = parse_element(datum, self.tau1)
         tau2 = parse_element(datum, self.tau2)
         out = double_coset_rep(tau1 * folded * tau2, self.facet)
-        assert element_to_string(out.rep) == self.result
+        if element_to_string(out.rep) != self.result:
+            raise HeckeError(f"witness class is {element_to_string(out.rep)}, "
+                             f"not the recorded {self.result}")
         return out
 
     def to_json(self):

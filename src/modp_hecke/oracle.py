@@ -3,7 +3,15 @@
 Four oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
 specialization must reproduce the phi-basis convolution, a subword-property
 Bruhat test, an exact alcove-walk length count and a W_f sweep for double
-cosets.  Beyond min_coset_rep, they share no code path with what they check.
+cosets.  None of them calls `demazure_product` or `bruhat_leq`, but they do
+share these layers with what they check:
+- the generic product uses the affine product, `length` and `right_descents`;
+- `phi_to_generic` takes `lower_set`, and `oracle_convolve_phi` goes back to
+  the phi basis through `HeckeElement.convert` (`enumerate_lower_interval`,
+  `double_coset_rep`);
+- the subword test takes its word from `reduced_word`;
+- the W_f sweep uses `min_coset_rep`.
+The alcove-walk count shares none of them, so it checks `length` on its own.
 
 The generic algebra packs each Z[q] coefficient into one int, its value at
 q = 2^64, and builds self * T_w from self * T_{ws} one length level at a
@@ -158,8 +166,7 @@ def _subword_products(w: AffineWeylElement, cap: int):
         raise aw.CapExceeded(f"subword search reached length {length(w)}, over the "
                              f"limit {cap} set by --bruhat-cap (brute_bruhat(cap=))")
     memo = w.datum.subword_memo
-    key = (w.translation, w.finite)
-    val = memo.get(key)
+    val = memo.get(w)
     if val is None:
         word, tau = reduced_word(w)
         sys = simple_system(w.datum)
@@ -168,7 +175,7 @@ def _subword_products(w: AffineWeylElement, cap: int):
             s = sys.elements[i]
             partial |= {v * s for v in partial}
         val = frozenset(v * tau for v in partial)
-        memo[key] = val
+        memo[w] = val
     return val
 
 
@@ -227,8 +234,8 @@ def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
 
 def check_convolution(datum: RootDatum, length_cap: int = 3,
                       primes=(2, 3, 5)) -> dict:
-    """Compare hecke.convolve against the generic-Hecke oracle on all ordered
-    pairs of Iwahori phi classes up to the length cap.  Returns a summary."""
+    """Compare hecke.convolve_phi_classes with the generic-Hecke oracle on all
+    ordered pairs of Iwahori phi classes up to the length cap; returns a summary."""
     f = aw.iwahori(datum)
     classes = [DoubleCosetIndex(f, w) for w in aw.length_ball(datum, length_cap)]
     pairs = 0

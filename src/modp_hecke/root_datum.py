@@ -7,10 +7,10 @@ by central-torus coordinates.  In ambient coordinates the pairing of the
 i-th simple root with a coweight x is simply x[i], so everything downstream
 reduces to small integer dot products.
 
-Every memo of the package lives on the RootDatum it belongs to: finite Weyl
-elements are interned per datum and carry their own product, root-image,
-inversion and word memos, and the datum holds the tables of the affine and
-oracle layers.  Nothing is cached at module level except the preset data.
+Every memo of the package lives on the RootDatum it belongs to: finite and
+affine Weyl elements are interned per datum and carry their own memos, and
+the datum holds the tables keyed by more than one element.  Nothing is
+cached at module level except the preset data.
 The groups and orbits the package enumerates (W0, W_f, W0(M), the roots, the
 length balls of W) all come from one breadth-first search, `closure`.
 """
@@ -116,9 +116,9 @@ class FiniteWeylElement:
     """Element of the finite Weyl group, stored as its integer matrix acting
     on ambient coweight coordinates (column-vector convention).
 
-    Elements are interned per datum by their matrix, so each one carries its
-    own lazy memos: products with other elements, images of roots, the
-    positive roots its inverse makes negative, and its canonical word.
+    Elements are interned per datum by their matrix, so equality is identity
+    and each carries its own lazy memos: products, root images, the positive
+    roots its inverse makes negative, and its canonical word.
     Products, inverses and root images run their matrix arithmetic only on a
     memo miss; `act` on coweights has no memo and multiplies every time.
     """
@@ -135,10 +135,6 @@ class FiniteWeylElement:
         self._root_images: dict[Root, Root] = {}
         self._inverse_negates = None
         self._word = None
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteWeylElement)
-                and self.datum is other.datum and self.matrix == other.matrix)
 
     def __hash__(self):
         return self._hash
@@ -244,16 +240,17 @@ class RootDatum:
     The datum owns every memo of the computations built on it, so a memo
     lives and dies with its datum and can never answer for another one:
 
-    - here: the interned finite Weyl elements (each with its own memos, see
-      FiniteWeylElement) and the list of W0;
+    - the intern tables of the finite and affine Weyl elements, each element
+      with its own memos, and the list of W0;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
-      (by sorted index tuple), and `length_memo`, `word_memo`,
-      `bruhat_memo`, `lower_memo`, keyed by `(translation, finite)` of the
-      affine elements involved, and `coset_memo`, the DoubleCosetIndex of
-      an element for a facet, keyed by `(translation, finite, facet indices)`;
+      (by sorted index tuple), `bruhat_memo` by `(u, w)`, and `coset_memo`,
+      the DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
     - for `satake`: `satake_memo`, the canonical W_{M,f} representatives in
       the image of one phi class, keyed by `(class, Levi, facet)`;
-    - for `oracle`: `subword_memo`, keyed by `(translation, finite)`.
+    - for `oracle`: `subword_memo`, keyed by the element.
+
+    Interning stores by one `dict.setdefault`, so threads that form the same
+    new element at once all get the one stored first.
     """
 
     def __init__(self, cartan: CartanDatum, spec_string: str | None = None):
@@ -304,6 +301,7 @@ class RootDatum:
             [crt[:self.n] for crt in self.simple_coroots])
 
         self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
+        self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         self.weyl_identity = self._intern_weyl(ident)
         self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
@@ -314,10 +312,7 @@ class RootDatum:
 
         self.affine_system = None
         self.facets: dict = {}
-        self.length_memo: dict = {}
-        self.word_memo: dict = {}
         self.bruhat_memo: dict = {}
-        self.lower_memo: dict = {}
         self.coset_memo: dict = {}
         self.satake_memo: dict = {}
         self.subword_memo: dict = {}
@@ -327,8 +322,7 @@ class RootDatum:
     def _intern_weyl(self, matrix) -> FiniteWeylElement:
         el = self._weyl_cache.get(matrix)
         if el is None:
-            el = FiniteWeylElement(self, matrix)
-            self._weyl_cache[matrix] = el
+            el = self._weyl_cache.setdefault(matrix, FiniteWeylElement(self, matrix))
         return el
 
     def _simple_reflection(self, i: int) -> FiniteWeylElement:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -139,6 +140,18 @@ def test_witness_replay_random():
         a, b = rng.choice(classes), rng.choice(classes)
         prod, wit = hk.convolve_phi_classes(a, b)
         assert wit.replay() == prod
+
+
+@pytest.mark.parametrize("forged", [dict(folded="e", result="e"), dict(folded="e"),
+                                    dict(result="e")])
+def test_forged_witness_does_not_replay(forged):
+    # A2:ad has nontrivial Omega, so tau1, tau2 and the conjugated word1 all
+    # take part; the check must not rest on `assert`, which `python -O` drops.
+    d = preset("A2:ad")
+    f = aw.facet(d, (1, 2))
+    _, wit = hk.convolve_phi_classes(cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]"))
+    with pytest.raises(hk.HeckeError, match="not the recorded e"):
+        dataclasses.replace(wit, **forged).replay()
 
 
 def test_point_count_polynomials():
