@@ -325,8 +325,10 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
 
 
 def _check_interval_cap(val, cap: int | None):
+    # Names cap + 1, where a set being built stops, also for a larger stored
+    # set, so the message does not depend on which sets are already memoized.
     if cap is not None and len(val) > cap:
-        raise CapExceeded(f"lower interval reached {len(val)} elements, over the limit "
+        raise CapExceeded(f"lower interval reached {cap + 1} elements, over the limit "
                           f"{cap} set by --cap (parameter cap)")
 
 

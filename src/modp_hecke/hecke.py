@@ -6,6 +6,8 @@ of phi basis elements are again phi basis elements: the product class is the
 double coset of the 0-Hecke (Demazure) product of the representatives;
 convolve_phi_classes also records its fold (affine_weyl.demazure_decomposition)
 as a replayable witness.  Indicator-basis products convert through phi.
+HeckeElement and satake's Levi-Hecke and monoid-algebra elements share one
+sparse F_p-combination type, FpCombination: reduction mod p, equality, sums.
 """
 
 from __future__ import annotations
@@ -60,51 +62,64 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class HeckeElement:
-    """Sparse F_p-linear combination of double-coset indices."""
+class FpCombination:
+    """Sparse F_p-linear combination: `coeffs` maps basis keys to nonzero
+    residues mod `prime`.  `space` is the tuple of what else two elements must
+    share to be equal or added; a mismatched operand raises `error`."""
 
-    __slots__ = ("facet", "prime", "basis", "coeffs")
+    __slots__ = ("space", "prime", "coeffs")
+    error = HeckeError
 
-    def __init__(self, facet: Facet, prime: int, basis: str, coeffs: dict):
+    def __init__(self, space: tuple, prime: int, coeffs: dict):
         _check_prime(prime)
-        if basis not in ("indicator", "phi"):
-            raise HeckeError(f"unknown basis {basis!r}")
-        self.facet = facet
+        self.space = space
         self.prime = prime
-        self.basis = basis
-        norm = {}
-        for idx, c in coeffs.items():
-            if idx.facet != facet:
-                raise HeckeError("coefficient indexed by a foreign facet")
-            c %= prime
-            if c:
-                norm[idx] = c
-        self.coeffs = norm
+        self.coeffs = {k: c % prime for k, c in coeffs.items() if c % prime}
+
+    def _like(self, coeffs: dict):  # same type, space and prime
+        out = object.__new__(type(self))
+        FpCombination.__init__(out, self.space, self.prime, coeffs)
+        return out
 
     def __eq__(self, other):
-        return (isinstance(other, HeckeElement) and self.facet == other.facet
-                and self.prime == other.prime and self.basis == other.basis
-                and self.coeffs == other.coeffs)
+        return (type(other) is type(self) and self.space == other.space
+                and self.prime == other.prime and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.facet, self.prime, self.basis,
-                     frozenset(self.coeffs.items())))
+        return hash((type(self), self.space, self.prime, frozenset(self.coeffs.items())))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check_compatible(other)
-        if self.basis != other.basis:
-            raise HeckeError("cannot add elements in different bases")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0) + c
-        return HeckeElement(self.facet, self.prime, self.basis, out)
+    def _check_operand(self, other):
+        if (type(other), other.space, other.prime) != (type(self), self.space, self.prime):
+            raise self.error("operand mismatch")
 
-    def scale(self, c: int) -> "HeckeElement":
-        return HeckeElement(self.facet, self.prime, self.basis,
-                            {idx: v * c for idx, v in self.coeffs.items()})
+    def __add__(self, other):
+        self._check_operand(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return self._like(out)
+
+    def scale(self, c: int):
+        return self._like({k: v * c for k, v in self.coeffs.items()})
+
+
+class HeckeElement(FpCombination):
+    """Element of the parahoric Hecke algebra, over double-coset indices of
+    one facet, in the indicator or the phi basis; `space` is (facet, basis)."""
+
+    __slots__ = ()
+    facet = property(lambda self: self.space[0])
+    basis = property(lambda self: self.space[1])
+
+    def __init__(self, facet: Facet, prime: int, basis: str, coeffs: dict):
+        super().__init__((facet, basis), prime, coeffs)
+        if basis not in ("indicator", "phi"):
+            raise HeckeError(f"unknown basis {basis!r}")
+        if any(idx.facet != facet for idx in coeffs):
+            raise HeckeError("coefficient indexed by a foreign facet")
 
     def _check_compatible(self, other):
         if self.facet != other.facet:

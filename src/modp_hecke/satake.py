@@ -9,7 +9,8 @@ sum of that intersection when the component meets W_M, and to zero
 otherwise.  A component is labelled by the set of minimal elements of the
 left W_{M,af}-cosets it is made of, one per W_{M,af} w v for v in W_f; its
 representative is the least of them, so membership and the Levi-point test
-each read the set instead of reducing |W_f| products.
+each read the set instead of reducing |W_f| products.  LeviHeckeElement and
+MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -23,12 +24,13 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
                           Facet, aff_act, element_sort_key, element_to_string,
                           reduced_word, simple_system)
-from .hecke import HeckeElement, _check_prime
+from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
 
 
@@ -41,7 +43,7 @@ class LeviDatum:
     coweight pairing to zero exactly on the Levi roots and positively on the
     other positive roots."""
 
-    __slots__ = ("datum", "j_m", "lam", "phi_m", "w0m", "_hash")
+    __slots__ = ("datum", "j_m", "lam", "phi_m", "signed_phi_m", "w0m", "_hash")
 
     def __init__(self, datum: RootDatum, j_m, lam: Coweight | None = None):
         self.datum = datum
@@ -53,6 +55,7 @@ class LeviDatum:
         self.phi_m = tuple(rt for rt in datum.positive_roots
                            if all(rt[i] == 0 for i in range(datum.n)
                                   if i not in support))
+        self.signed_phi_m = tuple(b for rt in self.phi_m for b in (rt, tuple(-c for c in rt)))
         if lam is None:
             lam = self._default_lambda()
         if not datum.in_lattice(lam):
@@ -73,16 +76,14 @@ class LeviDatum:
         self._hash = hash((id(datum), self.j_m, self.lam))
 
     def _default_lambda(self) -> Coweight:
-        # Smallest positive multiple of the sum of fundamental coweights
-        # outside J_M that lands in the lattice.
+        # The least multiple m * chi in X, chi the sum of fundamental coweights
+        # outside J_M: den must divide m <chi, col> for each lattice functional.
         datum = self.datum
         chi = tuple(0 if i in self.j_m else 1 for i in range(datum.n)) \
             + (0,) * (datum.dim - datum.n)
-        for m in range(1, 1000):
-            cand = tuple(m * c for c in chi)
-            if datum.in_lattice(cand):
-                return cand
-        raise SatakeError("could not find a Levi cocharacter in the lattice")
+        den, cols = datum.x_inverse_den, datum.x_inverse_cols
+        m = den // math.gcd(den, *(sum(c * v for c, v in zip(chi, col)) for col in cols))
+        return tuple(m * c for c in chi)
 
     @property
     def is_minimal(self) -> bool:
@@ -124,25 +125,16 @@ def _min_left_m_coset(levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElemen
     """
     datum = levi.datum
     while True:
-        shortened = False
         uinv = x.finite.inverse()
-        for beta in levi.phi_m:
-            for sign in (1, -1):
-                b = beta if sign == 1 else tuple(-c for c in beta)
-                bl = datum.pair(b, x.translation)
-                ub = uinv.act_root(b)
-                # s_{(b,k)} shortens x iff x^{-1}.(b,k) = (u^{-1} b, k + <b, lam_x>)
-                # is negative, for (b,k) a positive affine root.
-                kmin = 0 if datum.is_positive_root(b) else 1
-                kmax = -bl if not datum.is_positive_root(ub) else -bl - 1
-                if kmax < kmin:
-                    continue
+        for b in levi.signed_phi_m:
+            # s_{(b,k)} shortens x iff x^{-1}.(b,k) = (u^{-1} b, k + <b, lam_x>)
+            # is negative, for (b,k) a positive affine root.
+            kmin = 0 if datum.is_positive_root(b) else 1
+            kmax = -datum.pair(b, x.translation) - datum.is_positive_root(uinv.act_root(b))
+            if kmin <= kmax:
                 x = aw.reflection(datum, (b, kmin)) * x
-                shortened = True
                 break
-            if shortened:
-                break
-        if not shortened:
+        else:
             return x
 
 
@@ -182,8 +174,14 @@ def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> Compone
 # -- closed attractor selection ----------------------------------------------------
 
 
+def _check_class(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet):
+    if facet != idx.facet or levi.datum is not facet.datum:
+        raise SatakeError("class, Levi and facet do not share one facet and datum")
+
+
 def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
                   enumerate_all: bool, cap: int | None = None) -> set:
+    _check_class(idx, levi, facet)
     word, tau = reduced_word(idx.rep)
     if cap is not None and len(word) > cap:
         raise CapExceeded(f"closed-chain word reached length {len(word)}, over the "
@@ -240,42 +238,18 @@ def _canon_m_coset(levi: LeviDatum, wmf, y: AffineWeylElement) -> AffineWeylElem
     return min((ay * b for ay in (a * y for a in wmf) for b in wmf), key=element_sort_key)
 
 
-class LeviHeckeElement:
+class LeviHeckeElement(FpCombination):
     """Element of the Levi Hecke algebra H_{M(F) cap K} in the indicator
-    basis, indexed by canonical W_{M,f}-double-coset representatives."""
+    basis, indexed by canonical W_{M,f}-double-coset representatives;
+    `space` is (levi, facet)."""
 
-    __slots__ = ("levi", "facet", "prime", "coeffs")
+    __slots__ = ()
+    error = SatakeError
+    levi = property(lambda self: self.space[0])
+    facet = property(lambda self: self.space[1])
 
     def __init__(self, levi: LeviDatum, facet: Facet, prime: int, coeffs: dict):
-        _check_prime(prime)
-        self.levi = levi
-        self.facet = facet
-        self.prime = prime
-        self.coeffs = {y: c % prime for y, c in coeffs.items() if c % prime}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, LeviHeckeElement) and self.levi == other.levi
-                and self.facet == other.facet and self.prime == other.prime
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.levi, self.facet, self.prime,
-                     frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if (self.levi, self.facet, self.prime) != (other.levi, other.facet, other.prime):
-            raise SatakeError("operand mismatch")
-        out = dict(self.coeffs)
-        for y, c in other.coeffs.items():
-            out[y] = out.get(y, 0) + c
-        return LeviHeckeElement(self.levi, self.facet, self.prime, out)
-
-    def scale(self, c: int):
-        return LeviHeckeElement(self.levi, self.facet, self.prime,
-                                {y: v * c for y, v in self.coeffs.items()})
+        super().__init__((levi, facet), prime, coeffs)
 
     def to_monoid(self) -> "MonoidAlgebraElement":
         if not self.levi.is_minimal:
@@ -297,42 +271,21 @@ class LeviHeckeElement:
                           for r, c in terms)
 
 
-class MonoidAlgebraElement:
+class MonoidAlgebraElement(FpCombination):
     """Element of the group algebra F_p[X] on the coweight lattice, the
-    minimal-Levi Hecke algebra.  Basis symbols e^z for coweights z."""
+    minimal-Levi Hecke algebra.  Basis symbols e^z for coweights z; `space`
+    is (datum,)."""
 
-    __slots__ = ("datum", "prime", "coeffs")
+    __slots__ = ()
+    error = SatakeError
+    datum = property(lambda self: self.space[0])
 
     def __init__(self, datum: RootDatum, prime: int, coeffs: dict):
-        _check_prime(prime)
-        self.datum = datum
-        self.prime = prime
-        self.coeffs = {tuple(z): c % prime for z, c in coeffs.items() if c % prime}
+        super().__init__((datum,), prime, {tuple(z): c for z, c in coeffs.items()})
 
     @classmethod
     def single(cls, datum: RootDatum, prime: int, z: Coweight):
         return cls(datum, prime, {tuple(z): 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, MonoidAlgebraElement) and self.datum is other.datum
-                and self.prime == other.prime and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.datum), self.prime, frozenset(self.coeffs.items())))
-
-    def _check_operand(self, other):
-        if self.datum is not other.datum or self.prime != other.prime:
-            raise SatakeError("operand mismatch")
-
-    def __add__(self, other):
-        self._check_operand(other)
-        out = dict(self.coeffs)
-        for z, c in other.coeffs.items():
-            out[z] = out.get(z, 0) + c
-        return MonoidAlgebraElement(self.datum, self.prime, out)
 
     def __mul__(self, other):
         self._check_operand(other)
@@ -341,7 +294,7 @@ class MonoidAlgebraElement:
             for z2, c2 in other.coeffs.items():
                 z = tuple(a + b for a, b in zip(z1, z2))
                 out[z] = out.get(z, 0) + c1 * c2
-        return MonoidAlgebraElement(self.datum, self.prime, out)
+        return self._like(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -366,6 +319,7 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     W -> W0 at most once.  Each canonical W_{M,f} double coset is checked
     against the label once, whether it is kept or not, by one left-coset
     reduction looked up in `label.cosets`."""
+    _check_class(idx, levi, facet)
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
     wmf = levi_induced_facet(levi, facet)
@@ -401,6 +355,7 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     only reduces it, and the element is built (and the prime checked) on
     every call.  A hit with a nonempty image still walks the interval under
     `cap`, so the cap raises as it does on a miss."""
+    _check_class(idx, levi, facet)
     memo = facet.datum.satake_memo
     key = (idx, levi, facet)
     reps = memo.get(key)
@@ -420,11 +375,11 @@ def satake(a: HeckeElement, levi: LeviDatum,
     """F_p-linear extension of satake_phi over the phi basis."""
     if levi.datum is not a.facet.datum:
         raise SatakeError("Levi and element live over different data")
-    pa = a.convert("phi", cap)
-    out = LeviHeckeElement(levi, a.facet, a.prime, {})
-    for idx, c in pa.coeffs.items():
-        out = out + satake_phi(idx, levi, a.facet, a.prime, cap).scale(c)
-    return out
+    out = {}
+    for idx, c in a.convert("phi", cap).coeffs.items():
+        for y, v in satake_phi(idx, levi, a.facet, a.prime, cap).coeffs.items():
+            out[y] = out.get(y, 0) + c * v
+    return LeviHeckeElement(levi, a.facet, a.prime, out)
 
 
 # -- the special-parahoric picture ------------------------------------------------------

@@ -350,6 +350,22 @@ def test_interval_cap_bounds_the_sets_built(spec, text):
         assert max(map(len, stored)) <= cap
 
 
+def test_cap_message_does_not_depend_on_the_memo():
+    # A capped call names the same size on a fresh datum and on one whose
+    # full lower set is already stored on the element.
+    messages = []
+    for warm in (False, True):
+        d = RootDatum(preset("A1").cartan_datum)
+        w = aw.parse_element(d, "t[-3]")
+        if warm:
+            assert len(aw.lower_set(w)) == 12
+        with pytest.raises(aw.CapExceeded) as exc:
+            aw.lower_set(w, cap=3)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "reached 4 elements, over the limit 3" in messages[0]
+
+
 def test_double_coset_rep_rejects_a_foreign_facet():
     d = preset("A2")
     other = RootDatum(d.cartan_datum, spec_string=d.spec_string)

@@ -6,6 +6,7 @@ import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
+from modp_hecke import satake as sat
 from modp_hecke.root_datum import preset
 
 
@@ -200,3 +201,49 @@ def test_poly_string():
     assert hk.poly_string((1, 1)) == "1 + q"
     assert hk.poly_string((1, 0, 2)) == "1 + 2*q^2"
     assert hk.poly_string(()) == "0"
+
+
+def _fp_combination_cases():
+    """(build(coeffs, prime), keys, error type, operands that must not add)
+    for each F_p-combination class."""
+    d = preset("A2")
+    iw, hs = aw.iwahori(d), aw.hyperspecial(d)
+    classes = sorted({aw.double_coset_rep(w, iw) for w in aw.length_ball(d, 2)},
+                     key=lambda c: aw.element_sort_key(c.rep))[:5]
+    lev, lev1 = sat.minimal_levi(d), sat.levi_datum(d, (0,))
+    zs = sat.enumerate_antidominant(d, 8)[:5]
+    ys = [aw.translation(d, z) for z in zs]
+    hecke = lambda c, p=3: hk.HeckeElement(iw, p, "phi", c)
+    levi = lambda c, p=3: sat.LeviHeckeElement(lev, iw, p, c)
+    monoid = lambda c, p=3: sat.MonoidAlgebraElement(d, p, c)
+    return [
+        (hecke, classes, hk.HeckeError,
+         [hk.HeckeElement(iw, 3, "indicator", {classes[0]: 1}),  # basis
+          hk.HeckeElement(hs, 3, "phi", {}),  # facet
+          hecke({}, 5), levi({})]),
+        (levi, ys, sat.SatakeError,
+         [sat.LeviHeckeElement(lev1, iw, 3, {}), sat.LeviHeckeElement(lev, hs, 3, {}),
+          levi({}, 5), monoid({})]),
+        (monoid, zs, sat.SatakeError,
+         [sat.MonoidAlgebraElement(preset("A2:ad"), 3, {}), monoid({}, 5), hecke({})]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["hecke", "levi_hecke", "monoid"])
+def test_fp_combination_laws(case):
+    build, keys, error, mismatched = _fp_combination_cases()[case]
+    rng = random.Random(case)
+    draw = lambda: build({k: rng.randrange(-4, 5) for k in rng.sample(keys, 3)})
+    for _ in range(20):
+        a, b, c = draw(), draw(), draw()
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert (a + b) + c == a + (b + c)
+        k = rng.randrange(-3, 7)
+        assert (a + b).scale(k) == a.scale(k) + b.scale(k)
+        assert a.scale(3).is_zero() and a.scale(3) == build({})
+        assert build(dict(a.coeffs)) == a and hash(build(dict(a.coeffs))) == hash(a)
+    a = build({keys[0]: 1})
+    for other in mismatched:
+        assert a != other
+        with pytest.raises(error, match="operand mismatch"):
+            a + other

@@ -40,6 +40,18 @@ def test_levi_datum_validation():
         sat.levi_datum(d, (), lam=(0, 0))       # not regular
 
 
+def test_default_lambda_of_large_class_order():
+    # The class of chi = sum of the fundamental coweights outside J_M has order
+    # lcm(5, 7, 8, 9) = 2520 in X/Q^vee, so lam = 2520 chi and no proper
+    # divisor of 2520 takes chi into the lattice.
+    d = preset("A4xA6xA7xA8")
+    lev = sat.levi_datum(d, (0, 4, 10, 17))
+    chi = tuple(int(i not in lev.j_m) for i in range(d.n))
+    assert lev.lam == tuple(2520 * c for c in chi)
+    for m in (1260, 840, 504, 360):
+        assert not d.in_lattice(tuple(m * c for c in chi))
+
+
 def test_component_of_translations_iwahori():
     # minimal Levi, Iwahori facet: labels of translations separate coweights
     d = preset("A1")
@@ -215,6 +227,27 @@ def test_phi_c_w_precondition():
     s1_label = sat.component_of(aw.parse_element(d, "s1"), lev, f)
     with pytest.raises(sat.SatakeError):
         sat.phi_c_w(s1_label, cls(d, f, "s1"), lev, f, 2)
+
+
+def test_mismatched_facet_or_datum_is_rejected():
+    # An Iwahori class passed with the hyperspecial facet, or with a Levi of
+    # another datum, is an error, not the transform of some other class.
+    d = preset("A2")
+    f, hs = aw.iwahori(d), aw.hyperspecial(d)
+    lev = sat.minimal_levi(d)
+    idx = cls(d, f, "t[-1,-1]*s1")
+    assert sat.satake_phi(idx, lev, f, 2).is_zero()
+    t = cls(d, f, "t[-1,-1]")
+    label = sat.closed_attractor_component(t, lev, f)
+    other_lev = sat.minimal_levi(RootDatum(d.cartan_datum))
+    for levi, facet in ((lev, hs), (other_lev, f)):
+        for call in (lambda: sat.satake_phi(idx, levi, facet, 2),
+                     lambda: sat.satake_phi(t, levi, facet, 2),
+                     lambda: sat.phi_c_w(label, t, levi, facet, 2),
+                     lambda: sat.closed_attractor_component(idx, levi, facet),
+                     lambda: sat.enumerate_closed_chains(idx, levi, facet)):
+            with pytest.raises(sat.SatakeError, match="do not share"):
+                call()
 
 
 def test_satake_phi_iwahori_values():
