@@ -13,10 +13,10 @@ Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
 This module keeps no state of its own.  Elements are interned per datum, and
-each keeps its length, reduced word and lower Bruhat set; the memos keyed by
-more than one element live on the RootDatum (see RootDatum): the affine
-simple system, the facets, `bruhat_memo` by (u, w) and `coset_memo` by
-(w, facet indices).
+each keeps its length, reduced word, lower Bruhat set, products, string and
+sort key.  Facets are interned in the datum's `facets`, each with its own
+intern table of classes; the other memos live on the RootDatum (see
+RootDatum): the affine simple system, `bruhat_memo` and `coset_memo`.
 """
 
 from __future__ import annotations
@@ -42,11 +42,13 @@ class AffineWeylElement:
 
     Elements are interned per datum by (translation, finite), as finite ones
     are by their matrix, so equality is identity and each element carries
-    its own memos of `length`, `reduced_word` and `lower_set`.  The hash is
+    its own memos of `length`, `reduced_word`, `lower_set`, products (by
+    right factor), `element_to_string` and `element_sort_key`.  The hash is
     that of the pair, so set and dict orders do not depend on addresses.
     """
 
-    __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower")
+    __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower",
+                 "_products", "_str", "_key")
 
     def __new__(cls, datum: RootDatum, translation: Coweight, finite: FiniteWeylElement):
         key = (translation, finite)
@@ -54,8 +56,8 @@ class AffineWeylElement:
         if el is None:
             el = object.__new__(cls)
             el.datum, el.translation, el.finite = datum, translation, finite
-            el._hash = hash(key)
-            el._length = el._word = el._lower = None
+            el._hash, el._products = hash(key), {}
+            el._length = el._word = el._lower = el._str = el._key = None
             el = datum._affine_cache.setdefault(key, el)
         return el
 
@@ -63,12 +65,16 @@ class AffineWeylElement:
         return self._hash
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        if self.datum is not other.datum:
-            raise RootDatumError("datum mismatch")
-        lam = self.translation
-        if any(other.translation):
-            lam = tuple(map(add, lam, self.finite.act(other.translation)))
-        return AffineWeylElement(self.datum, lam, self.finite * other.finite)
+        prod = self._products.get(other)
+        if prod is None:
+            if self.datum is not other.datum:
+                raise RootDatumError("datum mismatch")
+            lam = self.translation
+            if any(other.translation):
+                lam = tuple(map(add, lam, self.finite.act(other.translation)))
+            prod = self._products[other] = AffineWeylElement(
+                self.datum, lam, self.finite * other.finite)
+        return prod
 
     def inverse(self) -> "AffineWeylElement":
         uinv = self.finite.inverse()
@@ -374,30 +380,32 @@ class Facet:
 
     W_f is finite exactly when J leaves out a node of every component's block
     (its affine node and its finite nodes): a proper subdiagram of a
-    connected affine diagram is of finite type.
+    connected affine diagram is of finite type.  Facets are interned per
+    datum by sorted J, so equality is identity, and the hash is that of J.
     """
 
-    __slots__ = ("datum", "indices", "elements", "_hash")
+    __slots__ = ("datum", "indices", "elements", "_hash", "_classes")
 
-    def __init__(self, datum: RootDatum, indices):
-        self.datum = datum
-        self.indices = tuple(sorted(set(indices)))
-        sys = simple_system(datum)
-        for i in self.indices:
-            if i not in sys.elements:
-                raise RootDatumError(f"invalid affine simple index {i}")
-        for a, rng in zip(sys.affine_indices, datum.component_ranges):
-            if set(range(a, a + 1 + len(rng))) <= set(self.indices):
-                raise RootDatumError(
-                    f"facet {self.indices} does not generate a finite parabolic")
-        gens = [sys.elements[i] for i in self.indices]
-        seen = closure([identity(datum)], lambda w: (w * g for g in gens))
-        self.elements = tuple(sorted(seen, key=element_sort_key))
-        self._hash = hash((id(datum), self.indices))
-
-    def __eq__(self, other):
-        return (isinstance(other, Facet) and self.datum is other.datum
-                and self.indices == other.indices)
+    def __new__(cls, datum: RootDatum, indices):
+        key = tuple(sorted(set(indices)))
+        f = datum.facets.get(key)
+        if f is None:
+            sys = simple_system(datum)
+            for i in key:
+                if i not in sys.elements:
+                    raise RootDatumError(f"invalid affine simple index {i}")
+            for a, rng in zip(sys.affine_indices, datum.component_ranges):
+                if set(range(a, a + 1 + len(rng))) <= set(key):
+                    raise RootDatumError(
+                        f"facet {key} does not generate a finite parabolic")
+            gens = [sys.elements[i] for i in key]
+            seen = closure([identity(datum)], lambda w: (w * g for g in gens))
+            f = object.__new__(cls)
+            f.datum, f.indices = datum, key
+            f.elements = tuple(sorted(seen, key=element_sort_key))
+            f._hash, f._classes = hash(key), {}
+            f = datum.facets.setdefault(key, f)
+        return f
 
     def __hash__(self):
         return self._hash
@@ -425,12 +433,7 @@ class Facet:
 
 
 def facet(datum: RootDatum, indices) -> Facet:
-    key = tuple(sorted(set(indices)))
-    f = datum.facets.get(key)
-    if f is None:
-        f = Facet(datum, indices)
-        datum.facets[key] = f
-    return f
+    return Facet(datum, indices)
 
 
 def iwahori(datum: RootDatum) -> Facet:
@@ -444,8 +447,9 @@ def hyperspecial(datum: RootDatum) -> Facet:
 
 def element_sort_key(w: AffineWeylElement):
     """Deterministic total order used for canonical tie-breaking."""
-    coords = w.datum.x_coords(w.translation)
-    return (length(w), coords, w.datum.finite_word(w.finite))
+    if w._key is None:
+        w._key = (length(w), w.datum.x_coords(w.translation), w.datum.finite_word(w.finite))
+    return w._key
 
 
 def min_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
@@ -465,18 +469,18 @@ def min_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
 
 
 class DoubleCosetIndex:
-    """Canonical representative of a class in W_f \\ W / W_f."""
+    """Canonical representative of a class in W_f \\ W / W_f, interned in
+    its facet by representative, so equality is identity."""
 
     __slots__ = ("facet", "rep", "_hash")
 
-    def __init__(self, facet_: Facet, rep: AffineWeylElement):
-        self.facet = facet_
-        self.rep = rep
-        self._hash = hash((facet_, rep))
-
-    def __eq__(self, other):
-        return (isinstance(other, DoubleCosetIndex)
-                and self.facet == other.facet and self.rep == other.rep)
+    def __new__(cls, facet_: Facet, rep: AffineWeylElement):
+        idx = facet_._classes.get(rep)
+        if idx is None:
+            idx = object.__new__(cls)
+            idx.facet, idx.rep, idx._hash = facet_, rep, hash((facet_, rep))
+            idx = facet_._classes.setdefault(rep, idx)
+        return idx
 
     def __hash__(self):
         return self._hash
@@ -513,8 +517,8 @@ def enumerate_lower_interval(idx: DoubleCosetIndex,
                              cap: int | None = INTERVAL_CAP) -> frozenset:
     """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices."""
     f = idx.facet
-    return frozenset(DoubleCosetIndex(f, v) for v in lower_set(idx.rep, cap)
-                     if double_coset_rep(v, f).rep == v)
+    return frozenset(c for v in lower_set(idx.rep, cap)
+                     if (c := double_coset_rep(v, f)).rep is v)
 
 
 def length_ball(datum: RootDatum, length_cap: int):
@@ -535,15 +539,13 @@ def element_to_string(w: AffineWeylElement) -> str:
     """Canonical form 't[..]*s<i>*..': lattice coordinates of the translation
     part followed by a reduced word of the finite part (1-based s-indices as
     positioned in the affine simple system)."""
-    datum = w.datum
-    sys = simple_system(datum)
-    parts = []
-    if any(w.translation):
-        coords = datum.x_coords(w.translation)
-        parts.append("t[" + ",".join(str(c) for c in coords) + "]")
-    for i in datum.finite_word(w.finite):
-        parts.append(f"s{sys.index_of_finite[i]}")
-    return "*".join(parts) if parts else "e"
+    if w._str is None:
+        datum, sys = w.datum, simple_system(w.datum)
+        parts = [f"s{sys.index_of_finite[i]}" for i in datum.finite_word(w.finite)]
+        if any(w.translation):
+            parts.insert(0, "t[" + ",".join(map(str, datum.x_coords(w.translation))) + "]")
+        w._str = "*".join(parts) or "e"
+    return w._str
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineWeylElement:

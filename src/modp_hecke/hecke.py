@@ -118,11 +118,11 @@ class HeckeElement(FpCombination):
         super().__init__((facet, basis), prime, coeffs)
         if basis not in ("indicator", "phi"):
             raise HeckeError(f"unknown basis {basis!r}")
-        if any(idx.facet != facet for idx in coeffs):
+        if any(idx.facet is not facet for idx in coeffs):
             raise HeckeError("coefficient indexed by a foreign facet")
 
     def _check_compatible(self, other):
-        if self.facet != other.facet:
+        if self.facet is not other.facet:
             raise HeckeError("facet mismatch")
         if self.prime != other.prime:
             raise HeckeError("prime mismatch")
@@ -221,7 +221,7 @@ def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
     """Product class of phi_{w1} * phi_{w2} = phi_w, with a witness: the
     double coset of tau1 * fold(word1 ++ word2) * tau2, the decomposition of
     affine_weyl.demazure_decomposition."""
-    if w1.facet != w2.facet:
+    if w1.facet is not w2.facet:
         raise HeckeError("facet mismatch")
     tau1, word1, word2, folded, tau2 = demazure_decomposition(w1.rep, w2.rep)
     out = double_coset_rep(tau1 * folded * tau2, w1.facet)

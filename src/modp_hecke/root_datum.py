@@ -243,8 +243,9 @@ class RootDatum:
     - the intern tables of the finite and affine Weyl elements, each element
       with its own memos, and the list of W0;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
-      (by sorted index tuple), `bruhat_memo` by `(u, w)`, and `coset_memo`,
-      the DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
+      (the facet intern table by sorted index tuple; each facet interns its
+      classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
+      DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
     - for `satake`: `satake_memo`, the canonical W_{M,f} representatives in
       the image of one phi class, keyed by `(class, Levi, facet)`;
     - for `oracle`: `subword_memo`, keyed by the element.

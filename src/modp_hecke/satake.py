@@ -73,7 +73,7 @@ class LeviDatum:
         gens = [datum.simple_reflections[i] for i in self.j_m]
         self.w0m = frozenset(closure([datum.weyl_identity],
                                      lambda w: (g * w for g in gens)))
-        self._hash = hash((id(datum), self.j_m, self.lam))
+        self._hash = hash((self.j_m, self.lam))
 
     def _default_lambda(self) -> Coweight:
         # The least multiple m * chi in X, chi the sum of fundamental coweights
@@ -156,7 +156,7 @@ class ComponentLabel:
 
     def __eq__(self, other):
         return (isinstance(other, ComponentLabel) and self.levi == other.levi
-                and self.facet == other.facet and self.rep == other.rep)
+                and self.facet is other.facet and self.rep is other.rep)
 
     def __hash__(self):
         return self._hash
@@ -175,7 +175,7 @@ def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> Compone
 
 
 def _check_class(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet):
-    if facet != idx.facet or levi.datum is not facet.datum:
+    if facet is not idx.facet or levi.datum is not facet.datum:
         raise SatakeError("class, Levi and facet do not share one facet and datum")
 
 

@@ -5,9 +5,11 @@ that ask them."""
 import sys
 import threading
 
+import pytest
 from hypothesis import given, strategies as st
 
 from modp_hecke import affine_weyl as aw
+from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
 
@@ -19,8 +21,31 @@ def test_a_constructed_element_is_the_interned_one():
     assert direct is aw.parse_element(d, "t[-1,0]*s1*s2")
     assert direct is aw.translation(d, direct.translation) * aw.from_finite(d, s1 * s2)
     assert aw.AffineWeylElement(d, d.zero_coweight(), d.weyl_identity) is aw.identity(d)
-    for cls in (aw.AffineWeylElement, rd.FiniteWeylElement):
+    for cls in (aw.AffineWeylElement, rd.FiniteWeylElement, aw.Facet, aw.DoubleCosetIndex):
         assert "__eq__" not in vars(cls)
+
+
+def test_facets_and_classes_are_interned():
+    d = rd.RootDatum(rd.preset("A2").cartan_datum)
+    ball = aw.length_ball(d, 3)
+    for indices in ((), (2,), (0, 2), (1, 2)):
+        f = aw.Facet(d, indices)
+        assert f is aw.facet(d, indices) and f is aw.Facet(d, reversed(indices * 2))
+        for w in ball:
+            idx = aw.double_coset_rep(w, f)
+            assert idx is aw.DoubleCosetIndex(f, idx.rep)
+            for member in aw.enumerate_lower_interval(idx):
+                assert member is aw.double_coset_rep(member.rep, f)
+
+
+def test_an_invalid_facet_raises_and_stores_nothing():
+    d = rd.RootDatum(rd.preset("A2").cartan_datum)
+    aw.iwahori(d)
+    before = dict(d.facets)
+    for indices in ((0, 1, 2), (3,), (-1, 1)):
+        with pytest.raises(rd.RootDatumError):
+            aw.Facet(d, indices)
+        assert d.facets == before
 
 
 def test_elements_of_two_data_never_compare_equal():
@@ -30,6 +55,40 @@ def test_elements_of_two_data_never_compare_equal():
         u, v = aw.parse_element(a, text), aw.parse_element(b, text)
         assert u != v and u.finite != v.finite
         assert hash(u) == hash(v) and len({u, v}) == 2
+
+
+def test_facets_levis_and_classes_hash_alike_across_data():
+    # Hashes read no address, so set and dict orders are the same on every
+    # datum; equality stays identity, so two data never share an object.
+    cartan = rd.preset("A2").cartan_datum
+    a, b = rd.RootDatum(cartan), rd.RootDatum(cartan)
+    for indices in ((), (1,), (0, 2), (1, 2)):
+        fa, fb = aw.facet(a, indices), aw.facet(b, indices)
+        assert hash(fa) == hash(fb) and fa != fb
+        ca = aw.double_coset_rep(aw.parse_element(a, "t[-1,-1]*s2"), fa)
+        cb = aw.double_coset_rep(aw.parse_element(b, "t[-1,-1]*s2"), fb)
+        assert hash(ca) == hash(cb) and ca != cb
+    for j_m in ((), (0,), (0, 1)):
+        la, lb = sat.levi_datum(a, j_m), sat.levi_datum(b, j_m)
+        assert hash(la) == hash(lb) and la != lb
+
+
+def test_a_product_across_data_raises_before_and_after_memoizing():
+    cartan = rd.preset("A2").cartan_datum
+    a, b = rd.RootDatum(cartan), rd.RootDatum(cartan)
+    foreign = aw.parse_element(b, "t[-1,-1]*s2")
+    u = aw.translation(a, a.coweight_from_x_coords((2, -3)))
+    with pytest.raises(rd.RootDatumError):
+        u * foreign
+    # The element of a with foreign's hash is now a memoized right factor of u.
+    own = aw.parse_element(a, "t[-1,-1]*s2")
+    for v in (own, *aw.simple_system(a).elements.values()):
+        u * v
+        v * u
+    assert hash(own) == hash(foreign)
+    for x, y in ((u, foreign), (foreign, u), (own, foreign)):
+        with pytest.raises(rd.RootDatumError):
+            x * y
 
 
 def test_interning_is_race_free():
@@ -49,7 +108,10 @@ def test_interning_is_race_free():
                 barrier.wait(timeout=30)
                 w0 = rd.closure([d.weyl_identity],
                                 lambda w: (w * s for s in d.simple_reflections))
-                found.append((list(w0), aw.length_ball(d, 2)))
+                ball = aw.length_ball(d, 2)
+                facets = [aw.Facet(d, indices) for indices in ((), (1,), (0, 2), (1, 2, 3))]
+                found.append((list(w0), ball, facets,
+                              [aw.double_coset_rep(w, f) for f in facets for w in ball]))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
@@ -57,11 +119,16 @@ def test_interning_is_race_free():
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads) and len(found) == 4
-            finite = [x for w0, _ in found for x in w0]
-            affine = [x for _, ball in found for x in ball]
+            finite = [x for w0, *_ in found for x in w0]
+            affine = [x for _, ball, *_ in found for x in ball]
+            facets = [f for *_, fs, _ in found for f in fs]
+            classes = [c for *_, cs in found for c in cs]
             assert len({id(x) for x in finite}) == len({x.matrix for x in finite}) == 24
             assert len({id(x) for x in affine}) == len({(x.translation, x.finite.matrix)
                                                         for x in affine})
+            assert len({id(f) for f in facets}) == len({f.indices for f in facets}) == 4
+            assert len({id(c) for c in classes}) == len({
+                (c.facet.indices, c.rep.translation, c.rep.finite.matrix) for c in classes})
     finally:
         sys.setswitchinterval(old)
 
@@ -69,7 +136,7 @@ def test_interning_is_race_free():
 # -- warm and fresh data agree under any interleaving ------------------------------
 
 _KINDS = ("length", "reduced_word", "lower_set", "bruhat_leq", "double_coset_rep",
-          "satake_phi")
+          "satake_phi", "product", "convolve")
 _ELEMENT = st.tuples(st.lists(st.integers(-1, 1), min_size=2, max_size=2),
                      st.lists(st.integers(0, 2), max_size=4))
 _QUERY = st.tuples(st.sampled_from(_KINDS), _ELEMENT, _ELEMENT, st.integers(1, 30),
@@ -103,6 +170,11 @@ def _answer(d, query):
         return aw.bruhat_leq(u, w)
     if kind == "double_coset_rep":
         return aw.element_to_string(aw.double_coset_rep(w, f).rep)
+    if kind == "product":
+        return aw.element_to_string(u * w)
+    if kind == "convolve":
+        pair = aw.double_coset_rep(u, f), aw.double_coset_rep(w, f)
+        return hk.convolve_phi_classes(*pair)[1].to_json()
     return sat.satake_phi(aw.double_coset_rep(w, f), sat.minimal_levi(d), f, p).to_json()
 
 
