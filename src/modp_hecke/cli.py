@@ -188,6 +188,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message}\n{self.format_usage()}")
 
 
+def nonnegative_int(text: str) -> int:
+    """The type of the cap flags; a negative value is a ValueError."""
+    val = int(text)
+    if val < 0:
+        raise ValueError(f"{val} is negative")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="modp-hecke",
                 description="mod p parahoric Hecke algebra computations")
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--w1", required=True)
     q.add_argument("--w2", required=True)
     q.add_argument("--witness", action="store_true")
-    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
+    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
     q = hsub.add_parser("basis")
     q.add_argument("datum")
@@ -228,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, default=2)
     q.add_argument("--w", required=True)
     q.add_argument("--to", choices=("indicator", "phi"), default="indicator")
-    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
+    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
     q = hsub.add_parser("pointcount")
     q.add_argument("datum")
     q.add_argument("--facet", default="")
     q.add_argument("--w", required=True)
-    q.add_argument("--cap", type=int, default=aw.INTERVAL_CAP)
+    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
     q.add_argument("--json", action="store_true")
 
     s = sub.add_parser("satake", help="Satake transform")
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--special", action="store_true",
                    help="assert a special facet and use the anti-dominant fast path")
     s.add_argument("--list-lambda-minus", action="store_true")
-    s.add_argument("--cap", type=int,
+    s.add_argument("--cap", type=nonnegative_int,
                    help="length cap of --list-lambda-minus (default 8), else the "
                         f"interval cap of the transform (default {aw.INTERVAL_CAP})")
     s.add_argument("--json", action="store_true")
@@ -255,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     osub = o.add_subparsers(dest="oracle_cmd", required=True)
     q = osub.add_parser("check")
     q.add_argument("datum", nargs="*")
-    q.add_argument("--conv-cap", type=int, default=3)
-    q.add_argument("--bruhat-cap", type=int, default=4)
-    q.add_argument("--length-cap", type=int, default=6)
+    q.add_argument("--conv-cap", type=nonnegative_int, default=3)
+    q.add_argument("--bruhat-cap", type=nonnegative_int, default=4)
+    q.add_argument("--length-cap", type=nonnegative_int, default=6)
 
     return p
 

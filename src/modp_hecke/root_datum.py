@@ -11,8 +11,9 @@ Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
 the datum holds the tables keyed by more than one element.  Nothing is
 cached at module level except the preset data.
-The groups and orbits the package enumerates (W0, W_f, W0(M), the roots, the
-length balls of W) all come from one breadth-first search, `closure`.
+The groups and orbits the package enumerates (the roots, each facet's W_f,
+the length balls of W and the anti-dominant coweights) all come from one
+breadth-first search, `closure`.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class RootDatum:
     lives and dies with its datum and can never answer for another one:
 
     - the intern tables of the finite and affine Weyl elements, each element
-      with its own memos, and the list of W0;
+      with its own memos;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (the facet intern table by sorted index tuple; each facet interns its
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
@@ -308,7 +309,6 @@ class RootDatum:
         self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
 
         self._generate_roots()
-        self._w0_elements = None
         self.spec_string = spec_string or self._default_spec_string()
 
         self.affine_system = None
@@ -414,20 +414,13 @@ class RootDatum:
                      for i in range(self.dim))
 
     def in_lattice(self, coweight: Coweight) -> bool:
-        return self.x_coords(coweight) is not None
+        """True iff the coweight has `dim` coordinates and lies in X."""
+        return len(coweight) == self.dim and self.x_coords(coweight) is not None
 
     def zero_coweight(self) -> Coweight:
         return (0,) * self.dim
 
     # -- Weyl group ----------------------------------------------------------------
-
-    def w0_elements(self) -> tuple[FiniteWeylElement, ...]:
-        """All elements of the finite Weyl group."""
-        if self._w0_elements is None:
-            seen = closure([self.weyl_identity],
-                           lambda w: (s * w for s in self.simple_reflections))
-            self._w0_elements = tuple(sorted(seen, key=self.finite_word))
-        return self._w0_elements
 
     def finite_word(self, w: FiniteWeylElement) -> tuple[int, ...]:
         """Canonical reduced word (smallest left descent first), as 0-based
@@ -449,9 +442,6 @@ class RootDatum:
         return w._word
 
     # -- anti-dominance ---------------------------------------------------------------
-
-    def is_antidominant(self, coweight: Coweight) -> bool:
-        return all(self.pair(rt, coweight) <= 0 for rt in self.positive_roots)
 
     def antidominant_representative(self, coweight: Coweight):
         """The unique anti-dominant point of the W0-orbit, plus a Weyl element

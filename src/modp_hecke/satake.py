@@ -6,11 +6,12 @@ variety into attractor components indexed by W_{M,af} \\ W / W_f.  For each
 double coset w there is a unique component whose intersection with the
 Schubert scheme of w is closed; the transform sends phi_w to the indicator
 sum of that intersection when the component meets W_M, and to zero
-otherwise.  A component is labelled by the set of minimal elements of the
-left W_{M,af}-cosets it is made of, one per W_{M,af} w v for v in W_f; its
-representative is the least of them, so membership and the Levi-point test
-each read the set instead of reducing |W_f| products.  LeviHeckeElement and
-MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
+otherwise.  The Levi is its coweight: lam is dominant with stabiliser W0(M),
+so W_M is the set of w whose finite part fixes lam, and W0(M) is never
+enumerated.  A component is labelled by the unique minimal-length element of
+its double coset W_{M,af} w W_f, found by descent; the only group walked
+here is the facet's own W_f.  LeviHeckeElement and MonoidAlgebraElement
+derive from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -23,12 +24,13 @@ component of an anti-dominant translation t_z is the component of t_z itself
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 import itertools
 import math
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, element_sort_key, element_to_string,
+                          Facet, aff_act, element_to_string, length, min_coset_rep,
                           reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
@@ -40,10 +42,11 @@ class SatakeError(ValueError):
 
 class LeviDatum:
     """Semi-standard Levi subgroup data: finite simple indices J_M plus a
-    coweight pairing to zero exactly on the Levi roots and positively on the
-    other positive roots."""
+    coweight lam pairing to zero exactly on the Levi roots and positively on
+    the other positive roots.  Such a lam is dominant, and its stabiliser in
+    W0 is W0(M) (Humphreys, Reflection Groups and Coxeter Groups, §1.12)."""
 
-    __slots__ = ("datum", "j_m", "lam", "phi_m", "signed_phi_m", "w0m", "_hash")
+    __slots__ = ("datum", "j_m", "lam", "phi_m", "signed_phi_m", "_hash")
 
     def __init__(self, datum: RootDatum, j_m, lam: Coweight | None = None):
         self.datum = datum
@@ -68,11 +71,6 @@ class LeviDatum:
             if i not in support and v <= 0:
                 raise SatakeError("lambda must pair positively outside the Levi")
         self.lam = tuple(lam)
-
-        # W0(M): the parabolic subgroup generated by the Levi simple reflections.
-        gens = [datum.simple_reflections[i] for i in self.j_m]
-        self.w0m = frozenset(closure([datum.weyl_identity],
-                                     lambda w: (g * w for g in gens)))
         self._hash = hash((self.j_m, self.lam))
 
     def _default_lambda(self) -> Coweight:
@@ -90,8 +88,8 @@ class LeviDatum:
         return not self.j_m
 
     def in_w_m(self, w: AffineWeylElement) -> bool:
-        """Membership in W_M = X x| W0(M)."""
-        return w.finite in self.w0m
+        """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
+        return w.finite.act(self.lam) == self.lam
 
     def __eq__(self, other):
         return (isinstance(other, LeviDatum) and self.datum is other.datum
@@ -138,37 +136,26 @@ def _min_left_m_coset(levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElemen
             return x
 
 
+@dataclass(frozen=True)
 class ComponentLabel:
-    """A class W_{M,af} \\ W / W_f, held as its set of left-coset minima: the
-    class of w is the union of the left cosets W_{M,af} w v (v in W_f), each
-    with a unique minimal element, and y lies in the class iff the minimum of
-    W_{M,af} y is in `cosets`.  `rep`, the least of them in the global element
-    order, is the canonical representative; labels compare by `rep`."""
+    """A class W_{M,af} \\ W / W_f, held as `rep`, its unique minimal-length
+    element."""
 
-    __slots__ = ("levi", "facet", "cosets", "rep", "_hash")
-
-    def __init__(self, levi: LeviDatum, facet: Facet, cosets: frozenset):
-        self.levi = levi
-        self.facet = facet
-        self.cosets = cosets
-        self.rep = min(cosets, key=element_sort_key)
-        self._hash = hash((levi, facet, self.rep))
-
-    def __eq__(self, other):
-        return (isinstance(other, ComponentLabel) and self.levi == other.levi
-                and self.facet is other.facet and self.rep is other.rep)
-
-    def __hash__(self):
-        return self._hash
+    levi: LeviDatum
+    facet: Facet
+    rep: AffineWeylElement
 
     def __repr__(self):
         return f"S[{element_to_string(self.rep)}]"
 
 
 def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> ComponentLabel:
-    """Label of the attractor component through w."""
-    return ComponentLabel(levi, facet, frozenset(_min_left_m_coset(levi, w * v)
-                                                 for v in facet.elements))
+    """Label of the attractor component through w: the minimum y of the
+    right W_f-coset of x, the minimum of W_{M,af} w.  y is still minimal in
+    its left W_{M,af}-coset, as x = y v with lengths adding: a reflection t
+    with l(t y) < l(y) would give l(t x) < l(x).  So one descent on each side
+    reaches the minimum of W_{M,af} w W_f."""
+    return ComponentLabel(levi, facet, min_coset_rep(_min_left_m_coset(levi, w), facet))
 
 
 # -- closed attractor selection ----------------------------------------------------
@@ -222,20 +209,29 @@ def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet
 # -- Levi-side Hecke elements ---------------------------------------------------------
 
 
-def levi_induced_facet(levi: LeviDatum, facet: Facet) -> tuple:
-    """W_{M,f} = W_M intersect W_f, as a tuple of elements."""
-    return tuple(w for w in facet.elements if levi.in_w_m(w))
-
-
 def component_has_levi_point(label: ComponentLabel) -> bool:
     """True iff the double coset W_{M,af} rep W_f meets W_M: since
-    W_{M,af} lies in W_M, iff one of its left-coset minima does."""
-    return any(label.levi.in_w_m(c) for c in label.cosets)
+    W_{M,af} lies in W_M, iff rep W_f does."""
+    return any(label.levi.in_w_m(label.rep * u) for u in label.facet.elements)
 
 
-def _canon_m_coset(levi: LeviDatum, wmf, y: AffineWeylElement) -> AffineWeylElement:
-    """Canonical representative of W_{M,f} y W_{M,f} (deterministic minimum)."""
-    return min((ay * b for ay in (a * y for a in wmf) for b in wmf), key=element_sort_key)
+def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
+    """The reflections of W_{M,f} = W_M meet W_f: the u in W_f whose finite
+    part is s_b for b in Phi_M.  Such a u fixes the facet, so it is the affine
+    reflection through it.  They generate W_{M,f}, the stabiliser of lam in
+    W_f (Steinberg's theorem)."""
+    finite = {levi.datum.reflection(b) for b in levi.phi_m}
+    return tuple(u for u in facet.elements if u.finite in finite)
+
+
+def _canon_m_coset(reflections: tuple, y: AffineWeylElement) -> AffineWeylElement:
+    """Canonical representative of W_{M,f} y W_{M,f}, its unique
+    minimal-length element: greedy descent along the reflections of W_{M,f}
+    on either side."""
+    while (shorter := next((z for r in reflections for z in (r * y, y * r)
+                            if length(z) < length(y)), None)) is not None:
+        y = shorter
+    return y
 
 
 class LeviHeckeElement(FpCombination):
@@ -312,34 +308,35 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
     subword property splits the interval below idx.rep w_f, a reduced product.
 
-    Only the products a * u in W_M = X x| W0(M) are formed: for a in the
-    lower set these are the u in W_f with u.finite in a.finite^-1 W0(M), read
-    off a map from finite parts to W_f.  That map is one-to-one because W_f
-    is finite, so it holds no nonzero translation and meets each fibre of
-    W -> W0 at most once.  Each canonical W_{M,f} double coset is checked
-    against the label once, whether it is kept or not, by one left-coset
-    reduction looked up in `label.cosets`."""
+    Only the products a * u in W_M are formed: a.finite * u.finite fixes lam
+    iff u.finite(lam) = a.finite^-1(lam), so the partners of a are read off a
+    map from u.finite(lam) to the u in W_f, once per finite part of a.  Each
+    canonical W_{M,f} double coset is checked against the label once, whether
+    it is kept or not: it lies in the component iff the minimum of its left
+    W_{M,af}-coset is that of some label.rep * v, v in W_f."""
     _check_class(idx, levi, facet)
     if not component_has_levi_point(label):
         raise SatakeError("component has no Levi point")
-    wmf = levi_induced_facet(levi, facet)
-    by_finite = {u.finite: u for u in facet.elements}
-    partners = {}  # a.finite -> the u in W_f with a.finite * u.finite in W0(M)
+    lam = levi.lam
+    by_image = {}
+    for u in facet.elements:
+        by_image.setdefault(u.finite.act(lam), []).append(u)
+    partners = {}  # a.finite -> the u in W_f with a.finite * u.finite fixing lam
     ys = set()
     for a in aw.lower_set(idx.rep, cap):
         us = partners.get(a.finite)
         if us is None:
-            ainv = a.finite.inverse()
-            us = partners[a.finite] = [by_finite[v] for v in (ainv * m for m in levi.w0m)
-                                       if v in by_finite]
+            us = partners[a.finite] = by_image.get(a.finite.inverse().act(lam), ())
         ys.update([a * u for u in us])
+    reflections = _levi_facet_reflections(levi, facet)
+    cosets = {_min_left_m_coset(levi, label.rep * v) for v in facet.elements}
     coeffs = {}
     checked = set()
     for y in ys:
-        canon = _canon_m_coset(levi, wmf, y)
+        canon = _canon_m_coset(reflections, y)
         if canon not in checked:
             checked.add(canon)
-            if _min_left_m_coset(levi, canon) in label.cosets:
+            if _min_left_m_coset(levi, canon) in cosets:
                 coeffs[canon] = 1
     return LeviHeckeElement(levi, facet, prime, coeffs)
 

@@ -202,10 +202,21 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
      "'abc' is not valid for 'cap'"),
     (["--config", 'CONFIG:{"facet": 5}', "hecke", "basis", "A1", "--w", "t[1]"],
      "5 is not valid for 'facet'"),
+    (["hecke", "multiply", "A1", "--p", "2", "--w1", "t[-1]", "--w2", "e", "--cap", "-5"],
+     "argument --cap: invalid"),
+    (["satake", "A1", "--facet", "1", "--p", "2", "--list-lambda-minus", "--cap", "-3"],
+     "argument --cap: invalid"),
+    (["oracle", "check", "A1", "--conv-cap", "-1"], "argument --conv-cap: invalid"),
+    (["oracle", "check", "A1", "--bruhat-cap", "-1"], "argument --bruhat-cap: invalid"),
+    (["oracle", "check", "A1", "--length-cap", "-1"], "argument --length-cap: invalid"),
+    (["--config", 'CONFIG:{"cap": -1}', "hecke", "basis", "A1", "--w", "t[1]"],
+     "-1 is not valid for 'cap'"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "satake-without-w", "config-not-an-object", "unclosed-bracket",
         "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range",
-        "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string"])
+        "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string",
+        "negative-cap", "negative-length-cap-of-lambda-minus", "negative-conv-cap",
+        "negative-bruhat-cap", "negative-length-cap", "config-negative-cap"])
 def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
     # "CONFIG" names a config file holding "[1]" (valid JSON, but not an
     # object); "CONFIG:<json>" names one holding <json>.

@@ -154,17 +154,48 @@ def test_schubert_scheme_is_lower_set_times_parabolic():
             assert swept == {a * u for a in aw.lower_set(idx.rep) for u in f.elements}
 
 
+# References for the Satake layer: the enumerations it once made.  W0(M) by
+# closure, a component label as its set of left-coset minima, and the
+# canonical W_{M,f} double-coset representative as the least of its
+# |W_{M,f}|^2 products in the global element order.
+
+
+def _w0m_reference(levi):
+    """W0(M), by closure under the Levi simple reflections."""
+    d = levi.datum
+    gens = [d.simple_reflections[i] for i in levi.j_m]
+    return frozenset(rd.closure([d.weyl_identity], lambda w: (g * w for g in gens)))
+
+
+def _wmf_reference(levi, facet):
+    """W_{M,f} = W_M meet W_f, with W_M membership read off W0(M)."""
+    w0m = _w0m_reference(levi)
+    return tuple(u for u in facet.elements if u.finite in w0m)
+
+
+def _cosets_reference(levi, facet, w):
+    """The minima of the left cosets W_{M,af} w v, v in W_f, whose union is
+    the class W_{M,af} w W_f."""
+    return frozenset(sat._min_left_m_coset(levi, w * v) for v in facet.elements)
+
+
+def _canon_reference(wmf, y):
+    """The least element of W_{M,f} y W_{M,f} in the global element order."""
+    return min((a * y * b for a in wmf for b in wmf), key=aw.element_sort_key)
+
+
 def _swept_phi_c_w(label, idx, levi, facet, prime):
-    """phi_c_w by the full sweep: every product of lower_set(idx.rep) x W_f,
-    kept when it lies in W_M."""
-    wmf = sat.levi_induced_facet(levi, facet)
+    """phi_c_w by the full sweep over the products of lower_set(idx.rep) x W_f,
+    keeping those in W_M, all by the references above."""
+    w0m = _w0m_reference(levi)
+    wmf = _wmf_reference(levi, facet)
+    cosets = _cosets_reference(levi, facet, label.rep)
     coeffs = {}
     for y in {a * u for a in aw.lower_set(idx.rep) for u in facet.elements}:
-        if not levi.in_w_m(y):
-            continue
-        canon = sat._canon_m_coset(levi, wmf, y)
-        if canon not in coeffs and sat.component_of(canon, levi, facet) == label:
-            coeffs[canon] = 1
+        if y.finite in w0m:
+            canon = _canon_reference(wmf, y)
+            if sat._min_left_m_coset(levi, canon) in cosets:
+                coeffs[canon] = 1
     return sat.LeviHeckeElement(levi, facet, prime, coeffs)
 
 
@@ -173,47 +204,72 @@ def _standard_levis(d):
             for j_m in itertools.combinations(range(d.n), r)]
 
 
+@pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2", "B3"))
+def test_levi_membership_and_reflections_match_the_enumeration(spec):
+    """in_w_m is membership in the W0(M) closure, and the reflections of
+    W_{M,f} generate the W_{M,f} read off it, for every standard Levi and
+    every finite facet."""
+    d = rd.preset(spec)
+    w0 = _w0m_reference(sat.levi_datum(d, range(d.n)))
+    for levi in _standard_levis(d):
+        w0m = _w0m_reference(levi)
+        assert {u for u in w0 if levi.in_w_m(aw.from_finite(d, u))} == w0m, levi
+        for f in _finite_facets(d):
+            gens = sat._levi_facet_reflections(levi, f)
+            assert rd.closure([aw.identity(d)], lambda w: (w * g for g in gens)) == \
+                set(_wmf_reference(levi, f)), (levi, f)
+
+
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
     lambda d: st.tuples(elements_from_parts(d), st.data())))
-def test_component_label_is_its_set_of_left_coset_minima(case):
-    """A label is fixed by its class W_{M,af} w W_f: moving w by W_{M,af}
-    reflections on the left and by W_f on the right keeps the label, its set
-    of left-coset minima, and membership of the moved element in that set;
-    the Levi-point test from the set agrees with the |W_f| sweep."""
+def test_component_label_is_the_minimum_of_its_double_coset(case):
+    """A label is the unique minimal-length element of W_{M,af} w W_f: it is
+    strictly shorter than every other left-coset minimum of the class, and so
+    the least of them in the global order.  Moving w by W_{M,af} reflections
+    on the left and by W_f on the right keeps the label and the set of minima;
+    the Levi-point test agrees with the set read against W0(M)."""
     w, data = case
     d = w.datum
     for f in _finite_facets(d):
         for levi in _standard_levis(d):
             label = sat.component_of(w, levi, f)
+            cosets = _cosets_reference(levi, f, w)
+            assert label.rep in cosets
+            assert all(aw.length(c) > aw.length(label.rep) for c in cosets
+                       if c is not label.rep), (f, levi, w)
             a = aw.identity(d)
             if levi.phi_m:
                 for beta, k in data.draw(st.lists(st.tuples(st.sampled_from(levi.phi_m),
                                                             st.integers(-3, 3)), max_size=3)):
                     a = aw.reflection(d, (beta, k)) * a
             y = a * w * data.draw(st.sampled_from(f.elements))
-            moved = sat.component_of(y, levi, f)
-            assert moved == label and moved.cosets == label.cosets, (f, levi, y)
-            assert sat._min_left_m_coset(levi, y) in label.cosets
-            assert label.rep in label.cosets
-            assert sat.component_has_levi_point(label) == \
-                any(levi.in_w_m(label.rep * v) for v in f.elements)
+            assert sat.component_of(y, levi, f) == label, (f, levi, y)
+            assert _cosets_reference(levi, f, y) == cosets
+            w0m = _w0m_reference(levi)
+            assert sat.component_has_levi_point(label) == any(c.finite in w0m for c in cosets)
 
 
 @pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2"))
 def test_phi_c_w_matches_the_full_sweep(spec):
     """Every finite facet, every standard Levi (G itself included) and every
-    class of length <= 4."""
+    class of length <= 4; the canonical representative is also checked on
+    every element of W_M the sweep meets."""
     d = rd.preset(spec)
-    levis = [sat.levi_datum(d, j_m) for r in range(d.n + 1)
-             for j_m in itertools.combinations(range(d.n), r)]
+    levis = _standard_levis(d)
     for f in _finite_facets(d):
         classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 4)}
-        for idx in (c for c in classes if c.length <= 4):
-            for levi in levis:
+        for levi in levis:
+            wmf = _wmf_reference(levi, f)
+            reflections = sat._levi_facet_reflections(levi, f)
+            for idx in (c for c in classes if c.length <= 4):
                 label = sat.closed_attractor_component(idx, levi, f)
                 if sat.component_has_levi_point(label):
                     assert sat.phi_c_w(label, idx, levi, f, 2) == \
                         _swept_phi_c_w(label, idx, levi, f, 2), (f, idx, levi)
+                for y in {a * u for a in aw.lower_set(idx.rep) for u in f.elements}:
+                    if levi.in_w_m(y):
+                        assert sat._canon_m_coset(reflections, y) is \
+                            _canon_reference(wmf, y), (f, levi, y)
 
 
 ASSOCIATIVITY_SPECS = ("A1", "A1:ad", "A2", "A2:ad", "C2", "G2")

@@ -7,6 +7,11 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import root_datum as rd
 
 
+def w0_elements(d):
+    """The finite Weyl group, by closure under the simple reflections."""
+    return rd.closure([d.weyl_identity], lambda w: (s * w for s in d.simple_reflections))
+
+
 def test_a1_sc_structure():
     d = rd.preset("A1")
     assert d.positive_roots == ((1,),)
@@ -93,7 +98,7 @@ def test_weyl_action_preserves_roots_and_pairing():
     rng = random.Random(7)
     for spec in ("A2", "C2", "G2"):
         d = rd.preset(spec)
-        for w in d.w0_elements():
+        for w in w0_elements(d):
             for rt in d.positive_roots:
                 img = w.act_root(rt)
                 assert img in d.positive_roots or tuple(-x for x in img) in d.positive_roots
@@ -108,15 +113,20 @@ def test_finite_length_matches_word_length():
     # w^{-1} negates, which is the finite length of w
     for spec in ("A2", "C2", "G2"):
         d = rd.preset(spec)
-        for w in d.w0_elements():
+        for w in w0_elements(d):
             assert aw.length(aw.from_finite(d, w)) == len(d.finite_word(w))
 
 
+def is_antidominant(d, z):
+    return all(d.pair(rt, z) <= 0 for rt in d.positive_roots)
+
+
 def test_is_antidominant():
+    # a coweight is anti-dominant iff it is its own representative
     d = rd.preset("A1")
-    assert d.is_antidominant(d.zero_coweight())
-    assert d.is_antidominant((-2,))       # -alpha^vee
-    assert not d.is_antidominant((2,))    # +alpha^vee
+    for z, anti in (((0,), True), ((-2,), True), ((2,), False)):  # 0, -+alpha^vee
+        assert is_antidominant(d, z) == anti
+        assert (d.antidominant_representative(z)[0] == z) == anti
 
 
 def test_antidominant_representative_a1():
@@ -132,8 +142,8 @@ def test_antidominant_representative_orbit_invariant():
     # oracle: enumerate the full W0-orbit and filter for anti-dominance
     d = rd.preset("A2")
     nu = (2, -1)
-    orbit = {w.act(nu) for w in d.w0_elements()}
-    anti = [x for x in orbit if d.is_antidominant(x)]
+    orbit = {w.act(nu) for w in w0_elements(d)}
+    anti = [x for x in orbit if is_antidominant(d, x)]
     assert len(anti) == 1
     for x in orbit:
         z, w = d.antidominant_representative(x)
@@ -149,7 +159,7 @@ def test_product_type_datum():
     assert d.n == 2
     assert len(d.positive_roots) == 2
     assert len(d.highest_roots) == 2
-    assert len(d.w0_elements()) == 4
+    assert len(w0_elements(d)) == 4
 
 
 def test_explicit_lattice_with_central_torus():

@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import RootDatum, from_json, preset
+from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
 
 
 def cls(datum, facet, text):
@@ -18,6 +18,10 @@ def facet_classes(datum, facet, cap):
     return sorted({aw.double_coset_rep(w, facet) for w in aw.length_ball(datum, cap)
                    if aw.double_coset_rep(w, facet).length <= cap},
                   key=lambda c: aw.element_sort_key(c.rep))
+
+
+def is_antidominant(datum, z):
+    return all(datum.pair(rt, z) <= 0 for rt in datum.positive_roots)
 
 
 def proper_levis(datum):
@@ -38,6 +42,29 @@ def test_levi_datum_validation():
         sat.levi_datum(d, (0,), lam=(1, 1))     # does not vanish on the Levi root
     with pytest.raises(sat.SatakeError):
         sat.levi_datum(d, (), lam=(0, 0))       # not regular
+
+
+def test_coweights_of_the_wrong_length_are_rejected():
+    # (0, 0, 1) once gave a length-0 element printing as t[0,0] that was not
+    # the identity, and lam = (2, 2, 5) a Levi whose W_M held nothing.
+    d = preset("A2")
+    assert not d.in_lattice((0, 0, 1)) and not d.in_lattice((2,))
+    with pytest.raises(RootDatumError, match="not in the coweight lattice"):
+        aw.translation(d, (0, 0, 1))
+    with pytest.raises(sat.SatakeError, match="not in the coweight lattice"):
+        sat.levi_datum(d, (), (2, 2, 5))
+
+
+@pytest.mark.parametrize("spec", ["E6", "E7", "E8"])
+def test_whole_group_levi_does_not_enumerate_w0(spec):
+    # W(E6), W(E7) and W(E8) have 51,840, 2,903,040 and 696,729,600
+    # elements; W_M is read off lam, so no Weyl group walk may run.
+    d = preset(spec)
+    start = time.perf_counter()
+    levi = sat.levi_datum(d, range(d.n))
+    assert levi.in_w_m(aw.from_finite(d, d.simple_reflections[0]))
+    assert time.perf_counter() - start < 1.0
+    assert len(levi.phi_m) == len(d.positive_roots)
 
 
 def test_default_lambda_of_large_class_order():
@@ -182,25 +209,31 @@ def test_component_has_levi_point():
     assert not sat.component_has_levi_point(s1_label)
 
 
+def _levi_facet_group(levi, f):
+    """The group the reflections of W_{M,f} generate."""
+    gens = sat._levi_facet_reflections(levi, f)
+    return closure([aw.identity(f.datum)], lambda w: (w * g for g in gens))
+
+
 def test_levi_induced_facet():
     d = preset("A2")
     f = aw.facet(d, (1, 2))
-    assert len(sat.levi_induced_facet(sat.minimal_levi(d), f)) == 1
+    assert len(_levi_facet_group(sat.minimal_levi(d), f)) == 1
     lev = sat.levi_datum(d, (0,))
-    wmf = sat.levi_induced_facet(lev, f)
+    wmf = _levi_facet_group(lev, f)
     assert len(wmf) == 2
+    assert wmf == {u for u in f.elements if lev.in_w_m(u)}
 
 
 def test_levi_induced_facet_improper():
-    # M = G: W_{M,f} is all of W_f
-    d = preset("A2")
-    f = aw.facet(d, (1, 2))
-    # improper Levi needs a central direction to carry lambda; use a product
+    # M = G: W_{M,f} is all of W_f; a proper Levi of A1xA1 needs a central
+    # direction to carry lambda, so G = A1xA1 and M is the first factor
     d2 = preset("A1xA1")
     f2 = aw.facet(d2, (1,))
     lev2 = sat.levi_datum(d2, (0,))
-    wmf = sat.levi_induced_facet(lev2, f2)
-    assert set(wmf) == set(f2.elements)
+    assert _levi_facet_group(lev2, f2) == set(f2.elements)
+    whole = aw.hyperspecial(d2)
+    assert _levi_facet_group(sat.levi_datum(d2, (0, 1)), whole) == set(whole.elements)
 
 
 def test_phi_c_w_examples():
@@ -455,7 +488,7 @@ def test_enumerate_antidominant_counts(spec, cap, count, timed):
     zs = sat.enumerate_antidominant(d, cap)
     elapsed = time.perf_counter() - start
     assert len(zs) == count
-    assert all(d.is_antidominant(z) for z in zs)
+    assert all(is_antidominant(d, z) for z in zs)
     if timed:
         assert elapsed < 1.0
 
@@ -467,7 +500,7 @@ def _lattice_box_antidominant(d, cap):
     out = []
     for coords in itertools.product(range(-cap, cap + 1), repeat=d.dim):
         z = d.coweight_from_x_coords(coords)
-        if d.is_antidominant(z):
+        if is_antidominant(d, z):
             ell = aw.length(aw.translation(d, z))
             if ell <= cap:
                 out.append((ell, coords, z))
@@ -578,7 +611,7 @@ def test_fast_path_at_every_special_facet(spec):
     for f in (f for f in facets if f.is_special()):
         for idx in facet_classes(d, f, 4):
             z = sat._antidominant_of_class(idx)
-            assert d.is_antidominant(z)
+            assert is_antidominant(d, z)
             assert aw.double_coset_rep(aw.translation(d, z), f) == idx
             assert sat.special_satake_fast(idx, 3) == \
                 sat.satake_phi(idx, lev, f, 3).to_monoid()
