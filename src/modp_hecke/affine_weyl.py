@@ -7,16 +7,17 @@ s_0 = t_{theta^vee} s_theta in the wall <theta, x> = 1 of the base alcove
 {x : 0 < <alpha, x> < 1 for all positive alpha}.  Length-zero elements form
 the subgroup Omega, which permutes the affine simple reflections; every
 element factors as (word in affine simples) * (Omega part).  The 0-Hecke
-(Demazure) product is one fold, demazure_decomposition, with Omega outside.
+(Demazure) product is one fold, demazure_decomposition, with Omega outside:
+the shorter factor's word is folded onto the other factor's Omega-free core.
 
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
 This module keeps no state of its own.  Elements are interned per datum, and
-each keeps its length, reduced word, lower Bruhat set, products, string and
-sort key.  Facets are interned in the datum's `facets`, each with its own
-intern table of classes; the other memos live on the RootDatum (see
-RootDatum): the affine simple system, `bruhat_memo` and `coset_memo`.
+each keeps its length, reduced word, lower Bruhat set, products, string,
+sort key and Omega-stripped cores.  Facets are interned in the datum's
+`facets`, each with its own intern table of classes; the other memos live
+on the RootDatum: the affine simple system, `bruhat_memo` and `coset_memo`.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ class AffineWeylElement:
 
     Elements are interned per datum by (translation, finite), as finite ones
     are by their matrix, so equality is identity and each element carries
-    its own memos of `length`, `reduced_word`, `lower_set`, products (by
-    right factor), `element_to_string` and `element_sort_key`.  The hash is
+    its own memos of `length`, `reduced_word`, `lower_set`, `_cores`, products
+    (by right factor), `element_to_string` and `element_sort_key`.  The hash is
     that of the pair, so set and dict orders do not depend on addresses.
     """
 
     __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower",
-                 "_products", "_str", "_key")
+                 "_products", "_str", "_key", "_cores")
 
     def __new__(cls, datum: RootDatum, translation: Coweight, finite: FiniteWeylElement):
         key = (translation, finite)
@@ -57,7 +58,7 @@ class AffineWeylElement:
             el = object.__new__(cls)
             el.datum, el.translation, el.finite = datum, translation, finite
             el._hash, el._products = hash(key), {}
-            el._length = el._word = el._lower = el._str = el._key = None
+            el._length = el._word = el._lower = el._str = el._key = el._cores = None
             el = datum._affine_cache.setdefault(key, el)
         return el
 
@@ -354,16 +355,39 @@ def demazure_product(datum: RootDatum, word) -> AffineWeylElement:
     return x
 
 
+def _cores(w: AffineWeylElement):
+    """Memoized (tau, word, tau^{-1} w, w tau^{-1}): w = tau * word, tau in Omega."""
+    if w._cores is None:
+        word, tau = reduced_word(w)
+        tau_inv = tau.inverse()
+        w._cores = (tau, tuple(omega_conjugate(tau_inv, i) for i in word),
+                    tau_inv * w, w * tau_inv)
+    return w._cores
+
+
 def demazure_decomposition(a: AffineWeylElement, b: AffineWeylElement):
     """(tau_a, word_a, word_b, folded, tau_b) with the 0-Hecke product a * b =
     tau_a * folded * tau_b, folded = fold(word_a ++ word_b), a = tau_a * word_a
     and b = word_b * tau_b.  word_a is a's reduced word conjugated by tau_a^{-1};
-    Omega permutes the simple reflections, so it commutes with the fold."""
-    word_a, tau_a = reduced_word(a)
+    Omega permutes the simple reflections, so it commutes with the fold.  The
+    fold is associative and a reduced word folds to its own element, so only
+    the shorter word is folded onto the other factor's core (`_cores`): word_a
+    onto b tau_b^{-1} from the left, last letter first (also on a tie), or
+    word_b onto tau_a^{-1} a from the right, first letter first."""
+    tau_a, word_a, core_a, _ = _cores(a)
     word_b, tau_b = reduced_word(b)
-    tau_a_inv = tau_a.inverse()
-    word_a = tuple(omega_conjugate(tau_a_inv, i) for i in word_a)
-    return tau_a, word_a, word_b, demazure_product(a.datum, word_a + word_b), tau_b
+    elements = simple_system(a.datum).elements
+    if len(word_a) <= len(word_b):
+        x = _cores(b)[3]
+        for i in reversed(word_a):
+            if length(sx := elements[i] * x) > length(x):
+                x = sx
+    else:
+        x = core_a
+        for i in word_b:
+            if length(xs := x * elements[i]) > length(x):
+                x = xs
+    return tau_a, word_a, word_b, x, tau_b
 
 
 def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:

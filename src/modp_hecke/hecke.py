@@ -3,9 +3,9 @@
 The phi basis element attached to a double coset w is the sum of the
 indicator functions of all double cosets below it in Bruhat order.  Products
 of phi basis elements are again phi basis elements: the product class is the
-double coset of the 0-Hecke (Demazure) product of the representatives;
-convolve_phi_classes also records its fold (affine_weyl.demazure_decomposition)
-as a replayable witness.  Indicator-basis products convert through phi.
+double coset of the 0-Hecke (Demazure) product of the representatives, which
+folds only the shorter word (affine_weyl.demazure_decomposition); witnesses
+replay the full fold.  Indicator-basis products convert through phi.
 HeckeElement and satake's Levi-Hecke and monoid-algebra elements share one
 sparse F_p-combination type, FpCombination: reduction mod p, equality, sums.
 """

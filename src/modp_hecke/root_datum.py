@@ -242,7 +242,7 @@ class RootDatum:
     lives and dies with its datum and can never answer for another one:
 
     - the intern tables of the finite and affine Weyl elements, each element
-      with its own memos;
+      with its own memos, and `reflections`, the finite reflection by root;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (the facet intern table by sorted index tuple; each facet interns its
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
@@ -304,6 +304,7 @@ class RootDatum:
 
         self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
         self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
+        self.reflections: dict[Root, FiniteWeylElement] = {}
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         self.weyl_identity = self._intern_weyl(ident)
         self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
@@ -379,14 +380,14 @@ class RootDatum:
         return tuple(-x for x in self.coroot_of[neg])
 
     def reflection(self, root: Root) -> FiniteWeylElement:
-        """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee."""
-        crt = self.coroot(root)
-        rows = []
-        for r in range(self.dim):
-            row = [int(r == c) - crt[r] * (root[c] if c < self.n else 0)
-                   for c in range(self.dim)]
-            rows.append(tuple(row))
-        return self._intern_weyl(tuple(rows))
+        """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, by root."""
+        el = self.reflections.get(root)
+        if el is None:
+            crt = self.coroot(root)
+            rows = tuple(tuple(int(r == c) - crt[r] * (root[c] if c < self.n else 0)
+                               for c in range(self.dim)) for r in range(self.dim))
+            el = self.reflections.setdefault(root, self._intern_weyl(rows))
+        return el
 
     def x_coords(self, coweight: Coweight):
         """Coordinates in the chosen lattice basis, or None if outside X."""

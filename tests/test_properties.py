@@ -294,6 +294,50 @@ def test_demazure_and_convolution_are_associative(case):
     assert conv(conv(x, y), z) == conv(x, conv(y, z))
 
 
+# Length balls whose ordered pairs have words of both relative lengths; the
+# ad forms have nontrivial Omega.
+DECOMPOSITION_BALLS = (("A1:ad", 4), ("A2:ad", 3), ("C2", 3), ("G2", 2))
+
+
+def _decomposition_reference(a, b):
+    """demazure_decomposition as one full fold of word_a ++ word_b."""
+    word_a, tau_a = aw.reduced_word(a)
+    word_b, tau_b = aw.reduced_word(b)
+    tau_a_inv = tau_a.inverse()
+    word_a = tuple(aw.omega_conjugate(tau_a_inv, i) for i in word_a)
+    return tau_a, word_a, word_b, aw.demazure_product(a.datum, word_a + word_b), tau_b
+
+
+@pytest.mark.parametrize("spec,radius", DECOMPOSITION_BALLS)
+def test_one_sided_fold_matches_the_full_fold(spec, radius):
+    ball = aw.length_ball(rd.preset(spec), radius)
+    relations = set()
+    for a, b in itertools.product(ball, repeat=2):
+        tau_a, word_a, word_b, folded, tau_b = aw.demazure_decomposition(a, b)
+        want = _decomposition_reference(a, b)
+        assert (word_a, word_b) == want[1:3], (a, b)
+        assert tau_a is want[0] and folded is want[3] and tau_b is want[4], (a, b)
+        relations.add((len(word_a) > len(word_b)) - (len(word_a) < len(word_b)))
+    assert relations == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("spec,radius", DECOMPOSITION_BALLS)
+def test_fold_does_not_depend_on_memo_history(spec, radius):
+    warm = rd.preset(spec)
+
+    def products(d, reverse=False):
+        pairs = list(itertools.product(aw.length_ball(d, radius), repeat=2))
+        out = {}
+        for a, b in reversed(pairs) if reverse else pairs:
+            key = (aw.element_to_string(a), aw.element_to_string(b))
+            out[key] = aw.element_to_string(aw.demazure_mult(a, b))
+        return out
+
+    first = products(warm, reverse=True)
+    fresh = rd.RootDatum(warm.cartan_datum, spec_string=warm.spec_string)
+    assert products(fresh) == products(warm) == first
+
+
 def _results(w, reverse=False):
     """What every layer says about w, as strings and numbers, asked in a
     fixed order or in its reverse."""
