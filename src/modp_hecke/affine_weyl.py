@@ -13,6 +13,11 @@ the shorter factor's word is folded onto the other factor's Omega-free core.
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
+Each coset minimum or maximum is one `descend`: descent along the canonical
+generators of a reflection subgroup ends at a coset's minimum, ascent in a
+finite parabolic coset at its maximum (Dyer, J. Algebra 135, 1990; Bjorner
+and Brenti, GTM 231, §2.4).  A facet enumerates W_f only when asked.
+
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products, string,
 sort key and Omega-stripped cores.  Facets are interned in the datum's
@@ -406,9 +411,10 @@ class Facet:
     (its affine node and its finite nodes): a proper subdiagram of a
     connected affine diagram is of finite type.  Facets are interned per
     datum by sorted J, so equality is identity, and the hash is that of J.
+    `gens` are the s_i, i in J; `elements` (sorted W_f) is built on first read.
     """
 
-    __slots__ = ("datum", "indices", "elements", "_hash", "_classes")
+    __slots__ = ("datum", "indices", "gens", "_elements", "_hash", "_classes")
 
     def __new__(cls, datum: RootDatum, indices):
         key = tuple(sorted(set(indices)))
@@ -422,14 +428,19 @@ class Facet:
                 if set(range(a, a + 1 + len(rng))) <= set(key):
                     raise RootDatumError(
                         f"facet {key} does not generate a finite parabolic")
-            gens = [sys.elements[i] for i in key]
-            seen = closure([identity(datum)], lambda w: (w * g for g in gens))
             f = object.__new__(cls)
             f.datum, f.indices = datum, key
-            f.elements = tuple(sorted(seen, key=element_sort_key))
-            f._hash, f._classes = hash(key), {}
+            f.gens = tuple(sys.elements[i] for i in key)
+            f._elements, f._hash, f._classes = None, hash(key), {}
             f = datum.facets.setdefault(key, f)
         return f
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:  # racing threads can only store equal tuples
+            seen = closure([identity(self.datum)], lambda w: (w * g for g in self.gens))
+            self._elements = tuple(sorted(seen, key=element_sort_key))
+        return self._elements
 
     def __hash__(self):
         return self._hash
@@ -476,20 +487,21 @@ def element_sort_key(w: AffineWeylElement):
     return w._key
 
 
+def descend(x, moves, key=length):
+    """Follow the first element of moves(x) that lowers key, until none does."""
+    kx = key(x)
+    while True:
+        for y in moves(x):
+            if (ky := key(y)) < kx:
+                x, kx = y, ky
+                break
+        else:
+            return x
+
+
 def min_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
     """The unique minimal-length element of w W_f."""
-    sys = simple_system(w.datum)
-    cur = w
-    changed = True
-    while changed:
-        changed = False
-        for i in f.indices:
-            nxt = cur * sys.elements[i]
-            if length(nxt) < length(cur):
-                cur = nxt
-                changed = True
-                break
-    return cur
+    return descend(w, lambda x: (x * s for s in f.gens))
 
 
 class DoubleCosetIndex:
@@ -524,15 +536,15 @@ class DoubleCosetIndex:
 def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     """The representative _f w^f, the longest of the (v w)^f for v in W_f.
     It is x^f for x the longest element of W_f w, because the right W_f-coset
-    of x holds the longest element of the double coset.  Memoized on the
-    datum per (element, facet)."""
+    of x holds the longest element of the double coset; x is reached by
+    ascent on the left.  Memoized on the datum per (element, facet)."""
     if f.datum is not w.datum:
         raise RootDatumError("datum mismatch")
     memo = w.datum.coset_memo
     key = (w, f.indices)
     idx = memo.get(key)
     if idx is None:
-        longest = max((v * w for v in f.elements), key=length)
+        longest = descend(w, lambda x: (s * x for s in f.gens), key=lambda x: -length(x))
         idx = memo[key] = DoubleCosetIndex(f, min_coset_rep(longest, f))
     return idx
 

@@ -4,8 +4,8 @@ Subcommands mirror the library layers: `weyl` for word-level computations,
 `hecke` for algebra products and point counts, `satake` for transforms,
 and `oracle check` for the cross-validation matrix.
 
-Exit codes: 0 success, 2 parse error, 3 cap exceeded, 4 precondition
-violation, 5 I/O failure.
+Exit codes: 0 success, 1 failed self-check (oracle cell, witness replay),
+2 parse error, 3 cap exceeded, 4 precondition violation, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ def cmd_hecke(args) -> int:
         w1 = aw.double_coset_rep(parse_element(datum, args.w1), f)
         w2 = aw.double_coset_rep(parse_element(datum, args.w2), f)
         prod, witness = convolve_phi_classes(w1, w2)
+        try:
+            witness.replay()
+        except HeckeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         result = phi_basis_element(prod, args.p)
         payload = {"result": result.to_json(),
                    "indicator": result.convert("indicator", args.cap).to_json()}

@@ -9,9 +9,9 @@ sum of that intersection when the component meets W_M, and to zero
 otherwise.  The Levi is its coweight: lam is dominant with stabiliser W0(M),
 so W_M is the set of w whose finite part fixes lam, and W0(M) is never
 enumerated.  A component is labelled by the unique minimal-length element of
-its double coset W_{M,af} w W_f, found by descent; the only group walked
-here is the facet's own W_f.  LeviHeckeElement and MonoidAlgebraElement
-derive from hecke.FpCombination, as HeckeElement does.
+its double coset W_{M,af} w W_f, found by descent; only the Levi-Hecke side
+walks the facet's W_f.  LeviHeckeElement and MonoidAlgebraElement derive
+from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 import math
+from operator import le, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, element_to_string, length, min_coset_rep,
+                          Facet, aff_act, descend, element_to_string, min_coset_rep,
                           reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
@@ -41,14 +42,17 @@ class SatakeError(ValueError):
 
 
 class LeviDatum:
-    """Semi-standard Levi subgroup data: finite simple indices J_M plus a
-    coweight lam pairing to zero exactly on the Levi roots and positively on
-    the other positive roots.  Such a lam is dominant, and its stabiliser in
-    W0 is W0(M) (Humphreys, Reflection Groups and Coxeter Groups, §1.12)."""
+    """Semi-standard Levi subgroup data: finite simple indices J_M.  lam, the
+    least multiple in X of the sum of the fundamental coweights outside J_M,
+    pairs to zero exactly on Phi_M and positively on the other positive
+    roots, so its stabiliser in W0 is W0(M) (Humphreys, Reflection Groups and
+    Coxeter Groups, §1.12).  The canonical generators of W_{M,af},
+    `af_reflections`, are s_i (i in J_M) and s_{(-theta, 1)} for theta the
+    highest root of each component of Phi_M: the maximal roots in `phi_m`."""
 
-    __slots__ = ("datum", "j_m", "lam", "phi_m", "signed_phi_m", "_hash")
+    __slots__ = ("datum", "j_m", "lam", "phi_m", "af_reflections", "_hash")
 
-    def __init__(self, datum: RootDatum, j_m, lam: Coweight | None = None):
+    def __init__(self, datum: RootDatum, j_m):
         self.datum = datum
         self.j_m = tuple(sorted(set(j_m)))
         for i in self.j_m:
@@ -58,30 +62,18 @@ class LeviDatum:
         self.phi_m = tuple(rt for rt in datum.positive_roots
                            if all(rt[i] == 0 for i in range(datum.n)
                                   if i not in support))
-        self.signed_phi_m = tuple(b for rt in self.phi_m for b in (rt, tuple(-c for c in rt)))
-        if lam is None:
-            lam = self._default_lambda()
-        if not datum.in_lattice(lam):
-            raise SatakeError("lambda is not in the coweight lattice")
-        for i in range(datum.n):
-            alpha = tuple(int(j == i) for j in range(datum.n))
-            v = datum.pair(alpha, lam)
-            if i in support and v != 0:
-                raise SatakeError("lambda must pair to zero on Levi simple roots")
-            if i not in support and v <= 0:
-                raise SatakeError("lambda must pair positively outside the Levi")
-        self.lam = tuple(lam)
-        self._hash = hash((self.j_m, self.lam))
-
-    def _default_lambda(self) -> Coweight:
-        # The least multiple m * chi in X, chi the sum of fundamental coweights
-        # outside J_M: den must divide m <chi, col> for each lattice functional.
-        datum = self.datum
-        chi = tuple(0 if i in self.j_m else 1 for i in range(datum.n)) \
-            + (0,) * (datum.dim - datum.n)
+        highest = [rt for rt in self.phi_m
+                   if not any(o != rt and all(map(le, rt, o)) for o in self.phi_m)]
+        self.af_reflections = tuple(
+            [aw.from_finite(datum, datum.simple_reflections[i]) for i in self.j_m]
+            + [aw.reflection(datum, (tuple(map(neg, rt)), 1)) for rt in highest])
+        # lam = m * chi, chi the sum of fundamental coweights outside J_M and m
+        # least such that den divides m <chi, col> for each lattice functional.
+        chi = [int(i not in support) for i in range(datum.n)] + [0] * (datum.dim - datum.n)
         den, cols = datum.x_inverse_den, datum.x_inverse_cols
         m = den // math.gcd(den, *(sum(c * v for c, v in zip(chi, col)) for col in cols))
-        return tuple(m * c for c in chi)
+        self.lam = tuple(m * c for c in chi)
+        self._hash = hash(self.j_m)
 
     @property
     def is_minimal(self) -> bool:
@@ -93,7 +85,7 @@ class LeviDatum:
 
     def __eq__(self, other):
         return (isinstance(other, LeviDatum) and self.datum is other.datum
-                and self.j_m == other.j_m and self.lam == other.lam)
+                and self.j_m == other.j_m)
 
     def __hash__(self):
         return self._hash
@@ -102,8 +94,8 @@ class LeviDatum:
         return f"LeviDatum(J_M={self.j_m})"
 
 
-def levi_datum(datum: RootDatum, j_m, lam=None) -> LeviDatum:
-    return LeviDatum(datum, j_m, lam)
+def levi_datum(datum: RootDatum, j_m) -> LeviDatum:
+    return LeviDatum(datum, j_m)
 
 
 def minimal_levi(datum: RootDatum) -> LeviDatum:
@@ -114,26 +106,9 @@ def minimal_levi(datum: RootDatum) -> LeviDatum:
 
 
 def _min_left_m_coset(levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElement:
-    """The unique minimal-length element of W_{M,af} x.
-
-    W_{M,af} is the reflection subgroup generated by the affine reflections
-    with vector part in Phi_M; x is minimal in its coset iff no such
-    reflection shortens it, and any shortening reflection strictly reduces
-    length, so greedy descent reaches the minimum.
-    """
-    datum = levi.datum
-    while True:
-        uinv = x.finite.inverse()
-        for b in levi.signed_phi_m:
-            # s_{(b,k)} shortens x iff x^{-1}.(b,k) = (u^{-1} b, k + <b, lam_x>)
-            # is negative, for (b,k) a positive affine root.
-            kmin = 0 if datum.is_positive_root(b) else 1
-            kmax = -datum.pair(b, x.translation) - datum.is_positive_root(uinv.act_root(b))
-            if kmin <= kmax:
-                x = aw.reflection(datum, (b, kmin)) * x
-                break
-        else:
-            return x
+    """The unique minimal-length element of W_{M,af} x: descent on the left
+    along the canonical generators of the reflection subgroup W_{M,af}."""
+    return descend(x, lambda y: (r * y for r in levi.af_reflections))
 
 
 @dataclass(frozen=True)
@@ -225,13 +200,9 @@ def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
 
 
 def _canon_m_coset(reflections: tuple, y: AffineWeylElement) -> AffineWeylElement:
-    """Canonical representative of W_{M,f} y W_{M,f}, its unique
-    minimal-length element: greedy descent along the reflections of W_{M,f}
-    on either side."""
-    while (shorter := next((z for r in reflections for z in (r * y, y * r)
-                            if length(z) < length(y)), None)) is not None:
-        y = shorter
-    return y
+    """Canonical representative of W_{M,f} y W_{M,f}, its unique minimal-length
+    element: descent along the reflections of W_{M,f} on either side."""
+    return descend(y, lambda x: (z for r in reflections for z in (r * x, x * r)))
 
 
 class LeviHeckeElement(FpCombination):

@@ -446,6 +446,18 @@ def test_iwahori_facet_does_not_enumerate_w0(spec):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("spec", ["A6", "E6"])
+def test_double_coset_rep_does_not_enumerate_w_f(spec):
+    # The hyperspecial W_f of A6 has 5,040 elements and that of E6 51,840;
+    # the class is found by ascent and descent, so W_f is never enumerated.
+    d = preset(spec)
+    start = time.perf_counter()
+    f = aw.hyperspecial(d)
+    aw.double_coset_rep(aw.parse_element(d, "t[-1" + ",0" * (d.dim - 1) + "]"), f)
+    assert time.perf_counter() - start < 5.0
+    assert f._elements is None
+
+
 def _finite_facets(d):
     """Every facet of d whose W_f is finite, the Iwahori facet included."""
     indices = aw.simple_system(d).indices

@@ -8,6 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from modp_hecke import affine_weyl as aw
+from modp_hecke import hecke
 from modp_hecke.cli import EXIT_PARSE, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(aw.__file__), "schemas")
@@ -64,6 +65,22 @@ def test_hecke_multiply_special():
     assert doc["result"]["terms"] == [{"rep": "t[-2]", "coeff": 1}]
     jsonschema.validate(doc["result"], load_schema("hecke_element.schema.json"))
     jsonschema.validate(doc["witness"], load_schema("convolution_witness.schema.json"))
+
+
+def test_hecke_multiply_replays_its_witness(monkeypatch, capsys):
+    # A wrong fold is a failed self-check: exit 1, nothing printed on stdout.
+    real = hecke.demazure_decomposition
+
+    def wrong_fold(a, b):
+        tau_a, word_a, word_b, folded, tau_b = real(a, b)
+        return tau_a, word_a, word_b, folded * aw.simple_system(a.datum).simple(0), tau_b
+
+    monkeypatch.setattr(hecke, "demazure_decomposition", wrong_fold)
+    code = main(["hecke", "multiply", "A2:ad", "--facet", "1,2", "--p", "3",
+                 "--w1", "t[-2,0]", "--w2", "t[-1,0]", "--witness", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: witness fold gives") and "Traceback" not in err
 
 
 def test_hecke_pointcount():

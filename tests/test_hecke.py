@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import preset
+from modp_hecke.root_datum import RootDatum, preset
 
 
 def cls(datum, facet, text):
@@ -247,3 +247,20 @@ def test_fp_combination_laws(case):
         assert a != other
         with pytest.raises(error, match="operand mismatch"):
             a + other
+
+
+@pytest.mark.parametrize("spec, facet", [("G2", (1, 2)), ("C2", (0, 2)), ("A2:ad", (1,))],
+                         ids=("G2-1,2", "C2-0,2", "A2:ad-1"))
+def test_the_hecke_path_does_not_enumerate_w_f(spec, facet):
+    # A fresh datum, so no earlier test has read the facet's W_f: products,
+    # witnesses, basis changes and point counts all work on coset minima.
+    d = RootDatum(preset(spec).cartan_datum)
+    f = aw.facet(d, facet)
+    x, y = cls(d, f, "t[-1,0]*s1"), cls(d, f, "t[0,-1]")
+    prod, witness = hk.convolve_phi_classes(x, y)
+    assert witness.replay() is prod
+    a = hk.phi_basis_element(x, 3)
+    b = hk.HeckeElement(f, 3, "indicator", {y: 1}).convert("phi")
+    assert hk.convolve(a.convert("indicator"), b).convert("phi") == hk.convolve(a, b)
+    hk.point_count_polynomial(prod)
+    assert f._elements is None

@@ -137,7 +137,8 @@ def _finite_facets(d):
             for J in itertools.combinations(indices, r)]
 
 
-@given(st.sampled_from(("A1", "A2", "C2", "G2")).flatmap(affine_elements))
+@given(st.sampled_from(("A1", "A1:ad", "A2", "A2:ad", "C2", "C2:ad", "G2", "B3"))
+       .flatmap(affine_elements))
 def test_double_coset_rep_matches_the_sweep(w):
     for f in _finite_facets(w.datum):
         assert aw.double_coset_rep(w, f).rep == oracle.brute_double_coset_rep(w, f).rep
@@ -155,9 +156,10 @@ def test_schubert_scheme_is_lower_set_times_parabolic():
 
 
 # References for the Satake layer: the enumerations it once made.  W0(M) by
-# closure, a component label as its set of left-coset minima, and the
-# canonical W_{M,f} double-coset representative as the least of its
-# |W_{M,f}|^2 products in the global element order.
+# closure, the minimum of W_{M,af} x by the affine roots of W_{M,af}, a
+# component label as its set of left-coset minima, and the canonical
+# W_{M,f} double-coset representative as the least of its |W_{M,f}|^2
+# products in the global element order.
 
 
 def _w0m_reference(levi):
@@ -165,6 +167,25 @@ def _w0m_reference(levi):
     d = levi.datum
     gens = [d.simple_reflections[i] for i in levi.j_m]
     return frozenset(rd.closure([d.weyl_identity], lambda w: (g * w for g in gens)))
+
+
+def _min_left_reference(levi, x):
+    """The minimum of W_{M,af} x: while some reflection s_{(b,k)}, b in
+    +-Phi_M, shortens x, apply the one with the least k >= 0.  For (b,k) a
+    positive affine root it shortens x iff x^{-1}.(b,k) = (u^{-1} b,
+    k + <b, lam_x>) is negative."""
+    d = levi.datum
+    signed = [b for rt in levi.phi_m for b in (rt, tuple(-c for c in rt))]
+    while True:
+        uinv = x.finite.inverse()
+        for b in signed:
+            kmin = 0 if d.is_positive_root(b) else 1
+            kmax = -d.pair(b, x.translation) - d.is_positive_root(uinv.act_root(b))
+            if kmin <= kmax:
+                x = aw.reflection(d, (b, kmin)) * x
+                break
+        else:
+            return x
 
 
 def _wmf_reference(levi, facet):
@@ -176,7 +197,7 @@ def _wmf_reference(levi, facet):
 def _cosets_reference(levi, facet, w):
     """The minima of the left cosets W_{M,af} w v, v in W_f, whose union is
     the class W_{M,af} w W_f."""
-    return frozenset(sat._min_left_m_coset(levi, w * v) for v in facet.elements)
+    return frozenset(_min_left_reference(levi, w * v) for v in facet.elements)
 
 
 def _canon_reference(wmf, y):
@@ -194,7 +215,7 @@ def _swept_phi_c_w(label, idx, levi, facet, prime):
     for y in {a * u for a in aw.lower_set(idx.rep) for u in facet.elements}:
         if y.finite in w0m:
             canon = _canon_reference(wmf, y)
-            if sat._min_left_m_coset(levi, canon) in cosets:
+            if _min_left_reference(levi, canon) in cosets:
                 coeffs[canon] = 1
     return sat.LeviHeckeElement(levi, facet, prime, coeffs)
 
@@ -218,6 +239,18 @@ def test_levi_membership_and_reflections_match_the_enumeration(spec):
             gens = sat._levi_facet_reflections(levi, f)
             assert rd.closure([aw.identity(d)], lambda w: (w * g for g in gens)) == \
                 set(_wmf_reference(levi, f)), (levi, f)
+
+
+@pytest.mark.parametrize("spec, radius", (("A1:ad", 5), ("A2", 4), ("C2", 4), ("G2", 3),
+                                          ("B3", 2), ("A1xA2:ad", 2)))
+def test_min_left_m_coset_matches_the_affine_root_descent(spec, radius):
+    """Descent along the canonical generators of W_{M,af} reaches the
+    minimum that the affine roots of W_{M,af} find, for every standard Levi."""
+    d = rd.preset(spec)
+    ball = aw.length_ball(d, radius)
+    for levi in _standard_levis(d):
+        for w in ball:
+            assert sat._min_left_m_coset(levi, w) is _min_left_reference(levi, w), (levi, w)
 
 
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
