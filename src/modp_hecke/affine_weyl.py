@@ -16,7 +16,8 @@ and k an integer, acting on the coweight space as x -> <beta, x> + k.
 Each coset minimum or maximum is one `descend`: descent along the canonical
 generators of a reflection subgroup ends at a coset's minimum, ascent in a
 finite parabolic coset at its maximum (Dyer, J. Algebra 135, 1990; Bjorner
-and Brenti, GTM 231, §2.4).  A facet enumerates W_f only when asked.
+and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
+`chamber` descent, so W_f is enumerated only for the oracle and the tests.
 
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products, string,
@@ -411,7 +412,8 @@ class Facet:
     (its affine node and its finite nodes): a proper subdiagram of a
     connected affine diagram is of finite type.  Facets are interned per
     datum by sorted J, so equality is identity, and the hash is that of J.
-    `gens` are the s_i, i in J; `elements` (sorted W_f) is built on first read.
+    `gens` are the s_i, i in J; `elements` (sorted W_f) is built on first read,
+    by the oracle and the tests only: computations use `descend` and `chamber`.
     """
 
     __slots__ = ("datum", "indices", "gens", "_elements", "_hash", "_classes")
@@ -502,6 +504,22 @@ def descend(x, moves, key=length):
 def min_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
     """The unique minimal-length element of w W_f."""
     return descend(w, lambda x: (x * s for s in f.gens))
+
+
+def chamber(f: Facet, x: Coweight):
+    """(y, h), h in W_f, y = h.finite(x) with <beta_i, y> >= 0 for the vector
+    parts beta_i of f's simple affine roots: they are a base of the roots of
+    W_f, so y is the one point of the orbit in that closed chamber (Humphreys,
+    Reflection Groups and Coxeter Groups, §1.12)."""
+    roots, h = simple_system(f.datum).simple_roots, identity(f.datum)
+    walls = [(roots[i][0], s) for i, s in zip(f.indices, f.gens)]
+    while True:
+        for beta, s in walls:
+            if f.datum.pair(beta, x) < 0:
+                x, h = s.finite.act(x), s * h
+                break
+        else:
+            return x, h
 
 
 class DoubleCosetIndex:

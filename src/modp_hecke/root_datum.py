@@ -442,22 +442,6 @@ class RootDatum:
             w._word = tuple(word)
         return w._word
 
-    # -- anti-dominance ---------------------------------------------------------------
-
-    def antidominant_representative(self, coweight: Coweight):
-        """The unique anti-dominant point of the W0-orbit, plus a Weyl element
-        mapping the input onto it."""
-        x = tuple(coweight)
-        w = self.weyl_identity
-        while True:
-            for i in range(self.n):
-                if x[i] > 0:
-                    x = self.simple_reflections[i].act(x)
-                    w = self.simple_reflections[i] * w
-                    break
-            else:
-                return x, w
-
     # -- fundamental group X/Q^vee -------------------------------------------------------
 
     def fundamental_group_torsion_reps(self) -> tuple[Coweight, ...]:

@@ -9,9 +9,10 @@ sum of that intersection when the component meets W_M, and to zero
 otherwise.  The Levi is its coweight: lam is dominant with stabiliser W0(M),
 so W_M is the set of w whose finite part fixes lam, and W0(M) is never
 enumerated.  A component is labelled by the unique minimal-length element of
-its double coset W_{M,af} w W_f, found by descent; only the Levi-Hecke side
-walks the facet's W_f.  LeviHeckeElement and MonoidAlgebraElement derive
-from hecke.FpCombination, as HeckeElement does.
+its double coset W_{M,af} w W_f, found by descent; W_f is not enumerated
+either, as the u in W_f that bring w into W_M are read off chamber descents
+(`_partner`).  LeviHeckeElement and MonoidAlgebraElement derive from
+hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -25,14 +26,15 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 from operator import le, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, descend, element_to_string, min_coset_rep,
-                          reduced_word, simple_system)
+                          Facet, aff_act, chamber, descend, element_to_string, hyperspecial,
+                          min_coset_rep, reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
 
@@ -184,19 +186,29 @@ def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet
 # -- Levi-side Hecke elements ---------------------------------------------------------
 
 
+def _partner(facet: Facet, lam: Coweight, v, goal=None):
+    """A u in W_f with v * u.finite fixing lam, or None.  Then u.finite(lam) =
+    v^-1(lam), so u exists iff both have one `chamber` point, and is h^-1 g for
+    their descents h, g; `goal` is chamber(facet, lam) when the caller has it."""
+    y, h = chamber(facet, v.inverse().act(lam))
+    y0, g = goal or chamber(facet, lam)
+    return h.inverse() * g if y == y0 else None
+
+
 def component_has_levi_point(label: ComponentLabel) -> bool:
     """True iff the double coset W_{M,af} rep W_f meets W_M: since
-    W_{M,af} lies in W_M, iff rep W_f does."""
-    return any(label.levi.in_w_m(label.rep * u) for u in label.facet.elements)
+    W_{M,af} lies in W_M, iff rep W_f does, iff rep.finite has a partner."""
+    return _partner(label.facet, label.levi.lam, label.rep.finite) is not None
 
 
 def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
-    """The reflections of W_{M,f} = W_M meet W_f: the u in W_f whose finite
-    part is s_b for b in Phi_M.  Such a u fixes the facet, so it is the affine
-    reflection through it.  They generate W_{M,f}, the stabiliser of lam in
-    W_f (Steinberg's theorem)."""
-    finite = {levi.datum.reflection(b) for b in levi.phi_m}
-    return tuple(u for u in facet.elements if u.finite in finite)
+    """The reflections of W_{M,f} = W_M meet W_f, through the affine roots of
+    W_f (the orbit of the simple ones, at most |Phi|) whose vector part is in
+    Phi_M.  They generate W_{M,f}, the stabiliser of lam in W_f (Steinberg)."""
+    d, sys = levi.datum, simple_system(levi.datum)
+    roots = closure([sys.simple_roots[i] for i in facet.indices] if levi.phi_m else (),
+                    lambda r: (aff_act(g, r) for g in facet.gens))
+    return tuple({aw.reflection(d, r) for r in roots if d.pair(r[0], levi.lam) == 0})
 
 
 def _canon_m_coset(reflections: tuple, y: AffineWeylElement) -> AffineWeylElement:
@@ -279,36 +291,21 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
     subword property splits the interval below idx.rep w_f, a reduced product.
 
-    Only the products a * u in W_M are formed: a.finite * u.finite fixes lam
-    iff u.finite(lam) = a.finite^-1(lam), so the partners of a are read off a
-    map from u.finite(lam) to the u in W_f, once per finite part of a.  Each
-    canonical W_{M,f} double coset is checked against the label once, whether
-    it is kept or not: it lies in the component iff the minimum of its left
-    W_{M,af}-coset is that of some label.rep * v, v in W_f."""
+    One a * u in W_M is formed per finite part of a, u its `_partner`: any
+    other u' has u^-1 u' in W_{M,f}, so a * u' gives the same W_{M,f} double
+    coset.  As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets
+    W_M in the one coset W_{M,af} rep * u, u the partner of rep; so each
+    canonical double coset is checked once, by its left W_{M,af}-minimum."""
     _check_class(idx, levi, facet)
-    if not component_has_levi_point(label):
+    goal = chamber(facet, levi.lam)
+    partner = functools.cache(lambda v: _partner(facet, levi.lam, v, goal))
+    if (own := partner(label.rep.finite)) is None:
         raise SatakeError("component has no Levi point")
-    lam = levi.lam
-    by_image = {}
-    for u in facet.elements:
-        by_image.setdefault(u.finite.act(lam), []).append(u)
-    partners = {}  # a.finite -> the u in W_f with a.finite * u.finite fixing lam
-    ys = set()
-    for a in aw.lower_set(idx.rep, cap):
-        us = partners.get(a.finite)
-        if us is None:
-            us = partners[a.finite] = by_image.get(a.finite.inverse().act(lam), ())
-        ys.update([a * u for u in us])
+    coset = _min_left_m_coset(levi, label.rep * own)
+    ys = {a * u for a in aw.lower_set(idx.rep, cap) if (u := partner(a.finite)) is not None}
     reflections = _levi_facet_reflections(levi, facet)
-    cosets = {_min_left_m_coset(levi, label.rep * v) for v in facet.elements}
-    coeffs = {}
-    checked = set()
-    for y in ys:
-        canon = _canon_m_coset(reflections, y)
-        if canon not in checked:
-            checked.add(canon)
-            if _min_left_m_coset(levi, canon) in cosets:
-                coeffs[canon] = 1
+    canons = {_canon_m_coset(reflections, y) for y in ys}
+    coeffs = {c: 1 for c in canons if _min_left_m_coset(levi, c) is coset}
     return LeviHeckeElement(levi, facet, prime, coeffs)
 
 
@@ -407,9 +404,10 @@ def special_satake_fast(idx: DoubleCosetIndex, prime: int) -> MonoidAlgebraEleme
 
 def _antidominant_of_class(idx: DoubleCosetIndex) -> Coweight:
     """The anti-dominant coweight z with _f(t_z)^f = idx, for special facets."""
-    # Special facet: W_f meets each W0-fibre once, so one h in W_f makes
-    # idx.rep * h a translation t_mu.  The translations in the double coset
-    # form the W0-orbit of mu; pick its anti-dominant member.
-    uinv = idx.rep.finite.inverse()
-    h = next(h for h in idx.facet.elements if h.finite is uinv)
-    return idx.facet.datum.antidominant_representative((idx.rep * h).translation)[0]
+    # The minimal Levi's lam is regular, so rep * u is a translation t_mu for
+    # u the partner of rep.finite.  At a special facet the translations in the
+    # class are the W0-orbit of mu; its anti-dominant point is -chamber(-mu).
+    d = idx.facet.datum
+    u = _partner(idx.facet, minimal_levi(d).lam, idx.rep.finite)
+    mu = tuple(map(neg, (idx.rep * u).translation))
+    return tuple(map(neg, chamber(hyperspecial(d), mu)[0]))

@@ -159,6 +159,17 @@ def test_satake_w_honours_cap():
     assert json.loads(out)["image"] == [{"rep": "t[-3]", "coeff": 1}]
 
 
+def test_satake_at_e6_is_bounded_by_the_cap():
+    # W_f of the E6 hyperspecial facet has 51,840 elements; the transform
+    # never enumerates it, so the interval cap is what stops it.
+    proc = subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
+                           "--facet", "1,2,3,4,5,6", "--levi", "", "--p", "2",
+                           "--w", "t[-1,0,0,0,0,0]", "--cap", "100"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "lower interval reached 101 elements, over the limit 100" in proc.stderr
+
+
 def test_oracle_check_cli():
     code, out, _ = run_cli("oracle", "check", "A1", "--conv-cap", "2",
                            "--bruhat-cap", "3", "--length-cap", "4")

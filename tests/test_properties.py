@@ -144,6 +144,23 @@ def test_double_coset_rep_matches_the_sweep(w):
         assert aw.double_coset_rep(w, f).rep == oracle.brute_double_coset_rep(w, f).rep
 
 
+@pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2", "B3"))
+def test_chamber_matches_the_w_f_sweep(spec):
+    """At every finite facet and for every coweight of a small box, chamber
+    ends at the one point of the W_f-orbit with <beta_i, y> >= 0, and its h
+    is an element of W_f taking x there."""
+    d = rd.preset(spec)
+    sys = aw.simple_system(d)
+    for f in _finite_facets(d):
+        betas = [sys.simple_roots[i][0] for i in f.indices]
+        elements = set(f.elements)
+        for x in itertools.product(range(-2, 3), repeat=d.dim):
+            y, h = aw.chamber(f, x)
+            orbit = {u.finite.act(x) for u in elements}
+            assert [z for z in orbit if all(d.pair(b, z) >= 0 for b in betas)] == [y], (f, x)
+            assert h in elements and h.finite.act(x) == y, (f, x)
+
+
 def test_schubert_scheme_is_lower_set_times_parabolic():
     """The union of the double cosets below idx is lower_set(idx.rep) * W_f."""
     facets = [aw.hyperspecial(rd.preset("A2")), aw.hyperspecial(rd.preset("G2")),

@@ -32,6 +32,27 @@ def proper_levis(datum):
     return out
 
 
+@pytest.mark.parametrize("spec", ["A6", "E6"])
+def test_the_satake_path_does_not_enumerate_w_f(spec):
+    # The hyperspecial W_f of A6 has 5,040 elements and that of E6 51,840.
+    # A fresh datum, so no earlier test has read it: partners, Levi points,
+    # the reflections of W_{M,f} and the fast path all come from chambers.
+    d = RootDatum(preset(spec).cartan_datum)
+    start = time.perf_counter()
+    f = aw.hyperspecial(d)
+    e = cls(d, f, "e")
+    for levi in (sat.minimal_levi(d), sat.levi_datum(d, (0, 2))):
+        label = sat.closed_attractor_component(e, levi, f)
+        assert label.rep.is_identity() and sat.component_has_levi_point(label)
+        assert set(sat.satake_phi(e, levi, f, 2).coeffs) == {aw.identity(d)}
+    if spec == "A6":
+        t = cls(d, f, "t[-1,0,0,0,0,0]")
+        z = d.coweight_from_x_coords((-1,) * 6)  # the CLI's t[-1,-1,-1,-1,-1,-1]
+        assert sat.special_satake_fast(t, 2) == sat.MonoidAlgebraElement.single(d, 2, z)
+    assert time.perf_counter() - start < 5.0
+    assert f._elements is None
+
+
 def test_levi_datum_validation():
     d = preset("A2")
     lev = sat.levi_datum(d, (0,))
