@@ -30,14 +30,11 @@ from __future__ import annotations
 
 from operator import add, neg, sub
 
-from .root_datum import (Coweight, FiniteWeylElement, Root, RootDatum, RootDatumError,
-                         closure)
+# CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
+from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDatum,
+                         RootDatumError, closure, over_cap)
 
 AffineRoot = tuple[Root, int]
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration guard (interval size or word length cap) was hit."""
 
 
 # Default limit on the size of a lower Bruhat interval.
@@ -338,11 +335,8 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
 
 
 def _check_interval_cap(val, cap: int | None):
-    # Names cap + 1, where a set being built stops, also for a larger stored
-    # set, so the message does not depend on which sets are already memoized.
     if cap is not None and len(val) > cap:
-        raise CapExceeded(f"lower interval reached {cap + 1} elements, over the limit "
-                          f"{cap} set by --cap (parameter cap)")
+        raise over_cap("lower interval", cap)
 
 
 # -- Demazure product ---------------------------------------------------------------

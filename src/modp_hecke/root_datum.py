@@ -12,8 +12,8 @@ affine Weyl elements are interned per datum and carry their own memos, and
 the datum holds the tables keyed by more than one element.  Nothing is
 cached at module level except the preset data.
 The groups and orbits the package enumerates (the roots, each facet's W_f,
-the length balls of W and the anti-dominant coweights) all come from one
-breadth-first search, `closure`.
+the length balls of W, the anti-dominant coweights and the Satake walk) all
+come from one breadth-first search, `closure`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,26 @@ class RootDatumError(ValueError):
     pass
 
 
-def closure(seeds, neighbours):
+class CapExceeded(RuntimeError):
+    """An enumeration guard (interval size, walk size or word length cap) was hit."""
+
+
+def over_cap(what: str, cap: int) -> CapExceeded:
+    # Names cap + 1, where a growing set stops, so that the message does not
+    # depend on how much of the set was memoized.
+    return CapExceeded(f"{what} reached {cap + 1} elements, over the limit {cap} "
+                       "set by --cap (parameter cap)")
+
+
+def closure(seeds, neighbours, cap: int | None = None, what: str = "closure"):
     """Everything reachable from `seeds` through `neighbours(x)` (an iterable),
-    found level by level."""
+    found level by level.  With a `cap`, finding more than cap elements raises
+    `over_cap(what, cap)` at once."""
+    limit = math.inf if cap is None else cap
     seen = set(seeds)
     frontier = list(seen)
+    if len(seen) > limit:
+        raise over_cap(what, cap)
     while frontier:
         nxt = []
         for x in frontier:
@@ -55,6 +70,8 @@ def closure(seeds, neighbours):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if len(seen) > limit:
+                        raise over_cap(what, cap)
         frontier = nxt
     return seen
 
@@ -248,7 +265,9 @@ class RootDatum:
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
       DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
     - for `satake`: `satake_memo`, the canonical W_{M,f} representatives in
-      the image of one phi class, keyed by `(class, Levi, facet)`;
+      the image of one phi class and the number of elements the walk that
+      found them visited (which the cap of `satake_phi` bounds on a hit as on
+      a miss), keyed by `(class, Levi, facet)`;
     - for `oracle`: `subword_memo`, keyed by the element.
 
     Interning stores by one `dict.setdefault`, so threads that form the same

@@ -11,8 +11,10 @@ so W_M is the set of w whose finite part fixes lam, and W0(M) is never
 enumerated.  A component is labelled by the unique minimal-length element of
 its double coset W_{M,af} w W_f, found by descent; W_f is not enumerated
 either, as the u in W_f that bring w into W_M are read off chamber descents
-(`_partner`).  LeviHeckeElement and MonoidAlgebraElement derive from
-hecke.FpCombination, as HeckeElement does.
+(`_partner`).  The image of phi_w is found by a walk inside the Schubert
+scheme from the one element of its coset that the label gives (`phi_c_w`),
+never by the Bruhat interval below w.  LeviHeckeElement and
+MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -26,17 +28,16 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 from operator import le, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, chamber, descend, element_to_string, hyperspecial,
-                          min_coset_rep, reduced_word, simple_system)
+                          Facet, aff_act, bruhat_leq, chamber, descend, element_to_string,
+                          hyperspecial, min_coset_rep, reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
-from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure
+from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure, over_cap
 
 
 class SatakeError(ValueError):
@@ -206,7 +207,7 @@ def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
     W_f (the orbit of the simple ones, at most |Phi|) whose vector part is in
     Phi_M.  They generate W_{M,f}, the stabiliser of lam in W_f (Steinberg)."""
     d, sys = levi.datum, simple_system(levi.datum)
-    roots = closure([sys.simple_roots[i] for i in facet.indices] if levi.phi_m else (),
+    roots = closure([sys.simple_roots[i] for i in facet.indices],
                     lambda r: (aff_act(g, r) for g in facet.gens))
     return tuple({aw.reflection(d, r) for r in roots if d.pair(r[0], levi.lam) == 0})
 
@@ -285,28 +286,45 @@ class MonoidAlgebraElement(FpCombination):
 
 
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
-            facet: Facet, prime: int,
-            cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
+            facet: Facet, prime: int, cap: int | None = INTERVAL_CAP,
+            partner: AffineWeylElement | None = None,
+            visits: list | None = None) -> LeviHeckeElement:
     """Indicator sum over the Levi double cosets lying in the component of
-    `label` and inside the Schubert scheme of idx, lower_set(idx.rep) W_f: the
-    subword property splits the interval below idx.rep w_f, a reduced product.
+    `label` and inside the Schubert scheme of idx, S = lower_set(idx.rep) W_f
+    (the subword property splits the interval below idx.rep w_f, a reduced
+    product), so z is in S iff min_coset_rep(z) <= idx.rep.
 
-    One a * u in W_M is formed per finite part of a, u its `_partner`: any
-    other u' has u^-1 u' in W_{M,f}, so a * u' gives the same W_{M,f} double
-    coset.  As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets
-    W_M in the one coset W_{M,af} rep * u, u the partner of rep; so each
-    canonical double coset is checked once, by its left W_{M,af}-minimum."""
+    As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets W_M in
+    the one coset W_{M,af} rep * u, u the `_partner` of rep; rep * u is in
+    S, as rep lies below a subword product of idx.rep.  Right translation by
+    the coset's minimum g preserves the Bruhat order of W_{M,af} (Dyer,
+    Compositio Math. 78, 1991), so the coset meets S in a lower ideal of
+    W_{M,af} times g.  From each x g in it but g, a left descent r of x among
+    the canonical generators `af_reflections` leads to r x g, still in it;
+    so the walk from rep * u by left multiplication by them that never
+    leaves S reaches g, and from g all of it.  The image is the canonical
+    W_{M,f} double cosets of what it visits; for the minimal Levi, rep * u
+    alone.
+
+    `cap` bounds the elements the walk visits, as `satake --cap` does in the
+    CLI; `satake()` also applies it to the interval `convert` walks.
+    `partner` is u when the caller has it, and a `visits` list receives the
+    number of elements visited."""
     _check_class(idx, levi, facet)
-    goal = chamber(facet, levi.lam)
-    partner = functools.cache(lambda v: _partner(facet, levi.lam, v, goal))
-    if (own := partner(label.rep.finite)) is None:
+    if partner is None and (partner := _partner(facet, levi.lam, label.rep.finite)) is None:
         raise SatakeError("component has no Levi point")
-    coset = _min_left_m_coset(levi, label.rep * own)
-    ys = {a * u for a in aw.lower_set(idx.rep, cap) if (u := partner(a.finite)) is not None}
-    reflections = _levi_facet_reflections(levi, facet)
-    canons = {_canon_m_coset(reflections, y) for y in ys}
-    coeffs = {c: 1 for c in canons if _min_left_m_coset(levi, c) is coset}
-    return LeviHeckeElement(levi, facet, prime, coeffs)
+
+    def inside(z):
+        return bruhat_leq(min_coset_rep(z, facet), idx.rep)
+
+    walked = closure([label.rep * partner],
+                     lambda z: filter(inside, (r * z for r in levi.af_reflections)),
+                     cap, "Satake walk")
+    if visits is not None:
+        visits.append(len(walked))
+    reflections = levi.af_reflections and _levi_facet_reflections(levi, facet)
+    return LeviHeckeElement(levi, facet, prime,
+                            dict.fromkeys({_canon_m_coset(reflections, z) for z in walked}, 1))
 
 
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
@@ -315,29 +333,34 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     attractor intersection, or zero when that component misses the Levi.
 
     The canonical representatives in the image are memoized on the datum per
-    (idx, levi, facet), an empty tuple when the component misses the Levi.
-    The prime is not part of the key: every coefficient is 1, so the prime
-    only reduces it, and the element is built (and the prime checked) on
-    every call.  A hit with a nonempty image still walks the interval under
-    `cap`, so the cap raises as it does on a miss."""
+    (idx, levi, facet), with the number of elements the walk of `phi_c_w`
+    visited: none when the component misses the Levi.  The prime is not part
+    of the key: every coefficient is 1, so the prime only reduces it, and the
+    element is built (and the prime checked) on every call.  `cap` bounds the
+    walk, and nothing else here (the CLI's `satake --cap` is this cap); a
+    hit compares the stored count with it, so the cap raises as it does on a
+    miss."""
     _check_class(idx, levi, facet)
     memo = facet.datum.satake_memo
     key = (idx, levi, facet)
-    reps = memo.get(key)
-    if reps is None:
+    if key in memo:
+        reps, visited = memo[key]
+        if cap is not None and visited > cap:
+            raise over_cap("Satake walk", cap)
+    else:
         label = closed_attractor_component(idx, levi, facet)
-        reps = ()
-        if component_has_levi_point(label):
-            reps = tuple(phi_c_w(label, idx, levi, facet, prime, cap).coeffs)
-        memo[key] = reps
-    elif reps:
-        aw.lower_set(idx.rep, cap)
+        reps, visits = (), []
+        if (u := _partner(facet, levi.lam, label.rep.finite)) is not None:
+            reps = tuple(phi_c_w(label, idx, levi, facet, prime, cap, u, visits).coeffs)
+        memo[key] = reps, sum(visits)
     return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
 def satake(a: HeckeElement, levi: LeviDatum,
            cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
-    """F_p-linear extension of satake_phi over the phi basis."""
+    """F_p-linear extension of satake_phi over the phi basis.  `cap` bounds
+    both the lower interval that `convert` walks to reach the phi basis and
+    each Satake walk."""
     if levi.datum is not a.facet.datum:
         raise SatakeError("Levi and element live over different data")
     out = {}

@@ -149,25 +149,36 @@ def test_satake_lambda_minus_table():
 
 
 def test_satake_w_honours_cap():
+    # --cap bounds the elements the Satake walk visits; the minimal Levi's
+    # walk visits one, so --cap 0 is the only cap it can pass
     code, _, err = run_cli("satake", "A1", "--facet", "1", "--p", "2", "--w", "t[-3]",
-                           "--cap", "1")
+                           "--cap", "0")
     assert code == 3
-    assert "--cap" in err
+    assert "Satake walk reached 1 elements, over the limit 0 set by --cap" in err
     code, out, _ = run_cli("satake", "A1", "--facet", "1", "--p", "2", "--w", "t[-3]",
                            "--json")
     assert code == 0
     assert json.loads(out)["image"] == [{"rep": "t[-3]", "coeff": 1}]
 
 
-def test_satake_at_e6_is_bounded_by_the_cap():
-    # W_f of the E6 hyperspecial facet has 51,840 elements; the transform
-    # never enumerates it, so the interval cap is what stops it.
-    proc = subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
-                           "--facet", "1,2,3,4,5,6", "--levi", "", "--p", "2",
-                           "--w", "t[-1,0,0,0,0,0]", "--cap", "100"],
+def _satake_e6(levi, cap):
+    return subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
+                           "--facet", "1,2,3,4,5,6", "--levi", levi, "--p", "2",
+                           "--w", "t[-1,0,0,0,0,0]", "--cap", str(cap), "--json"],
                           capture_output=True, text=True, timeout=60)
+
+
+def test_satake_at_e6_is_bounded_by_the_cap():
+    # W_f of the E6 hyperspecial facet has 51,840 elements and the lower
+    # interval of this class passes 20,000; the transform reads neither, and
+    # with Levi {1,2,3} its walk visits 24 elements, which the cap bounds.
+    proc = _satake_e6("1,2,3", 23)
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "lower interval reached 101 elements, over the limit 100" in proc.stderr
+    assert "Satake walk reached 24 elements, over the limit 23" in proc.stderr
+    proc = _satake_e6("1,2,3", 24)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["image"] == [
+        {"coeff": 1, "rep": "t[-1,-1,-2,-3,-2,-1]*s2"}]
 
 
 def test_oracle_check_cli():

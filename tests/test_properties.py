@@ -299,19 +299,24 @@ def test_component_label_is_the_minimum_of_its_double_coset(case):
             assert sat.component_has_levi_point(label) == any(c.finite in w0m for c in cosets)
 
 
-@pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2"))
+SWEEP_LENGTHS = {"A1:ad": 4, "A2": 4, "A2:ad": 3, "C2": 4, "C2:ad": 3, "G2": 4, "A3": 2,
+                 "B3": 2}
+
+
+@pytest.mark.parametrize("spec", SWEEP_LENGTHS)
 def test_phi_c_w_matches_the_full_sweep(spec):
     """Every finite facet, every standard Levi (G itself included) and every
-    class of length <= 4; the canonical representative is also checked on
-    every element of W_M the sweep meets."""
+    class up to the spec's length; the canonical representative is also
+    checked on every element of W_M the sweep meets."""
     d = rd.preset(spec)
     levis = _standard_levis(d)
+    radius = SWEEP_LENGTHS[spec]
     for f in _finite_facets(d):
-        classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 4)}
+        classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)}
         for levi in levis:
             wmf = _wmf_reference(levi, f)
             reflections = sat._levi_facet_reflections(levi, f)
-            for idx in (c for c in classes if c.length <= 4):
+            for idx in (c for c in classes if c.length <= radius):
                 label = sat.closed_attractor_component(idx, levi, f)
                 if sat.component_has_levi_point(label):
                     assert sat.phi_c_w(label, idx, levi, f, 2) == \

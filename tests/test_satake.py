@@ -53,6 +53,30 @@ def test_the_satake_path_does_not_enumerate_w_f(spec):
     assert f._elements is None
 
 
+def test_satake_does_not_build_the_interval():
+    # The transform walks its image's coset inside the Schubert scheme, not
+    # the lower Bruhat interval: on the hyperspecial translation classes of
+    # the benchmark sweep (box [-6, 0]^2, length <= 18) no class's interval
+    # is built.  The E6 class's interval passes the default cap of 20,000.
+    for spec in ("A2", "C2", "G2"):
+        d = fresh(spec)
+        f = aw.hyperspecial(d)
+        for c in itertools.product(range(-6, 1), repeat=2):
+            idx = cls(d, f, f"t[{c[0]},{c[1]}]")
+            if idx.length <= 18:
+                for levi in (sat.minimal_levi(d), sat.levi_datum(d, (0,))):
+                    sat.satake_phi(idx, levi, f, 2)
+                assert idx.rep._lower is None, (spec, idx)
+    d = fresh("E6")
+    start = time.perf_counter()
+    f = aw.hyperspecial(d)
+    idx = cls(d, f, "t[-1,0,0,0,0,0]")
+    image = sat.satake_phi(idx, sat.minimal_levi(d), f, 2)
+    assert time.perf_counter() - start < 5.0
+    assert [aw.element_to_string(y) for y in image.coeffs] == ["t[-1,-2,-2,-3,-2,-1]"]
+    assert idx.rep._lower is None
+
+
 def test_levi_datum_validation():
     d = preset("A2")
     lev = sat.levi_datum(d, (0,))
@@ -638,12 +662,20 @@ def fresh(spec):
 
 
 def test_memo_hit_still_applies_the_cap():
+    # With Levi {1} the walk of this class visits 8 elements: cap=7 raises on
+    # the miss, and again on a hit after an uncapped miss; cap=8 passes both.
     d = fresh("A2")
-    f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
+    f, lev = aw.hyperspecial(d), sat.levi_datum(d, (0,))
     idx = cls(d, f, "t[-2,-1]")
-    assert not sat.satake_phi(idx, lev, f, 3).is_zero()
-    with pytest.raises(aw.CapExceeded, match="--cap"):
-        sat.satake_phi(idx, lev, f, 3, cap=1)
+    with pytest.raises(aw.CapExceeded, match="Satake walk reached 8 elements, over the "
+                                             "limit 7 set by --cap"):
+        sat.satake_phi(idx, lev, f, 3, cap=7)
+    assert not d.satake_memo
+    assert not sat.satake_phi(idx, lev, f, 3, cap=8).is_zero()
+    with pytest.raises(aw.CapExceeded, match="Satake walk reached 8 elements, over the "
+                                             "limit 7 set by --cap"):
+        sat.satake_phi(idx, lev, f, 3, cap=7)
+    assert sat.satake_phi(idx, lev, f, 3, cap=8) == sat.satake_phi(idx, lev, f, 3)
     assert aw.enumerate_lower_interval(idx)
     with pytest.raises(aw.CapExceeded, match="--cap"):
         aw.enumerate_lower_interval(idx, cap=1)
