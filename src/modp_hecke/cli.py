@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--list-lambda-minus", action="store_true")
     s.add_argument("--cap", type=nonnegative_int,
                    help="length cap of --list-lambda-minus (default 8), else the most "
-                        "elements the transform's walk inside the Schubert scheme may "
-                        f"visit (default {aw.INTERVAL_CAP})")
+                        "right W_{M,f}-cosets the transform's walk inside the Schubert "
+                        f"scheme may visit (default {aw.INTERVAL_CAP})")
     s.add_argument("--json", action="store_true")
 
     o = sub.add_parser("oracle", help="cross-validation suite")

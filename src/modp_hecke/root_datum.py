@@ -54,16 +54,14 @@ def over_cap(what: str, cap: int) -> CapExceeded:
                        "set by --cap (parameter cap)")
 
 
-def closure(seeds, neighbours, cap: int | None = None, what: str = "closure"):
+def closure(seeds, neighbours, cap: int | None = None):
     """Everything reachable from `seeds` through `neighbours(x)` (an iterable),
-    found level by level.  With a `cap`, finding more than cap elements raises
-    `over_cap(what, cap)` at once."""
+    found level by level.  With a `cap` it stops as soon as it has found more
+    than cap elements, so a caller reads an overflow off the size."""
     limit = math.inf if cap is None else cap
     seen = set(seeds)
     frontier = list(seen)
-    if len(seen) > limit:
-        raise over_cap(what, cap)
-    while frontier:
+    while frontier and len(seen) <= limit:
         nxt = []
         for x in frontier:
             for y in neighbours(x):
@@ -71,7 +69,7 @@ def closure(seeds, neighbours, cap: int | None = None, what: str = "closure"):
                     seen.add(y)
                     nxt.append(y)
                     if len(seen) > limit:
-                        raise over_cap(what, cap)
+                        return seen
         frontier = nxt
     return seen
 
@@ -191,10 +189,12 @@ class FiniteWeylElement:
         """One flag per positive root of the datum, in its order: True iff the
         inverse of this element sends that root to a negative root."""
         if self._inverse_negates is None:
-            datum = self.datum
-            uinv = self.inverse()
+            # The inverse acts on roots through the inverse of its own matrix,
+            # that is through this matrix: no inverse is formed.
+            datum, m, n = self.datum, self.matrix, self.datum.n
             self._inverse_negates = tuple(
-                not datum.is_positive_root(uinv.act_root(rt))
+                not datum.is_positive_root(
+                    tuple(sum(rt[i] * m[i][j] for i in range(n)) for j in range(n)))
                 for rt in datum.positive_roots)
         return self._inverse_negates
 
@@ -264,10 +264,12 @@ class RootDatum:
       (the facet intern table by sorted index tuple; each facet interns its
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
       DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
-    - for `satake`: `satake_memo`, the canonical W_{M,f} representatives in
-      the image of one phi class and the number of elements the walk that
-      found them visited (which the cap of `satake_phi` bounds on a hit as on
-      a miss), keyed by `(class, Levi, facet)`;
+    - for `satake`: `satake_memo`, whose entries are the canonical W_{M,f}
+      representatives in the image of one phi class with the number of
+      cosets the walk that found them visited (which the cap bounds on a hit
+      as on a miss), keyed by `(component label, class)` for `phi_c_w` and
+      again by `(class, Levi, facet)` for `satake_phi` (None there when the
+      closed component misses the Levi);
     - for `oracle`: `subword_memo`, keyed by the element.
 
     Interning stores by one `dict.setdefault`, so threads that form the same

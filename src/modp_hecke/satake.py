@@ -28,6 +28,7 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 from operator import le, neg
@@ -123,6 +124,11 @@ class ComponentLabel:
     facet: Facet
     rep: AffineWeylElement
 
+    @functools.cached_property
+    def partner(self) -> AffineWeylElement | None:
+        """A u in W_f with rep * u in W_M (`_partner`), or None."""
+        return _partner(self.facet, self.levi.lam, self.rep.finite)
+
     def __repr__(self):
         return f"S[{element_to_string(self.rep)}]"
 
@@ -187,19 +193,19 @@ def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet
 # -- Levi-side Hecke elements ---------------------------------------------------------
 
 
-def _partner(facet: Facet, lam: Coweight, v, goal=None):
+def _partner(facet: Facet, lam: Coweight, v):
     """A u in W_f with v * u.finite fixing lam, or None.  Then u.finite(lam) =
     v^-1(lam), so u exists iff both have one `chamber` point, and is h^-1 g for
-    their descents h, g; `goal` is chamber(facet, lam) when the caller has it."""
+    their descents h, g."""
     y, h = chamber(facet, v.inverse().act(lam))
-    y0, g = goal or chamber(facet, lam)
+    y0, g = chamber(facet, lam)
     return h.inverse() * g if y == y0 else None
 
 
 def component_has_levi_point(label: ComponentLabel) -> bool:
     """True iff the double coset W_{M,af} rep W_f meets W_M: since
     W_{M,af} lies in W_M, iff rep W_f does, iff rep.finite has a partner."""
-    return _partner(label.facet, label.levi.lam, label.rep.finite) is not None
+    return label.partner is not None
 
 
 def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
@@ -285,46 +291,82 @@ class MonoidAlgebraElement(FpCombination):
             for z, c in terms)
 
 
-def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
-            facet: Facet, prime: int, cap: int | None = INTERVAL_CAP,
-            partner: AffineWeylElement | None = None,
-            visits: list | None = None) -> LeviHeckeElement:
-    """Indicator sum over the Levi double cosets lying in the component of
-    `label` and inside the Schubert scheme of idx, S = lower_set(idx.rep) W_f
-    (the subword property splits the interval below idx.rep w_f, a reduced
-    product), so z is in S iff min_coset_rep(z) <= idx.rep.
+def _walk(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
+          cap: int | None) -> set:
+    """The right W_{M,f}-cosets of W_{M,af} rep * u inside the Schubert scheme
+    S of idx, u the label's partner; more than cap of them when the walk
+    stopped at the cap (see `phi_c_w`).  W_{M,f}, the stabiliser of lam in
+    W_f, is g^-1 W_J g for (y, g) = chamber(facet, lam) and W_J the
+    stabiliser of y, generated by the s_i of the facet whose beta_i vanish on
+    y (Humphreys, §1.12); so the coset z W_{M,f} is held by the one element
+    m g, m the minimum of z g^-1 W_J."""
+    start = label.rep * label.partner
+    if not levi.af_reflections:
+        return {start}
+    d, roots = levi.datum, simple_system(levi.datum).simple_roots
+    y, g = chamber(facet, levi.lam)
+    g_inv = g.inverse()
+    stab = [s for i, s in zip(facet.indices, facet.gens) if d.pair(roots[i][0], y) == 0]
 
-    As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets W_M in
-    the one coset W_{M,af} rep * u, u the `_partner` of rep; rep * u is in
-    S, as rep lies below a subword product of idx.rep.  Right translation by
-    the coset's minimum g preserves the Bruhat order of W_{M,af} (Dyer,
-    Compositio Math. 78, 1991), so the coset meets S in a lower ideal of
-    W_{M,af} times g.  From each x g in it but g, a left descent r of x among
-    the canonical generators `af_reflections` leads to r x g, still in it;
-    so the walk from rep * u by left multiplication by them that never
-    leaves S reaches g, and from g all of it.  The image is the canonical
-    W_{M,f} double cosets of what it visits; for the minimal Levi, rep * u
-    alone.
-
-    `cap` bounds the elements the walk visits, as `satake --cap` does in the
-    CLI; `satake()` also applies it to the interval `convert` walks.
-    `partner` is u when the caller has it, and a `visits` list receives the
-    number of elements visited."""
-    _check_class(idx, levi, facet)
-    if partner is None and (partner := _partner(facet, levi.lam, label.rep.finite)) is None:
-        raise SatakeError("component has no Levi point")
+    def coset(z):
+        return descend(z * g_inv, lambda x: (x * s for s in stab)) * g
 
     def inside(z):
         return bruhat_leq(min_coset_rep(z, facet), idx.rep)
 
-    walked = closure([label.rep * partner],
-                     lambda z: filter(inside, (r * z for r in levi.af_reflections)),
-                     cap, "Satake walk")
-    if visits is not None:
-        visits.append(len(walked))
-    reflections = levi.af_reflections and _levi_facet_reflections(levi, facet)
-    return LeviHeckeElement(levi, facet, prime,
-                            dict.fromkeys({_canon_m_coset(reflections, z) for z in walked}, 1))
+    return closure([coset(start)],
+                   lambda z: (coset(x) for r in levi.af_reflections if inside(x := r * z)),
+                   cap)
+
+
+def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
+            facet: Facet, prime: int, cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
+    """Indicator sum over the Levi double cosets lying in the component of
+    `label` and inside the Schubert scheme of idx, S = lower_set(idx.rep) W_f
+    (the subword property splits the interval below idx.rep w_f, a reduced
+    product), so z is in S iff min_coset_rep(z) <= idx.rep.  The component
+    must meet S, as the closed one does.
+
+    As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets W_M in
+    the one coset W_{M,af} rep * u, u the `_partner` of rep; rep * u is in
+    S, as S is a lower ideal, right W_f-stable, and rep lies below a point
+    of it in rep W_f.  Right translation by the coset's minimum g preserves
+    the Bruhat order of W_{M,af} (Dyer, Compositio Math. 78, 1991), so the
+    coset meets S in a lower ideal of W_{M,af} times g.  From each x g in it
+    but g, a left descent r of x among the canonical generators
+    `af_reflections` leads to r x g, still in it; so the walk from rep * u by
+    left multiplication by them that never leaves S reaches g, and from g
+    all of it.  That intersection is a union of right W_{M,f}-cosets (g is
+    in W_M, and S is right W_f-stable), which left multiplication permutes,
+    so the walk (`_walk`) visits cosets, one element each.  The image is
+    their canonical W_{M,f} double cosets; for the minimal Levi, rep * u
+    alone, and for G itself (W_{M,f} = W_f) the W_f-cosets below idx.rep.
+
+    `cap` bounds the cosets the walk visits, as `satake --cap` does in the
+    CLI; `satake()` also applies it to the interval `convert` walks.  The
+    image and that count are memoized on the datum by (label, idx), so a hit
+    applies the cap as a miss does."""
+    _check_class(idx, levi, facet)
+    memo = facet.datum.satake_memo
+    key = (label, idx)
+    if key not in memo:
+        if label.partner is None:
+            raise SatakeError("component has no Levi point")
+        walked = _walk(label, idx, levi, facet, cap)
+        if cap is not None and len(walked) > cap:
+            raise over_cap("Satake walk", cap)
+        reflections = levi.af_reflections and _levi_facet_reflections(levi, facet)
+        memo[key] = tuple({_canon_m_coset(reflections, z): 1 for z in walked}), len(walked)
+    return _memoized_image(memo[key], levi, facet, prime, cap)
+
+
+def _memoized_image(entry: tuple, levi: LeviDatum, facet: Facet, prime: int,
+                    cap: int | None) -> LeviHeckeElement:
+    """The image held by a memo entry (reps, cosets walked), under `cap`."""
+    reps, visited = entry
+    if cap is not None and visited > cap:
+        raise over_cap("Satake walk", cap)
+    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
@@ -332,28 +374,28 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     """Transform of a single phi basis element: the indicator of the closed
     attractor intersection, or zero when that component misses the Levi.
 
-    The canonical representatives in the image are memoized on the datum per
-    (idx, levi, facet), with the number of elements the walk of `phi_c_w`
-    visited: none when the component misses the Levi.  The prime is not part
-    of the key: every coefficient is 1, so the prime only reduces it, and the
-    element is built (and the prime checked) on every call.  `cap` bounds the
-    walk, and nothing else here (the CLI's `satake --cap` is this cap); a
-    hit compares the stored count with it, so the cap raises as it does on a
+    The entry `phi_c_w` memoizes for the closed component is also kept on
+    the datum per (idx, levi, facet), None when that component misses the
+    Levi, so a repeated call forms no component, partner or walk, nor calls
+    `phi_c_w`.  The prime is not part of either key: every coefficient is 1,
+    so the prime only reduces it, and the element is built (and the prime
+    checked) on every call.  `cap` bounds the walk of `phi_c_w` and nothing
+    else here (the CLI's `satake --cap` is this cap), on a hit as on a
     miss."""
     _check_class(idx, levi, facet)
     memo = facet.datum.satake_memo
     key = (idx, levi, facet)
     if key in memo:
-        reps, visited = memo[key]
-        if cap is not None and visited > cap:
-            raise over_cap("Satake walk", cap)
-    else:
-        label = closed_attractor_component(idx, levi, facet)
-        reps, visits = (), []
-        if (u := _partner(facet, levi.lam, label.rep.finite)) is not None:
-            reps = tuple(phi_c_w(label, idx, levi, facet, prime, cap, u, visits).coeffs)
-        memo[key] = reps, sum(visits)
-    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
+        if (entry := memo[key]) is None:
+            return LeviHeckeElement(levi, facet, prime, {})
+        return _memoized_image(entry, levi, facet, prime, cap)
+    label = closed_attractor_component(idx, levi, facet)
+    if label.partner is None:
+        memo[key] = None
+        return LeviHeckeElement(levi, facet, prime, {})
+    image = phi_c_w(label, idx, levi, facet, prime, cap)
+    memo[key] = memo[label, idx]
+    return image
 
 
 def satake(a: HeckeElement, levi: LeviDatum,

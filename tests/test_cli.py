@@ -149,8 +149,8 @@ def test_satake_lambda_minus_table():
 
 
 def test_satake_w_honours_cap():
-    # --cap bounds the elements the Satake walk visits; the minimal Levi's
-    # walk visits one, so --cap 0 is the only cap it can pass
+    # --cap bounds the right W_{M,f}-cosets the Satake walk visits; the
+    # minimal Levi's walk visits one, so --cap 0 is the only cap it fails
     code, _, err = run_cli("satake", "A1", "--facet", "1", "--p", "2", "--w", "t[-3]",
                            "--cap", "0")
     assert code == 3
@@ -161,24 +161,40 @@ def test_satake_w_honours_cap():
     assert json.loads(out)["image"] == [{"rep": "t[-3]", "coeff": 1}]
 
 
-def _satake_e6(levi, cap):
+def _satake_e6(levi, w, *cap):
     return subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
                            "--facet", "1,2,3,4,5,6", "--levi", levi, "--p", "2",
-                           "--w", "t[-1,0,0,0,0,0]", "--cap", str(cap), "--json"],
+                           "--w", w, *cap, "--json"],
                           capture_output=True, text=True, timeout=60)
 
 
 def test_satake_at_e6_is_bounded_by_the_cap():
     # W_f of the E6 hyperspecial facet has 51,840 elements and the lower
     # interval of this class passes 20,000; the transform reads neither, and
-    # with Levi {1,2,3} its walk visits 24 elements, which the cap bounds.
-    proc = _satake_e6("1,2,3", 23)
+    # with Levi {1,2,3} its walk visits 2 right W_{M,f}-cosets, which the cap
+    # bounds.
+    proc = _satake_e6("1,2,3", "t[-1,0,0,0,0,0]", "--cap", "1")
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "Satake walk reached 24 elements, over the limit 23" in proc.stderr
-    proc = _satake_e6("1,2,3", 24)
+    assert "Satake walk reached 2 elements, over the limit 1" in proc.stderr
+    proc = _satake_e6("1,2,3", "t[-1,0,0,0,0,0]", "--cap", "2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["image"] == [
         {"coeff": 1, "rep": "t[-1,-1,-2,-3,-2,-1]*s2"}]
+
+
+def test_satake_at_e6_with_the_whole_levi():
+    # Levi E6 itself: W_{M,f} is all of W_f, so the walk visits the W_f-cosets
+    # of the Schubert scheme, one for e and 73 for t[-1,0,0,0,0,0], not the
+    # 51,840 elements of W_f; both answer at the default cap.
+    proc = _satake_e6("1,2,3,4,5,6", "e")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["image"] == [{"coeff": 1, "rep": "e"}]
+    proc = _satake_e6("1,2,3,4,5,6", "t[-1,0,0,0,0,0]", "--cap", "72")
+    assert proc.returncode == 3 and "Satake walk reached 73 elements" in proc.stderr
+    proc = _satake_e6("1,2,3,4,5,6", "t[-1,0,0,0,0,0]")
+    assert proc.returncode == 0, proc.stderr
+    assert [t["rep"] for t in json.loads(proc.stdout)["image"]] == [
+        "e", "t[1,2,2,3,2,1]*s2*s4*s3*s1*s5*s4*s2*s3*s4*s5*s6*s5*s4*s2*s3*s1*s4*s3*s5*s4*s2"]
 
 
 def test_oracle_check_cli():

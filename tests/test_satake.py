@@ -662,20 +662,22 @@ def fresh(spec):
 
 
 def test_memo_hit_still_applies_the_cap():
-    # With Levi {1} the walk of this class visits 8 elements: cap=7 raises on
-    # the miss, and again on a hit after an uncapped miss; cap=8 passes both.
+    # With Levi {1} the walk of this class visits 4 right W_{M,f}-cosets:
+    # cap=3 raises on the miss, and again on a hit after an uncapped miss;
+    # cap=4 passes both.
     d = fresh("A2")
     f, lev = aw.hyperspecial(d), sat.levi_datum(d, (0,))
     idx = cls(d, f, "t[-2,-1]")
-    with pytest.raises(aw.CapExceeded, match="Satake walk reached 8 elements, over the "
-                                             "limit 7 set by --cap"):
-        sat.satake_phi(idx, lev, f, 3, cap=7)
-    assert not d.satake_memo
-    assert not sat.satake_phi(idx, lev, f, 3, cap=8).is_zero()
-    with pytest.raises(aw.CapExceeded, match="Satake walk reached 8 elements, over the "
-                                             "limit 7 set by --cap"):
-        sat.satake_phi(idx, lev, f, 3, cap=7)
-    assert sat.satake_phi(idx, lev, f, 3, cap=8) == sat.satake_phi(idx, lev, f, 3)
+    over = "Satake walk reached 4 elements, over the limit 3 set by --cap"
+    with pytest.raises(aw.CapExceeded, match=over):
+        sat.satake_phi(idx, lev, f, 3, cap=3)
+    assert not sat.satake_phi(idx, lev, f, 3, cap=4).is_zero()
+    with pytest.raises(aw.CapExceeded, match=over):
+        sat.satake_phi(idx, lev, f, 3, cap=3)
+    label = sat.closed_attractor_component(idx, lev, f)
+    with pytest.raises(aw.CapExceeded, match=over):
+        sat.phi_c_w(label, idx, lev, f, 3, cap=3)
+    assert sat.satake_phi(idx, lev, f, 3, cap=4) == sat.satake_phi(idx, lev, f, 3)
     assert aw.enumerate_lower_interval(idx)
     with pytest.raises(aw.CapExceeded, match="--cap"):
         aw.enumerate_lower_interval(idx, cap=1)
