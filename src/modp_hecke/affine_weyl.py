@@ -22,12 +22,14 @@ and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products, string,
 sort key and Omega-stripped cores.  Facets are interned in the datum's
-`facets`, each with its own intern table of classes; the other memos live
-on the RootDatum: the affine simple system, `bruhat_memo` and `coset_memo`.
+`facets`, each with its own intern table of classes, and each class keeps
+the set of classes below it; the other memos live on the RootDatum: the
+affine simple system, `bruhat_memo` and `coset_memo`.
 """
 
 from __future__ import annotations
 
+import math
 from operator import add, neg, sub
 
 # CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
@@ -37,7 +39,8 @@ from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDat
 AffineRoot = tuple[Root, int]
 
 
-# Default limit on the size of a lower Bruhat interval.
+# Default limit on the size of a lower Bruhat interval, and on the classes
+# below a class (`enumerate_lower_interval`).
 INTERVAL_CAP = 20000
 
 
@@ -518,15 +521,17 @@ def chamber(f: Facet, x: Coweight):
 
 class DoubleCosetIndex:
     """Canonical representative of a class in W_f \\ W / W_f, interned in
-    its facet by representative, so equality is identity."""
+    its facet by representative, so equality is identity.  `_below` memoizes
+    `enumerate_lower_interval`."""
 
-    __slots__ = ("facet", "rep", "_hash")
+    __slots__ = ("facet", "rep", "_hash", "_below")
 
     def __new__(cls, facet_: Facet, rep: AffineWeylElement):
         idx = facet_._classes.get(rep)
         if idx is None:
             idx = object.__new__(cls)
             idx.facet, idx.rep, idx._hash = facet_, rep, hash((facet_, rep))
+            idx._below = None
             idx = facet_._classes.setdefault(rep, idx)
         return idx
 
@@ -563,10 +568,58 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
 
 def enumerate_lower_interval(idx: DoubleCosetIndex,
                              cap: int | None = INTERVAL_CAP) -> frozenset:
-    """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices."""
-    f = idx.facet
-    return frozenset(c for v in lower_set(idx.rep, cap)
-                     if (c := double_coset_rep(v, f)).rep is v)
+    """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices.
+
+    The classes below C are C and the classes below its one-letter deletions:
+    the classes of the elements that drop one letter of the reduced word of
+    C's minimal element m.  A class C' < C has its minimum m' < m, so by the
+    chain property m' <= m t < m for a reflection t with m t one such
+    deletion, and projection to double cosets preserves the order (Bjorner
+    and Brenti, GTM 231, §§1.4, 2.2, 2.5); induction on length does the rest.
+    Every class the walk completes keeps its set in `_below`.  The walk is
+    an explicit stack, so long words do not recurse.
+
+    `cap` bounds the classes walked and the set returned, on a memo hit as
+    on a miss, so whether a call raises depends only on the set's size."""
+    limit = math.inf if cap is None else cap
+    stack, deletions = [idx], {}
+    while (below := idx._below) is None:
+        c = stack[-1]
+        if c._below is not None:
+            stack.pop()
+        elif c not in deletions:
+            if len(deletions) >= limit:
+                raise over_cap("lower interval", cap)
+            deletions[c] = found = {double_coset_rep(v, c.facet)
+                                    for v in _one_letter_deletions(c)}
+            stack.extend(k for k in found if k._below is None)
+        else:
+            below = frozenset([c]).union(*(k._below for k in deletions[c]))
+            if len(below) > limit:
+                raise over_cap("lower interval", cap)
+            c._below = below
+            stack.pop()
+    if len(below) > limit:
+        raise over_cap("lower interval", cap)
+    return below
+
+
+def _one_letter_deletions(c: DoubleCosetIndex):
+    """The elements s_{i1} .. (s_{ij} left out) .. s_{ik} tau, for s_{i1} ..
+    s_{ik} tau the reduced word of the minimal element of c: the minimum of
+    W_f c.rep, by left descent, is minimal in its double coset once it is
+    minimal in its right W_f-coset."""
+    f = c.facet
+    m = min_coset_rep(descend(c.rep, lambda x: (s * x for s in f.gens)), f)
+    word, tau = reduced_word(m)
+    elements = simple_system(m.datum).elements
+    suffixes = [tau]  # suffixes[t]: the last t letters, then tau
+    for i in reversed(word):
+        suffixes.append(elements[i] * suffixes[-1])
+    prefix = identity(m.datum)
+    for j, i in enumerate(word):
+        yield prefix * suffixes[-2 - j]
+        prefix = prefix * elements[i]
 
 
 def length_ball(datum: RootDatum, length_cap: int):

@@ -176,7 +176,7 @@ class HeckeElement(FpCombination):
 
 def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
     """phi_w as a single phi-basis term; convert() expands it to the sum of
-    indicators over the lower interval."""
+    the indicators of the classes below w (enumerate_lower_interval)."""
     return HeckeElement(idx.facet, prime, "phi", {idx: 1})
 
 

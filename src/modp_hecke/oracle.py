@@ -6,9 +6,10 @@ Bruhat test, an exact alcove-walk length count and a W_f sweep for double
 cosets.  None of them calls `demazure_product` or `bruhat_leq`, but they do
 share these layers with what they check:
 - the generic product uses the affine product, `length` and `right_descents`;
-- `phi_to_generic` takes `lower_set`, and `oracle_convolve_phi` goes back to
-  the phi basis through `HeckeElement.convert` (`enumerate_lower_interval`,
-  `double_coset_rep`);
+- `phi_to_generic` takes `lower_set`, and so does `oracle_convolve_phi`,
+  which goes back to the phi basis by back-substitution over it, not through
+  `HeckeElement.convert`: the class walk of `enumerate_lower_interval`
+  (one-letter deletions, `double_coset_rep`) is not among the shared layers;
 - the subword test takes its word from `reduced_word`;
 - the W_f sweep uses `min_coset_rep`.
 The alcove-walk count shares none of them, so it checks `length` on its own.
@@ -154,9 +155,25 @@ def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
 def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
                         p: int) -> HeckeElement:
     """Full oracle pipeline: embed both phi classes into the generic algebra,
-    multiply, specialize q=0 mod p, re-expand in the phi basis."""
+    multiply, specialize q=0 mod p, re-expand in the phi basis.  At Iwahori
+    each element is its own class and phi_w is the sum of 1_v over
+    lower_set(w), so the re-expansion is back-substitution from the longest
+    element down, without `HeckeElement.convert`."""
+    f = w1.facet
     prod = phi_to_generic(w1) * phi_to_generic(w2)
-    return specialize_q0_mod_p(prod, p, w1.facet).convert("phi")
+    remaining = {idx.rep: c for idx, c in specialize_q0_mod_p(prod, p, f).coeffs.items()}
+    out = {}
+    while remaining:
+        w = max(remaining, key=length)
+        c = out[DoubleCosetIndex(f, w)] = remaining.pop(w)
+        for v in lower_set(w):
+            if v is w:
+                continue
+            if r := (remaining.get(v, 0) - c) % p:
+                remaining[v] = r
+            else:
+                remaining.pop(v, None)
+    return HeckeElement(f, p, "phi", out)
 
 
 # -- Bruhat order by subwords ---------------------------------------------------------

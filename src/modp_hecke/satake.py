@@ -343,9 +343,9 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     alone, and for G itself (W_{M,f} = W_f) the W_f-cosets below idx.rep.
 
     `cap` bounds the cosets the walk visits, as `satake --cap` does in the
-    CLI; `satake()` also applies it to the interval `convert` walks.  The
-    image and that count are memoized on the datum by (label, idx), so a hit
-    applies the cap as a miss does."""
+    CLI; `satake()` also applies it to the classes below that `convert`
+    walks.  The image and that count are memoized on the datum by (label,
+    idx), so a hit applies the cap as a miss does."""
     _check_class(idx, levi, facet)
     memo = facet.datum.satake_memo
     key = (label, idx)
@@ -401,8 +401,8 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
 def satake(a: HeckeElement, levi: LeviDatum,
            cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
     """F_p-linear extension of satake_phi over the phi basis.  `cap` bounds
-    both the lower interval that `convert` walks to reach the phi basis and
-    each Satake walk."""
+    both the classes below each class that `convert` walks to reach the phi
+    basis and each Satake walk."""
     if levi.datum is not a.facet.datum:
         raise SatakeError("Levi and element live over different data")
     out = {}

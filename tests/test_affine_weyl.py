@@ -337,6 +337,74 @@ def test_interval_cap_guard():
         aw.enumerate_lower_interval(idx, cap=3)
 
 
+def _w_interval_classes(idx):
+    """Reference for enumerate_lower_interval: the classes whose canonical
+    representative lies in the W interval lower_set(idx.rep)."""
+    return frozenset(c for v in aw.lower_set(idx.rep)
+                     if (c := aw.double_coset_rep(v, idx.facet)).rep is v)
+
+
+def _every_finite_facet(d):
+    indices = aw.simple_system(d).indices
+    out = []
+    for J in itertools.chain.from_iterable(
+            itertools.combinations(indices, r) for r in range(len(indices))):
+        try:
+            out.append(aw.facet(d, J))
+        except RootDatumError:  # W_J is infinite
+            pass
+    return out
+
+
+LOWER_CLASS_BALLS = {"A1": 5, "A1:ad": 5, "A2": 4, "A2:ad": 4, "C2": 4, "C2:ad": 4, "G2": 4,
+                     "A3": 3, "B3": 3, "C3": 2, "A1xA1": 3, "A1xA2:ad": 2}
+
+
+@pytest.mark.parametrize("spec", LOWER_CLASS_BALLS)
+def test_lower_classes_match_the_w_interval(spec):
+    # Every class of the length ball at every finite facet, on a fresh datum,
+    # longest first: the first walk at a facet fills the memo of every class
+    # it completes, and each later call reads one of those memos.
+    d = RootDatum(preset(spec).cartan_datum)
+    ball = aw.length_ball(d, LOWER_CLASS_BALLS[spec])
+    for f in _every_finite_facet(d):
+        classes = sorted({aw.double_coset_rep(w, f) for w in ball},
+                         key=lambda c: aw.element_sort_key(c.rep), reverse=True)
+        for idx in classes:
+            assert aw.enumerate_lower_interval(idx) == _w_interval_classes(idx), (spec, f, idx)
+
+
+@pytest.mark.parametrize("spec, indices, text, count", [
+    ("A1", (), "t[-8]", 32), ("A2", (1, 2), "t[-3,-3]", 8),
+    ("C2", (0, 2), "t[-2,-1]*s1", 15), ("G2", (1, 2), "t[-2,-1]", 5)])
+def test_lower_classes_cap_counts_classes(spec, indices, text, count):
+    # The cap bounds classes, not W-interval elements: `count` passes and
+    # anything less raises, on a miss and on a memo hit.  A capped call that
+    # raised stores no set over the cap, and the uncapped call after it
+    # returns what a fresh datum returns.
+    def fresh_class():
+        d = RootDatum(preset(spec).cartan_datum)
+        return aw.double_coset_rep(aw.parse_element(d, text), aw.facet(d, indices))
+
+    def names(classes):
+        return sorted(aw.element_to_string(c.rep) for c in classes)
+
+    expected = names(aw.enumerate_lower_interval(fresh_class()))
+    assert len(expected) == count
+    assert names(aw.enumerate_lower_interval(fresh_class(), count)) == expected
+    for cap in (0, 1, count // 2, count - 1):
+        over = f"lower interval reached {cap + 1} elements, over the limit {cap} set by --cap"
+        idx = fresh_class()
+        with pytest.raises(aw.CapExceeded, match=over):
+            aw.enumerate_lower_interval(idx, cap)
+        stored = [c._below for c in idx.facet._classes.values() if c._below is not None]
+        assert all(len(below) <= cap for below in stored)
+        assert names(aw.enumerate_lower_interval(idx)) == expected
+        with pytest.raises(aw.CapExceeded, match=over):
+            aw.enumerate_lower_interval(idx, cap)
+        assert names(aw.enumerate_lower_interval(idx, count)) == expected
+
+
 @pytest.mark.parametrize("spec, text", [("A1", "t[-8]"), ("A2", "t[-2,-2]*s1"),
                                         ("G2", "t[-1,-1]")])
 def test_interval_cap_bounds_the_sets_built(spec, text):

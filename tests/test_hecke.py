@@ -264,3 +264,20 @@ def test_the_hecke_path_does_not_enumerate_w_f(spec, facet):
     assert hk.convolve(a.convert("indicator"), b).convert("phi") == hk.convolve(a, b)
     hk.point_count_polynomial(prod)
     assert f._elements is None
+
+
+def test_the_hecke_path_does_not_build_the_w_interval(monkeypatch):
+    # s0 at the E7 hyperspecial facet has two classes below it, and a W
+    # interval past the default cap; a fresh datum, so no memo answers.
+    d = RootDatum(preset("E7").cartan_datum)
+    f = aw.hyperspecial(d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hecke path built a W interval")
+
+    monkeypatch.setattr(aw, "lower_set", refuse)
+    prod = hk.convolve(hk.phi_basis_element(cls(d, f, "s0"), 2),
+                       hk.phi_basis_element(cls(d, f, "e"), 2))
+    assert prod.to_json()["terms"] == [{"rep": "t[-2,-2,-3,-4,-3,-2,-1]", "coeff": 1}]
+    assert prod.convert("indicator").to_json()["terms"] == [
+        {"rep": "e", "coeff": 1}, {"rep": "t[-2,-2,-3,-4,-3,-2,-1]", "coeff": 1}]
