@@ -29,7 +29,6 @@ affine simple system, `bruhat_memo` and `coset_memo`.
 
 from __future__ import annotations
 
-import math
 from operator import add, neg, sub
 
 # CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
@@ -576,30 +575,18 @@ def enumerate_lower_interval(idx: DoubleCosetIndex,
     chain property m' <= m t < m for a reflection t with m t one such
     deletion, and projection to double cosets preserves the order (Bjorner
     and Brenti, GTM 231, §§1.4, 2.2, 2.5); induction on length does the rest.
-    Every class the walk completes keeps its set in `_below`.  The walk is
-    an explicit stack, so long words do not recurse.
+    The walk is `closure`, level by level; idx keeps the whole set in
+    `_below`.
 
     `cap` bounds the classes walked and the set returned, on a memo hit as
     on a miss, so whether a call raises depends only on the set's size."""
-    limit = math.inf if cap is None else cap
-    stack, deletions = [idx], {}
-    while (below := idx._below) is None:
-        c = stack[-1]
-        if c._below is not None:
-            stack.pop()
-        elif c not in deletions:
-            if len(deletions) >= limit:
-                raise over_cap("lower interval", cap)
-            deletions[c] = found = {double_coset_rep(v, c.facet)
-                                    for v in _one_letter_deletions(c)}
-            stack.extend(k for k in found if k._below is None)
-        else:
-            below = frozenset([c]).union(*(k._below for k in deletions[c]))
-            if len(below) > limit:
-                raise over_cap("lower interval", cap)
-            c._below = below
-            stack.pop()
-    if len(below) > limit:
+    below = idx._below
+    if below is None:
+        below = closure([idx], lambda c: {double_coset_rep(v, c.facet)
+                                          for v in _one_letter_deletions(c)}, cap)
+        if cap is None or len(below) <= cap:
+            below = idx._below = frozenset(below)
+    if cap is not None and len(below) > cap:
         raise over_cap("lower interval", cap)
     return below
 
