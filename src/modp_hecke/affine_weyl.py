@@ -38,8 +38,8 @@ from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDat
 AffineRoot = tuple[Root, int]
 
 
-# Default limit on the size of a lower Bruhat interval, and on the classes
-# below a class (`enumerate_lower_interval`).
+# Default limit on the size of a lower Bruhat interval, on the classes below
+# a class (`enumerate_lower_interval`) and on the cells of a point count.
 INTERVAL_CAP = 20000
 
 

@@ -18,6 +18,7 @@ from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_decomposition,
                           demazure_mult, demazure_product, double_coset_rep,
                           element_to_string, enumerate_lower_interval, parse_element)
+from .root_datum import closure, over_cap
 
 
 class HeckeError(ValueError):
@@ -252,11 +253,18 @@ def convolve(a: HeckeElement, b: HeckeElement,
 def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP):
     """Coefficients (low to high) of sum_u q^{ell(u)} over the minimal coset
     representatives u with _f u^f <= idx: the cell count of the associated
-    Schubert scheme over F_q.  The constant term is always 1.  These u are
-    the u = u^f in lower_set(idx.rep), as the scheme is lower_set(idx.rep) W_f."""
+    Schubert scheme over F_q.  The constant term is always 1.  The u are the
+    right W_f-cosets of W_f c W_f, c below idx, reached from c.rep by u ->
+    (s u)^f.  `cap` bounds the classes walked and the cells counted."""
+    f = idx.facet
     coeffs = [0] * (idx.length + 1)
-    for u in aw.lower_set(idx.rep, cap):
-        if aw.min_coset_rep(u, idx.facet) == u:
+    cells = 0
+    for c in enumerate_lower_interval(idx, cap):
+        cosets = closure([c.rep], lambda u: (aw.min_coset_rep(s * u, f) for s in f.gens), cap)
+        cells += len(cosets)
+        if cap is not None and cells > cap:
+            raise over_cap("Schubert cells", cap)
+        for u in cosets:
             coeffs[aw.length(u)] += 1
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

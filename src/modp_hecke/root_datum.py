@@ -7,6 +7,12 @@ by central-torus coordinates.  In ambient coordinates the pairing of the
 i-th simple root with a coweight x is simply x[i], so everything downstream
 reduces to small integer dot products.
 
+A finite Weyl element w is read off the point w.rho_check, rho_check =
+(1, ..., 1, 0, ..., 0) pairing to 1 with every simple root (it need not lie
+in X): <w^-1 alpha, rho_check> = <alpha, w.rho_check> (Humphreys, Reflection
+Groups and Coxeter Groups, §1.12).  No matrix is inverted; the one exact
+elimination, `_coordinate_functionals`, sets up lattices.
+
 Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
 the datum holds the tables keyed by more than one element.  Nothing is
@@ -135,8 +141,10 @@ class FiniteWeylElement:
     Elements are interned per datum by their matrix, so equality is identity
     and each carries its own lazy memos: products, root images, the positive
     roots its inverse makes negative, and its canonical word.
-    Products, inverses and root images run their matrix arithmetic only on a
-    memo miss; `act` on coweights has no memo and multiplies every time.
+    The negated roots and the word are signs of pairings with w.rho_check,
+    and the inverse is the product of the reversed word.  Products and root
+    images multiply matrices only on a memo miss; `act` on coweights has no
+    memo and multiplies every time.
     """
 
     __slots__ = ("datum", "matrix", "_hash", "_inv", "_products", "_root_images",
@@ -166,7 +174,10 @@ class FiniteWeylElement:
 
     def inverse(self) -> "FiniteWeylElement":
         if self._inv is None:
-            self._inv = self.datum._intern_weyl(_integer_inverse(self.matrix))
+            inv = self.datum.weyl_identity
+            for i in self.datum.finite_word(self):
+                inv = self.datum.simple_reflections[i] * inv
+            self._inv, inv._inv = inv, self
         return self._inv
 
     def is_identity(self) -> bool:
@@ -189,13 +200,10 @@ class FiniteWeylElement:
         """One flag per positive root of the datum, in its order: True iff the
         inverse of this element sends that root to a negative root."""
         if self._inverse_negates is None:
-            # The inverse acts on roots through the inverse of its own matrix,
-            # that is through this matrix: no inverse is formed.
-            datum, m, n = self.datum, self.matrix, self.datum.n
-            self._inverse_negates = tuple(
-                not datum.is_positive_root(
-                    tuple(sum(rt[i] * m[i][j] for i in range(n)) for j in range(n)))
-                for rt in datum.positive_roots)
+            datum = self.datum
+            y = self.act(datum.rho_check)
+            self._inverse_negates = tuple(datum.pair(rt, y) < 0
+                                          for rt in datum.positive_roots)
         return self._inverse_negates
 
     def __repr__(self):
@@ -208,11 +216,13 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def _fraction_inverse(a):
-    """Exact inverse of a square matrix over the rationals, as rows of
-    Fractions, or None when the matrix is singular."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+def _coordinate_functionals(basis):
+    """(den, cols) such that the coordinates of v in the basis are
+    <v, cols[j]> / den, integral exactly when v lies in the lattice the basis
+    spans (a v longer than the basis is paired on its first entries); None
+    when the basis is singular.  Gauss-Jordan over the rationals."""
+    n = len(basis)
+    aug = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -225,27 +235,9 @@ def _fraction_inverse(a):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _coordinate_functionals(basis):
-    """(den, cols) such that the coordinates of v in the basis are
-    <v, cols[j]> / den, integral exactly when v lies in the lattice the basis
-    spans (a v longer than the basis is paired on its first entries); None
-    when the basis is singular."""
-    inv = _fraction_inverse(basis)
-    if inv is None:
-        return None
+    inv = [row[n:] for row in aug]
     den = math.lcm(*(v.denominator for row in inv for v in row))
-    return den, tuple(tuple(int(row[j] * den) for row in inv) for j in range(len(basis)))
-
-
-def _integer_inverse(a):
-    """Exact inverse of an integer matrix; entries must come out integral."""
-    inv = _fraction_inverse(a)
-    if inv is None or any(v.denominator != 1 for row in inv for v in row):
-        raise RootDatumError("matrix is not invertible over the integers")
-    return tuple(tuple(int(v) for v in row) for row in inv)
+    return den, tuple(tuple(int(row[j] * den) for row in inv) for j in range(n))
 
 
 class RootDatum:
@@ -312,6 +304,7 @@ class RootDatum:
             raise RootDatumError("lattice basis is singular")
         self.x_inverse_den, self.x_inverse_cols = functionals
         self.lattice_label = cartan.lattice if cartan.lattice in ("sc", "ad") else "explicit"
+        self.rho_check = (1,) * self.n + (0,) * (self.dim - self.n)
 
         self.simple_coroots = tuple(
             tuple(self.cartan[i][j] for i in range(self.n)) + (0,) * (self.dim - self.n)
@@ -391,9 +384,6 @@ class RootDatum:
         """<alpha, nu> for alpha in simple-root coords, nu in ambient coords."""
         return sum(root[i] * coweight[i] for i in range(self.n))
 
-    def is_positive_root(self, root: Root) -> bool:
-        return any(root) and all(x >= 0 for x in root)
-
     def coroot(self, root: Root) -> Coweight:
         if root in self.coroot_of:
             return self.coroot_of[root]
@@ -446,20 +436,14 @@ class RootDatum:
 
     def finite_word(self, w: FiniteWeylElement) -> tuple[int, ...]:
         """Canonical reduced word (smallest left descent first), as 0-based
-        simple-root indices."""
+        simple-root indices: y = w.rho_check goes to s_i y, i the smallest
+        index with <alpha_i, y> < 0, until y is dominant."""
         if w._word is None:
             word = []
-            cur = w
-            while True:
-                winv = cur.inverse()
-                for i in range(self.n):
-                    alpha = tuple(int(j == i) for j in range(self.n))
-                    if not self.is_positive_root(winv.act_root(alpha)):
-                        word.append(i)
-                        cur = self.simple_reflections[i] * cur
-                        break
-                else:
-                    break
+            y = w.act(self.rho_check)
+            while (i := next((i for i in range(self.n) if y[i] < 0), None)) is not None:
+                word.append(i)
+                y = self.simple_reflections[i].act(y)
             w._word = tuple(word)
         return w._word
 

@@ -7,7 +7,7 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import RootDatum, preset
+from modp_hecke.root_datum import CapExceeded, RootDatum, preset
 
 
 def cls(datum, facet, text):
@@ -281,3 +281,46 @@ def test_the_hecke_path_does_not_build_the_w_interval(monkeypatch):
     assert prod.to_json()["terms"] == [{"rep": "t[-2,-2,-3,-4,-3,-2,-1]", "coeff": 1}]
     assert prod.convert("indicator").to_json()["terms"] == [
         {"rep": "e", "coeff": 1}, {"rep": "t[-2,-2,-3,-4,-3,-2,-1]", "coeff": 1}]
+    # The cells of the Schubert scheme of s0: e and the 126 roots of E7.
+    assert hk.point_count_polynomial(cls(d, f, "s0")) == (
+        1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6, 7, 7, 6, 6, 6, 6, 5, 5, 4,
+        4, 3, 3, 2, 2, 1, 1, 1, 1)
+
+
+def _point_count_by_interval(idx):
+    """The count over the W interval: the u = u^f in lower_set(idx.rep)."""
+    coeffs = [0] * (idx.length + 1)
+    for u in aw.lower_set(idx.rep):
+        if aw.min_coset_rep(u, idx.facet) == u:
+            coeffs[aw.length(u)] += 1
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("A1", 4), ("A1:ad", 4), ("A2", 4), ("A2:ad", 4), ("C2", 4), ("G2", 4),
+    ("B3", 3), ("A3", 3)])
+def test_point_count_matches_the_w_interval(spec, radius):
+    # A fresh datum, so the class walk and the interval share no memo.
+    d = RootDatum(preset(spec).cartan_datum)
+    indices = aw.simple_system(d).indices
+    ball = aw.length_ball(d, radius)
+    for f in {aw.facet(d, J) for r in range(len(indices))
+              for J in itertools.combinations(indices, r)}:
+        for idx in {aw.double_coset_rep(w, f) for w in ball}:
+            assert hk.point_count_polynomial(idx) == _point_count_by_interval(idx), idx
+
+
+def test_point_count_cap_bounds_the_cells():
+    # A2 hyperspecial t[-2,-1]: three classes below it and ten cells; the cap
+    # bounds both, and the boundary does not move with the memo.
+    d = RootDatum(preset("A2").cartan_datum)
+    idx = cls(d, aw.hyperspecial(d), "t[-2,-1]")
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="lower interval reached 3 elements"):
+            hk.point_count_polynomial(idx, cap=2)
+        with pytest.raises(CapExceeded, match="Schubert cells reached 10 elements, "
+                                              "over the limit 9"):
+            hk.point_count_polynomial(idx, cap=9)
+        assert hk.point_count_polynomial(idx, cap=10) == (1, 1, 2, 2, 2, 1, 1)

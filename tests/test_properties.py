@@ -193,11 +193,12 @@ def _min_left_reference(levi, x):
     k + <b, lam_x>) is negative."""
     d = levi.datum
     signed = [b for rt in levi.phi_m for b in (rt, tuple(-c for c in rt))]
+    positive = lambda rt: all(c >= 0 for c in rt)  # rt is a root, so nonzero
     while True:
         uinv = x.finite.inverse()
         for b in signed:
-            kmin = 0 if d.is_positive_root(b) else 1
-            kmax = -d.pair(b, x.translation) - d.is_positive_root(uinv.act_root(b))
+            kmin = 0 if positive(b) else 1
+            kmax = -d.pair(b, x.translation) - positive(uinv.act_root(b))
             if kmin <= kmax:
                 x = aw.reflection(d, (b, kmin)) * x
                 break

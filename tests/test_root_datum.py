@@ -4,7 +4,9 @@ import random
 import pytest
 
 from modp_hecke import affine_weyl as aw
+from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
+from modp_hecke import satake as sat
 
 
 def w0_elements(d):
@@ -115,6 +117,59 @@ def test_finite_length_matches_word_length():
         d = rd.preset(spec)
         for w in w0_elements(d):
             assert aw.length(aw.from_finite(d, w)) == len(d.finite_word(w))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_finite_layer_matches_the_matrix_definitions(spec):
+    # References read w^-1 on roots through w's own matrix, so they form no
+    # inverse: the canonical word takes the smallest i whose root image under
+    # w^-1 is negative, and the negated roots are the dense root map.
+    d = rd.RootDatum(rd.preset(spec).cartan_datum)
+    n = d.n
+
+    def inverse_on_root(w, rt):
+        return tuple(sum(rt[i] * w.matrix[i][j] for i in range(n)) for j in range(n))
+
+    def negative(rt):
+        return any(c < 0 for c in rt)  # a root is positive or negative
+
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+    def word_reference(w):
+        word = []
+        while descents := [i for i, a in enumerate(simple)
+                           if negative(inverse_on_root(w, a))]:
+            word.append(descents[0])
+            w = d.simple_reflections[descents[0]] * w
+        return tuple(word)
+
+    one = d.weyl_identity.matrix
+    for w in w0_elements(d):
+        assert d.finite_word(w) == word_reference(w)
+        assert w.inverse_negates() == tuple(negative(inverse_on_root(w, rt))
+                                            for rt in d.positive_roots)
+        assert rd._mat_mul(w.matrix, w.inverse().matrix) == one
+        assert w.inverse().inverse() is w
+        for rt in d.positive_roots:
+            assert w.inverse().act_root(rt) == inverse_on_root(w, rt)
+
+
+def test_no_exact_elimination_after_the_datum_is_built(monkeypatch):
+    # Lengths, words and inverses of finite elements are read off w.rho_check,
+    # so the E8 Satake and Hecke paths run no elimination over the rationals.
+    d = rd.RootDatum(rd.preset("E8").cartan_datum)
+    f = aw.hyperspecial(d)
+
+    def refuse(*args):
+        raise AssertionError("an exact elimination ran after the datum was built")
+
+    monkeypatch.setattr(rd, "Fraction", refuse)
+    e, s0 = (aw.double_coset_rep(aw.parse_element(d, t), f) for t in ("e", "s0"))
+    image = sat.satake_phi(e, sat.minimal_levi(d), f, 2)
+    assert image.to_json()["terms"] == [{"rep": "e", "coeff": 1}]
+    prod, witness = hk.convolve_phi_classes(s0, e)
+    assert witness.replay() is prod
+    assert aw.element_to_string(prod.rep) == "t[-2,-3,-4,-6,-5,-4,-3,-2]"
 
 
 def is_antidominant(d, z):
