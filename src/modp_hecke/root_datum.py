@@ -256,12 +256,12 @@ class RootDatum:
       (the facet intern table by sorted index tuple; each facet interns its
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
       DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
-    - for `satake`: `satake_memo`, whose entries are the canonical W_{M,f}
+    - for `satake`: `levis` (the Levi intern table by sorted J_M; each Levi
+      keeps its W_{M,f} record per facet), and `satake_memo`, keyed by
+      `(class, Levi)`, whose entries are the canonical W_{M,f}
       representatives in the image of one phi class with the number of
       cosets the walk that found them visited (which the cap bounds on a hit
-      as on a miss), keyed by `(component label, class)` for `phi_c_w` and
-      again by `(class, Levi, facet)` for `satake_phi` (None there when the
-      closed component misses the Levi);
+      as on a miss), `((), 0)` when the closed component misses the Levi;
     - for `oracle`: `subword_memo`, keyed by the element.
 
     Interning stores by one `dict.setdefault`, so threads that form the same
@@ -330,6 +330,7 @@ class RootDatum:
         self.facets: dict = {}
         self.bruhat_memo: dict = {}
         self.coset_memo: dict = {}
+        self.levis: dict = {}
         self.satake_memo: dict = {}
         self.subword_memo: dict = {}
 

@@ -13,7 +13,8 @@ its double coset W_{M,af} w W_f, found by descent; W_f is not enumerated
 either, as the u in W_f that bring w into W_M are read off chamber descents
 (`_partner`).  The image of phi_w is found by a walk inside the Schubert
 scheme from the one element of its coset that the label gives (`phi_c_w`),
-never by the Bruhat interval below w.  LeviHeckeElement and
+never by the Bruhat interval below w.  A Levi is interned per datum and keeps
+one `LeviFacetGroup`, its W_{M,f}, per facet.  LeviHeckeElement and
 MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
@@ -52,32 +53,37 @@ class LeviDatum:
     roots, so its stabiliser in W0 is W0(M) (Humphreys, Reflection Groups and
     Coxeter Groups, §1.12).  The canonical generators of W_{M,af},
     `af_reflections`, are s_i (i in J_M) and s_{(-theta, 1)} for theta the
-    highest root of each component of Phi_M: the maximal roots in `phi_m`."""
+    highest root of each component of Phi_M: the maximal roots in `phi_m`.
+    Levis are interned per datum by sorted J_M, as facets are, so equality is
+    identity, and the hash is that of J_M."""
 
-    __slots__ = ("datum", "j_m", "lam", "phi_m", "af_reflections", "_hash")
+    __slots__ = ("datum", "j_m", "lam", "phi_m", "af_reflections", "_hash", "_wmf")
 
-    def __init__(self, datum: RootDatum, j_m):
-        self.datum = datum
-        self.j_m = tuple(sorted(set(j_m)))
-        for i in self.j_m:
-            if not 0 <= i < datum.n:
-                raise SatakeError(f"invalid finite simple-root index {i}")
-        support = set(self.j_m)
-        self.phi_m = tuple(rt for rt in datum.positive_roots
-                           if all(rt[i] == 0 for i in range(datum.n)
-                                  if i not in support))
-        highest = [rt for rt in self.phi_m
-                   if not any(o != rt and all(map(le, rt, o)) for o in self.phi_m)]
-        self.af_reflections = tuple(
-            [aw.from_finite(datum, datum.simple_reflections[i]) for i in self.j_m]
-            + [aw.reflection(datum, (tuple(map(neg, rt)), 1)) for rt in highest])
-        # lam = m * chi, chi the sum of fundamental coweights outside J_M and m
-        # least such that den divides m <chi, col> for each lattice functional.
-        chi = [int(i not in support) for i in range(datum.n)] + [0] * (datum.dim - datum.n)
-        den, cols = datum.x_inverse_den, datum.x_inverse_cols
-        m = den // math.gcd(den, *(sum(c * v for c, v in zip(chi, col)) for col in cols))
-        self.lam = tuple(m * c for c in chi)
-        self._hash = hash(self.j_m)
+    def __new__(cls, datum: RootDatum, j_m):
+        key = tuple(sorted(set(j_m)))
+        levi = datum.levis.get(key)
+        if levi is None:
+            for i in key:
+                if not 0 <= i < datum.n:
+                    raise SatakeError(f"invalid finite simple-root index {i}")
+            levi = object.__new__(cls)
+            levi.datum, levi.j_m = datum, key
+            levi.phi_m = tuple(rt for rt in datum.positive_roots
+                               if all(rt[i] == 0 for i in range(datum.n) if i not in key))
+            highest = [rt for rt in levi.phi_m
+                       if not any(o != rt and all(map(le, rt, o)) for o in levi.phi_m)]
+            levi.af_reflections = tuple(
+                [aw.from_finite(datum, datum.simple_reflections[i]) for i in key]
+                + [aw.reflection(datum, (tuple(map(neg, rt)), 1)) for rt in highest])
+            # lam = m * chi, chi the sum of fundamental coweights outside J_M and
+            # m least such that den divides m <chi, col> for each lattice functional.
+            chi = [int(i not in key) for i in range(datum.n)] + [0] * (datum.dim - datum.n)
+            den, cols = datum.x_inverse_den, datum.x_inverse_cols
+            m = den // math.gcd(den, *(sum(c * v for c, v in zip(chi, col)) for col in cols))
+            levi.lam = tuple(m * c for c in chi)
+            levi._hash, levi._wmf = hash(key), {}
+            levi = datum.levis.setdefault(key, levi)
+        return levi
 
     @property
     def is_minimal(self) -> bool:
@@ -87,15 +93,35 @@ class LeviDatum:
         """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
         return w.finite.act(self.lam) == self.lam
 
-    def __eq__(self, other):
-        return (isinstance(other, LeviDatum) and self.datum is other.datum
-                and self.j_m == other.j_m)
+    def wmf(self, facet: Facet) -> "LeviFacetGroup":
+        """The record of W_{M,f} = W_M meet W_f, built once per facet."""
+        return self._wmf.get(facet) or self._wmf.setdefault(facet, LeviFacetGroup(self, facet))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"LeviDatum(J_M={self.j_m})"
+
+
+class LeviFacetGroup:
+    """W_{M,f}, the stabiliser of lam in W_f: g^-1 W_J g for (y, g) =
+    chamber(facet, lam), W_J the stabiliser of y, generated by `stab`, the s_i
+    of the facet whose beta_i vanish on y (Humphreys, §1.12).  `reflections`
+    generate it: the g^-1 s_r g = s_{g^-1 r}, r in the orbit of the simple
+    affine roots of W_J.  Both are empty for the minimal Levi (lam regular)."""
+
+    __slots__ = ("y", "g", "g_inv", "stab", "reflections")
+
+    def __init__(self, levi: LeviDatum, facet: Facet):
+        d, sys = levi.datum, simple_system(levi.datum)
+        self.y, self.g = chamber(facet, levi.lam)
+        self.g_inv = self.g.inverse()
+        j = [i for i in facet.indices if d.pair(sys.simple_roots[i][0], self.y) == 0]
+        self.stab = tuple(sys.elements[i] for i in j)
+        orbit = closure([sys.simple_roots[i] for i in j],
+                        lambda r: (aff_act(s, r) for s in self.stab))
+        self.reflections = tuple({aw.reflection(d, aff_act(self.g_inv, r)) for r in orbit})
 
 
 def levi_datum(datum: RootDatum, j_m) -> LeviDatum:
@@ -127,7 +153,7 @@ class ComponentLabel:
     @functools.cached_property
     def partner(self) -> AffineWeylElement | None:
         """A u in W_f with rep * u in W_M (`_partner`), or None."""
-        return _partner(self.facet, self.levi.lam, self.rep.finite)
+        return _partner(self.facet, self.levi, self.rep.finite)
 
     def __repr__(self):
         return f"S[{element_to_string(self.rep)}]"
@@ -193,29 +219,19 @@ def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet
 # -- Levi-side Hecke elements ---------------------------------------------------------
 
 
-def _partner(facet: Facet, lam: Coweight, v):
+def _partner(facet: Facet, levi: LeviDatum, v):
     """A u in W_f with v * u.finite fixing lam, or None.  Then u.finite(lam) =
     v^-1(lam), so u exists iff both have one `chamber` point, and is h^-1 g for
-    their descents h, g."""
-    y, h = chamber(facet, v.inverse().act(lam))
-    y0, g = chamber(facet, lam)
-    return h.inverse() * g if y == y0 else None
+    the descent h of v^-1(lam) and the descent g of lam (`LeviFacetGroup`)."""
+    group = levi.wmf(facet)
+    y, h = chamber(facet, v.inverse().act(levi.lam))
+    return h.inverse() * group.g if y == group.y else None
 
 
 def component_has_levi_point(label: ComponentLabel) -> bool:
     """True iff the double coset W_{M,af} rep W_f meets W_M: since
     W_{M,af} lies in W_M, iff rep W_f does, iff rep.finite has a partner."""
     return label.partner is not None
-
-
-def _levi_facet_reflections(levi: LeviDatum, facet: Facet) -> tuple:
-    """The reflections of W_{M,f} = W_M meet W_f, through the affine roots of
-    W_f (the orbit of the simple ones, at most |Phi|) whose vector part is in
-    Phi_M.  They generate W_{M,f}, the stabiliser of lam in W_f (Steinberg)."""
-    d, sys = levi.datum, simple_system(levi.datum)
-    roots = closure([sys.simple_roots[i] for i in facet.indices],
-                    lambda r: (aff_act(g, r) for g in facet.gens))
-    return tuple({aw.reflection(d, r) for r in roots if d.pair(r[0], levi.lam) == 0})
 
 
 def _canon_m_coset(reflections: tuple, y: AffineWeylElement) -> AffineWeylElement:
@@ -295,28 +311,33 @@ def _walk(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: 
           cap: int | None) -> set:
     """The right W_{M,f}-cosets of W_{M,af} rep * u inside the Schubert scheme
     S of idx, u the label's partner; more than cap of them when the walk
-    stopped at the cap (see `phi_c_w`).  W_{M,f}, the stabiliser of lam in
-    W_f, is g^-1 W_J g for (y, g) = chamber(facet, lam) and W_J the
-    stabiliser of y, generated by the s_i of the facet whose beta_i vanish on
-    y (Humphreys, §1.12); so the coset z W_{M,f} is held by the one element
-    m g, m the minimum of z g^-1 W_J."""
-    start = label.rep * label.partner
-    if not levi.af_reflections:
-        return {start}
-    d, roots = levi.datum, simple_system(levi.datum).simple_roots
-    y, g = chamber(facet, levi.lam)
-    g_inv = g.inverse()
-    stab = [s for i, s in zip(facet.indices, facet.gens) if d.pair(roots[i][0], y) == 0]
+    stopped at the cap (see `phi_c_w`).  As W_{M,f} = g^-1 W_J g
+    (`LeviFacetGroup`), the coset z W_{M,f} is held by the one element m g,
+    m the minimum of z g^-1 W_J."""
+    group = levi.wmf(facet)
 
     def coset(z):
-        return descend(z * g_inv, lambda x: (x * s for s in stab)) * g
+        return descend(z * group.g_inv, lambda x: (x * s for s in group.stab)) * group.g
 
     def inside(z):
         return bruhat_leq(min_coset_rep(z, facet), idx.rep)
 
-    return closure([coset(start)],
+    return closure([coset(label.rep * label.partner)],
                    lambda z: (coset(x) for r in levi.af_reflections if inside(x := r * z)),
                    cap)
+
+
+def _image(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
+           cap: int | None) -> tuple:
+    """(the canonical W_{M,f} double cosets of the image of `phi_c_w`, the
+    number of cosets its walk visited); CapExceeded when that is over cap."""
+    if label.partner is None:
+        raise SatakeError("component has no Levi point")
+    walked = _walk(label, idx, levi, facet, cap)
+    if cap is not None and len(walked) > cap:
+        raise over_cap("Satake walk", cap)
+    reflections = levi.wmf(facet).reflections
+    return tuple({_canon_m_coset(reflections, z): 1 for z in walked}), len(walked)
 
 
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
@@ -344,28 +365,10 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
 
     `cap` bounds the cosets the walk visits, as `satake --cap` does in the
     CLI; `satake()` also applies it to the classes below that `convert`
-    walks.  The image and that count are memoized on the datum by (label,
-    idx), so a hit applies the cap as a miss does."""
+    walks.  Nothing is memoized here: `satake_phi` keeps the image of the
+    closed component."""
     _check_class(idx, levi, facet)
-    memo = facet.datum.satake_memo
-    key = (label, idx)
-    if key not in memo:
-        if label.partner is None:
-            raise SatakeError("component has no Levi point")
-        walked = _walk(label, idx, levi, facet, cap)
-        if cap is not None and len(walked) > cap:
-            raise over_cap("Satake walk", cap)
-        reflections = levi.af_reflections and _levi_facet_reflections(levi, facet)
-        memo[key] = tuple({_canon_m_coset(reflections, z): 1 for z in walked}), len(walked)
-    return _memoized_image(memo[key], levi, facet, prime, cap)
-
-
-def _memoized_image(entry: tuple, levi: LeviDatum, facet: Facet, prime: int,
-                    cap: int | None) -> LeviHeckeElement:
-    """The image held by a memo entry (reps, cosets walked), under `cap`."""
-    reps, visited = entry
-    if cap is not None and visited > cap:
-        raise over_cap("Satake walk", cap)
+    reps, _ = _image(label, idx, levi, facet, cap)
     return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
@@ -374,28 +377,23 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     """Transform of a single phi basis element: the indicator of the closed
     attractor intersection, or zero when that component misses the Levi.
 
-    The entry `phi_c_w` memoizes for the closed component is also kept on
-    the datum per (idx, levi, facet), None when that component misses the
-    Levi, so a repeated call forms no component, partner or walk, nor calls
-    `phi_c_w`.  The prime is not part of either key: every coefficient is 1,
-    so the prime only reduces it, and the element is built (and the prime
-    checked) on every call.  `cap` bounds the walk of `phi_c_w` and nothing
-    else here (the CLI's `satake --cap` is this cap), on a hit as on a
-    miss."""
+    The image of the closed component (its `phi_c_w` representatives and the
+    cosets its walk visited) is kept on the datum per (idx, levi), as ((), 0)
+    when that component misses the Levi.  The prime is not part of the key:
+    every coefficient is 1, so the prime only reduces it, and the element is
+    built (and the prime checked) on every call.  `cap` bounds the walk and
+    nothing else here (the CLI's `satake --cap` is this cap), on a hit as on
+    a miss."""
     _check_class(idx, levi, facet)
     memo = facet.datum.satake_memo
-    key = (idx, levi, facet)
-    if key in memo:
-        if (entry := memo[key]) is None:
-            return LeviHeckeElement(levi, facet, prime, {})
-        return _memoized_image(entry, levi, facet, prime, cap)
-    label = closed_attractor_component(idx, levi, facet)
-    if label.partner is None:
-        memo[key] = None
-        return LeviHeckeElement(levi, facet, prime, {})
-    image = phi_c_w(label, idx, levi, facet, prime, cap)
-    memo[key] = memo[label, idx]
-    return image
+    key = (idx, levi)
+    if key not in memo:
+        label = closed_attractor_component(idx, levi, facet)
+        memo[key] = ((), 0) if label.partner is None else _image(label, idx, levi, facet, cap)
+    reps, walked = memo[key]
+    if cap is not None and walked > cap:
+        raise over_cap("Satake walk", cap)
+    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
 def satake(a: HeckeElement, levi: LeviDatum,
@@ -473,6 +471,6 @@ def _antidominant_of_class(idx: DoubleCosetIndex) -> Coweight:
     # u the partner of rep.finite.  At a special facet the translations in the
     # class are the W0-orbit of mu; its anti-dominant point is -chamber(-mu).
     d = idx.facet.datum
-    u = _partner(idx.facet, minimal_levi(d).lam, idx.rep.finite)
+    u = _partner(idx.facet, minimal_levi(d), idx.rep.finite)
     mu = tuple(map(neg, (idx.rep * u).translation))
     return tuple(map(neg, chamber(hyperspecial(d), mu)[0]))

@@ -21,7 +21,8 @@ def test_a_constructed_element_is_the_interned_one():
     assert direct is aw.parse_element(d, "t[-1,0]*s1*s2")
     assert direct is aw.translation(d, direct.translation) * aw.from_finite(d, s1 * s2)
     assert aw.AffineWeylElement(d, d.zero_coweight(), d.weyl_identity) is aw.identity(d)
-    for cls in (aw.AffineWeylElement, rd.FiniteWeylElement, aw.Facet, aw.DoubleCosetIndex):
+    for cls in (aw.AffineWeylElement, rd.FiniteWeylElement, aw.Facet, aw.DoubleCosetIndex,
+                sat.LeviDatum):
         assert "__eq__" not in vars(cls)
 
 
@@ -36,6 +37,24 @@ def test_facets_and_classes_are_interned():
             assert idx is aw.DoubleCosetIndex(f, idx.rep)
             for member in aw.enumerate_lower_interval(idx):
                 assert member is aw.double_coset_rep(member.rep, f)
+
+
+def test_levis_are_interned():
+    d = rd.RootDatum(rd.preset("A2").cartan_datum)
+    assert sat.levi_datum(d, (1, 0, 1)) is sat.levi_datum(d, (0, 1))
+    assert sat.minimal_levi(d) is sat.levi_datum(d, ())
+    assert sat.LeviDatum(d, range(2)) is sat.levi_datum(d, (0, 1))
+    assert list(d.levis) == [(0, 1), ()]
+
+
+def test_an_invalid_levi_raises_and_stores_nothing():
+    d = rd.RootDatum(rd.preset("A2").cartan_datum)
+    sat.minimal_levi(d)
+    before = dict(d.levis)
+    for j_m in ((2,), (0, 5), (-1,)):
+        with pytest.raises(sat.SatakeError):
+            sat.levi_datum(d, j_m)
+        assert d.levis == before
 
 
 def test_an_invalid_facet_raises_and_stores_nothing():
@@ -110,7 +129,8 @@ def test_interning_is_race_free():
                                 lambda w: (w * s for s in d.simple_reflections))
                 ball = aw.length_ball(d, 2)
                 facets = [aw.Facet(d, indices) for indices in ((), (1,), (0, 2), (1, 2, 3))]
-                found.append((list(w0), ball, facets,
+                levis = [sat.levi_datum(d, j_m) for j_m in ((), (0,), (2, 1), (0, 1, 2))]
+                found.append((list(w0), ball, facets, levis,
                               [aw.double_coset_rep(w, f) for f in facets for w in ball]))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
@@ -121,12 +141,14 @@ def test_interning_is_race_free():
             assert not any(t.is_alive() for t in threads) and len(found) == 4
             finite = [x for w0, *_ in found for x in w0]
             affine = [x for _, ball, *_ in found for x in ball]
-            facets = [f for *_, fs, _ in found for f in fs]
+            facets = [f for _, _, fs, *_ in found for f in fs]
+            levis = [m for *_, ms, _ in found for m in ms]
             classes = [c for *_, cs in found for c in cs]
             assert len({id(x) for x in finite}) == len({x.matrix for x in finite}) == 24
             assert len({id(x) for x in affine}) == len({(x.translation, x.finite.matrix)
                                                         for x in affine})
             assert len({id(f) for f in facets}) == len({f.indices for f in facets}) == 4
+            assert len({id(m) for m in levis}) == len({m.j_m for m in levis}) == 4
             assert len({id(c) for c in classes}) == len({
                 (c.facet.indices, c.rep.translation, c.rep.finite.matrix) for c in classes})
     finally:

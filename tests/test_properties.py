@@ -254,7 +254,7 @@ def test_levi_membership_and_reflections_match_the_enumeration(spec):
         w0m = _w0m_reference(levi)
         assert {u for u in w0 if levi.in_w_m(aw.from_finite(d, u))} == w0m, levi
         for f in _finite_facets(d):
-            gens = sat._levi_facet_reflections(levi, f)
+            gens = levi.wmf(f).reflections
             assert rd.closure([aw.identity(d)], lambda w: (w * g for g in gens)) == \
                 set(_wmf_reference(levi, f)), (levi, f)
 
@@ -316,7 +316,7 @@ def test_phi_c_w_matches_the_full_sweep(spec):
         classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)}
         for levi in levis:
             wmf = _wmf_reference(levi, f)
-            reflections = sat._levi_facet_reflections(levi, f)
+            reflections = levi.wmf(f).reflections
             for idx in (c for c in classes if c.length <= radius):
                 label = sat.closed_attractor_component(idx, levi, f)
                 if sat.component_has_levi_point(label):

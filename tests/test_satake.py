@@ -250,7 +250,7 @@ def test_component_has_levi_point():
 
 def _levi_facet_group(levi, f):
     """The group the reflections of W_{M,f} generate."""
-    gens = sat._levi_facet_reflections(levi, f)
+    gens = levi.wmf(f).reflections
     return closure([aw.identity(f.datum)], lambda w: (w * g for g in gens))
 
 
@@ -701,3 +701,30 @@ def test_zero_image_walks_no_interval_on_a_memo_hit():
     idx = cls(d, f, "s1")
     for _ in range(2):
         assert sat.satake_phi(idx, lev, f, 2, cap=1).is_zero()
+
+
+def test_the_levi_facet_group_is_built_once(monkeypatch):
+    # The W_{M,f} record descends lam itself, the one `chamber` call made at
+    # that point (partners descend v^-1(lam), a new tuple): once per facet,
+    # however many classes, labels and walks read it.
+    d = fresh("C2")
+    lev = sat.levi_datum(d, (0,))
+    chamber, calls = sat.chamber, []
+
+    def counted(f, x):
+        if x is lev.lam:
+            calls.append(f)
+        return chamber(f, x)
+
+    monkeypatch.setattr(sat, "chamber", counted)
+    facets = [aw.facet(d, j) for r in range(3) for j in itertools.combinations(range(3), r)]
+    for f in facets:
+        for idx in facet_classes(d, f, 3):
+            sat.satake_phi(idx, lev, f, 2)
+            label = sat.closed_attractor_component(idx, lev, f)
+            if sat.component_has_levi_point(label):
+                sat.phi_c_w(label, idx, lev, f, 2)
+        assert calls.count(f) == 1, f
+    assert len(calls) == len(facets)
+    assert all(type(idx) is aw.DoubleCosetIndex and levi is lev
+               for idx, levi in d.satake_memo)
