@@ -20,11 +20,11 @@ and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
 `chamber` descent, so W_f is enumerated only for the oracle and the tests.
 
 This module keeps no state of its own.  Elements are interned per datum, and
-each keeps its length, reduced word, lower Bruhat set, products, string,
-sort key and Omega-stripped cores.  Facets are interned in the datum's
-`facets`, each with its own intern table of classes, and each class keeps
-the set of classes below it; the other memos live on the RootDatum: the
-affine simple system, `bruhat_memo` and `coset_memo`.
+each keeps its length, reduced word, lower Bruhat set, products and
+Omega-stripped cores.  Facets are interned in the datum's `facets`, each
+with its own intern table of classes, and each class keeps the set of
+classes below it; the other memos live on the RootDatum: the affine simple
+system, `bruhat_memo` and `coset_memo`.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ class AffineWeylElement:
 
     Elements are interned per datum by (translation, finite), as finite ones
     are by their matrix, so equality is identity and each element carries
-    its own memos of `length`, `reduced_word`, `lower_set`, `_cores`, products
-    (by right factor), `element_to_string` and `element_sort_key`.  The hash is
-    that of the pair, so set and dict orders do not depend on addresses.
+    its own memos of `length`, `reduced_word`, `lower_set`, `_cores` and
+    products (by right factor).  The hash is that of the pair, so set and dict
+    orders do not depend on addresses.  `str` is `element_to_string`.
     """
 
     __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower",
-                 "_products", "_str", "_key", "_cores")
+                 "_products", "_cores")
 
     def __new__(cls, datum: RootDatum, translation: Coweight, finite: FiniteWeylElement):
         key = (translation, finite)
@@ -63,7 +63,7 @@ class AffineWeylElement:
             el = object.__new__(cls)
             el.datum, el.translation, el.finite = datum, translation, finite
             el._hash, el._products = hash(key), {}
-            el._length = el._word = el._lower = el._str = el._key = el._cores = None
+            el._length = el._word = el._lower = el._cores = None
             el = datum._affine_cache.setdefault(key, el)
         return el
 
@@ -89,6 +89,9 @@ class AffineWeylElement:
 
     def is_identity(self) -> bool:
         return self.finite.is_identity() and not any(self.translation)
+
+    def __str__(self):
+        return element_to_string(self)
 
     def __repr__(self):
         return f"<{element_to_string(self)}>"
@@ -480,13 +483,13 @@ def hyperspecial(datum: RootDatum) -> Facet:
 
 def element_sort_key(w: AffineWeylElement):
     """Deterministic total order used for canonical tie-breaking."""
-    if w._key is None:
-        w._key = (length(w), w.datum.x_coords(w.translation), w.datum.finite_word(w.finite))
-    return w._key
+    return length(w), w.datum.x_coords(w.translation), w.datum.finite_word(w.finite)
 
 
-def descend(x, moves, key=length):
-    """Follow the first element of moves(x) that lowers key, until none does."""
+def descend(x, moves, key=None):
+    """Follow the first element of moves(x) that lowers key (by default
+    `length`, looked up when the descent runs), until none does."""
+    key = key or length
     kx = key(x)
     while True:
         for y in moves(x):
@@ -627,13 +630,11 @@ def element_to_string(w: AffineWeylElement) -> str:
     """Canonical form 't[..]*s<i>*..': lattice coordinates of the translation
     part followed by a reduced word of the finite part (1-based s-indices as
     positioned in the affine simple system)."""
-    if w._str is None:
-        datum, sys = w.datum, simple_system(w.datum)
-        parts = [f"s{sys.index_of_finite[i]}" for i in datum.finite_word(w.finite)]
-        if any(w.translation):
-            parts.insert(0, "t[" + ",".join(map(str, datum.x_coords(w.translation))) + "]")
-        w._str = "*".join(parts) or "e"
-    return w._str
+    datum, sys = w.datum, simple_system(w.datum)
+    parts = [f"s{sys.index_of_finite[i]}" for i in datum.finite_word(w.finite)]
+    if any(w.translation):
+        parts.insert(0, "t[" + ",".join(map(str, datum.x_coords(w.translation))) + "]")
+    return "*".join(parts) or "e"
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineWeylElement:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine_weyl as aw
-from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_decomposition,
-                          demazure_mult, demazure_product, double_coset_rep,
-                          element_to_string, enumerate_lower_interval, parse_element)
+from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, DoubleCosetIndex, Facet,
+                          demazure_decomposition, demazure_mult, demazure_product,
+                          double_coset_rep, element_to_string, enumerate_lower_interval)
 from .root_datum import closure, over_cap
 
 
@@ -183,39 +183,37 @@ def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
 
 @dataclass(frozen=True)
 class ConvolutionWitness:
-    """Replayable record of one phi-class convolution."""
+    """Replayable record of one phi-class convolution.  The fields are the
+    interned elements (the class reps w1, w2 and result, the Omega parts tau1,
+    tau2 and the fold), so replay compares by identity; `to_json` gives their
+    strings."""
 
     facet: Facet
-    w1: str
-    w2: str
-    tau1: str
-    tau2: str
+    w1: AffineWeylElement
+    w2: AffineWeylElement
+    tau1: AffineWeylElement
+    tau2: AffineWeylElement
     word1: tuple[int, ...]  # tau1-conjugated word of w1 (Omega part pulled left)
     word2: tuple[int, ...]
-    folded: str
-    result: str
+    folded: AffineWeylElement
+    result: AffineWeylElement
 
     def replay(self) -> DoubleCosetIndex:
         """Re-fold the words and re-reduce; HeckeError if either disagrees
         with the recorded `folded` or `result`."""
-        datum = self.facet.datum
-        folded = demazure_product(datum, self.word1 + self.word2)
-        if element_to_string(folded) != self.folded:
-            raise HeckeError(f"witness fold gives {element_to_string(folded)}, "
-                             f"not the recorded {self.folded}")
-        tau1 = parse_element(datum, self.tau1)
-        tau2 = parse_element(datum, self.tau2)
-        out = double_coset_rep(tau1 * folded * tau2, self.facet)
-        if element_to_string(out.rep) != self.result:
-            raise HeckeError(f"witness class is {element_to_string(out.rep)}, "
-                             f"not the recorded {self.result}")
+        folded = demazure_product(self.facet.datum, self.word1 + self.word2)
+        if folded is not self.folded:
+            raise HeckeError(f"witness fold gives {folded}, not the recorded {self.folded}")
+        out = double_coset_rep(self.tau1 * folded * self.tau2, self.facet)
+        if out.rep is not self.result:
+            raise HeckeError(f"witness class is {out.rep}, not the recorded {self.result}")
         return out
 
     def to_json(self):
-        return {"facet": list(self.facet.indices), "w1": self.w1, "w2": self.w2,
-                "tau1": self.tau1, "tau2": self.tau2,
+        return {"facet": list(self.facet.indices), "w1": str(self.w1), "w2": str(self.w2),
+                "tau1": str(self.tau1), "tau2": str(self.tau2),
                 "word1": list(self.word1), "word2": list(self.word2),
-                "folded": self.folded, "result": self.result}
+                "folded": str(self.folded), "result": str(self.result)}
 
 
 def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
@@ -226,12 +224,8 @@ def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
         raise HeckeError("facet mismatch")
     tau1, word1, word2, folded, tau2 = demazure_decomposition(w1.rep, w2.rep)
     out = double_coset_rep(tau1 * folded * tau2, w1.facet)
-    witness = ConvolutionWitness(
-        facet=w1.facet, w1=element_to_string(w1.rep), w2=element_to_string(w2.rep),
-        tau1=element_to_string(tau1), tau2=element_to_string(tau2),
-        word1=word1, word2=word2,
-        folded=element_to_string(folded), result=element_to_string(out.rep))
-    return out, witness
+    return out, ConvolutionWitness(w1.facet, w1.rep, w2.rep, tau1, tau2,
+                                   word1, word2, folded, out.rep)
 
 
 def convolve(a: HeckeElement, b: HeckeElement,

@@ -10,7 +10,8 @@ share these layers with what they check:
   which goes back to the phi basis by back-substitution over it, not through
   `HeckeElement.convert`: the class walk of `enumerate_lower_interval`
   (one-letter deletions, `double_coset_rep`) is not among the shared layers;
-- the subword test takes its word from `reduced_word`;
+- the subword test is membership in `lower_set`, which builds the products
+  of the subwords of a reduced word letter by letter;
 - the W_f sweep uses `min_coset_rep`.
 The alcove-walk count shares none of them, so it checks `length` on its own.
 
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, DoubleCosetIndex, Facet,
-                          element_to_string, length, lower_set, reduced_word,
-                          right_descents, simple_system)
+                          element_to_string, length, lower_set, right_descents,
+                          simple_system)
 from .hecke import HeckeElement, convolve_phi_classes, phi_basis_element
 from .root_datum import RootDatum, RootDatumError
 
@@ -178,27 +179,13 @@ def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
 
 # -- Bruhat order by subwords ---------------------------------------------------------
 
-def _subword_products(w: AffineWeylElement, cap: int):
+def brute_bruhat(u: AffineWeylElement, w: AffineWeylElement, cap: int = 16) -> bool:
+    """True iff some subword of a fixed reduced word of w multiplies to u:
+    `lower_set(w)` is the set of those products."""
     if length(w) > cap:
         raise aw.CapExceeded(f"subword search reached length {length(w)}, over the "
                              f"limit {cap} set by --bruhat-cap (brute_bruhat(cap=))")
-    memo = w.datum.subword_memo
-    val = memo.get(w)
-    if val is None:
-        word, tau = reduced_word(w)
-        sys = simple_system(w.datum)
-        partial = {aw.identity(w.datum)}
-        for i in word:
-            s = sys.elements[i]
-            partial |= {v * s for v in partial}
-        val = frozenset(v * tau for v in partial)
-        memo[w] = val
-    return val
-
-
-def brute_bruhat(u: AffineWeylElement, w: AffineWeylElement, cap: int = 16) -> bool:
-    """True iff some subword of a fixed reduced word of w multiplies to u."""
-    return u in _subword_products(w, cap)
+    return u in lower_set(w)
 
 
 # -- alcove-walk length ----------------------------------------------------------------

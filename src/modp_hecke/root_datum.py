@@ -251,7 +251,7 @@ class RootDatum:
     lives and dies with its datum and can never answer for another one:
 
     - the intern tables of the finite and affine Weyl elements, each element
-      with its own memos, and `reflections`, the finite reflection by root;
+      with its own memos;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (the facet intern table by sorted index tuple; each facet interns its
       classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
@@ -261,8 +261,7 @@ class RootDatum:
       `(class, Levi)`, whose entries are the canonical W_{M,f}
       representatives in the image of one phi class with the number of
       cosets the walk that found them visited (which the cap bounds on a hit
-      as on a miss), `((), 0)` when the closed component misses the Levi;
-    - for `oracle`: `subword_memo`, keyed by the element.
+      as on a miss), `((), 0)` when the closed component misses the Levi.
 
     Interning stores by one `dict.setdefault`, so threads that form the same
     new element at once all get the one stored first.
@@ -318,7 +317,6 @@ class RootDatum:
 
         self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
         self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
-        self.reflections: dict[Root, FiniteWeylElement] = {}
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         self.weyl_identity = self._intern_weyl(ident)
         self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
@@ -332,7 +330,6 @@ class RootDatum:
         self.coset_memo: dict = {}
         self.levis: dict = {}
         self.satake_memo: dict = {}
-        self.subword_memo: dict = {}
 
     # -- construction helpers --------------------------------------------------
 
@@ -392,14 +389,12 @@ class RootDatum:
         return tuple(-x for x in self.coroot_of[neg])
 
     def reflection(self, root: Root) -> FiniteWeylElement:
-        """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, by root."""
-        el = self.reflections.get(root)
-        if el is None:
-            crt = self.coroot(root)
-            rows = tuple(tuple(int(r == c) - crt[r] * (root[c] if c < self.n else 0)
-                               for c in range(self.dim)) for r in range(self.dim))
-            el = self.reflections.setdefault(root, self._intern_weyl(rows))
-        return el
+        """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, interned
+        by its matrix."""
+        crt = self.coroot(root)
+        return self._intern_weyl(tuple(
+            tuple(int(r == c) - crt[r] * (root[c] if c < self.n else 0)
+                  for c in range(self.dim)) for r in range(self.dim)))
 
     def x_coords(self, coweight: Coweight):
         """Coordinates in the chosen lattice basis, or None if outside X."""

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -143,8 +144,7 @@ def test_witness_replay_random():
         assert wit.replay() == prod
 
 
-@pytest.mark.parametrize("forged", [dict(folded="e", result="e"), dict(folded="e"),
-                                    dict(result="e")])
+@pytest.mark.parametrize("forged", [("folded", "result"), ("folded",), ("result",)])
 def test_forged_witness_does_not_replay(forged):
     # A2:ad has nontrivial Omega, so tau1, tau2 and the conjugated word1 all
     # take part; the check must not rest on `assert`, which `python -O` drops.
@@ -152,7 +152,43 @@ def test_forged_witness_does_not_replay(forged):
     f = aw.facet(d, (1, 2))
     _, wit = hk.convolve_phi_classes(cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]"))
     with pytest.raises(hk.HeckeError, match="not the recorded e"):
-        dataclasses.replace(wit, **forged).replay()
+        dataclasses.replace(wit, **dict.fromkeys(forged, aw.identity(d))).replay()
+
+
+# The witness of the first `hecke multiply --witness` line in CI.
+CI_WITNESS = {"facet": [1, 2], "folded": "t[2,-1]", "result": "t[-1,-1]",
+              "tau1": "t[0,1]*s2*s1", "tau2": "t[1,0]*s1*s2", "w1": "t[-1,0]",
+              "w2": "t[0,-1]", "word1": [2, 0], "word2": [2, 1]}
+
+
+def test_convolve_phi_classes_forms_no_string(monkeypatch):
+    d = RootDatum(preset("A2:ad").cartan_datum)
+    f = aw.facet(d, (1, 2))
+    a, b = cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]")
+
+    def refuse(w):
+        raise AssertionError("convolve_phi_classes formed a string")
+
+    real = aw.element_to_string
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "element_to_string", None) is real:
+            monkeypatch.setattr(mod, "element_to_string", refuse)
+    prod, wit = hk.convolve_phi_classes(a, b)
+    assert wit.replay() is prod
+    monkeypatch.undo()
+    assert wit.to_json() == CI_WITNESS
+
+
+def test_witness_fields_are_the_interned_elements():
+    d = preset("A2:ad")
+    f = aw.facet(d, (1, 2))
+    a, b = cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]")
+    prod, wit = hk.convolve_phi_classes(a, b)
+    assert wit.w1 is a.rep and wit.w2 is b.rep
+    assert wit.result is prod.rep
+    assert wit.folded is aw.demazure_product(d, wit.word1 + wit.word2)
+    assert wit.tau1 is aw.omega_part(a.rep)
+    assert wit.tau2 is aw.omega_part(b.rep)
 
 
 def test_point_count_polynomials():
