@@ -22,9 +22,10 @@ and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products and
 Omega-stripped cores.  Facets are interned in the datum's `facets`, each
-with its own intern table of classes, and each class keeps the set of
-classes below it; the other memos live on the RootDatum: the affine simple
-system, `bruhat_memo` and `coset_memo`.
+with its own intern table of classes and its memo of the class of each
+element asked for, and each class keeps the set of classes below it; the
+other memos live on the RootDatum: the affine simple system and
+`bruhat_memo`.
 """
 
 from __future__ import annotations
@@ -351,12 +352,10 @@ def demazure_product(datum: RootDatum, word) -> AffineWeylElement:
     """Greedy 0-Hecke fold: process the word right to left, multiplying only
     when the length goes up."""
     sys = simple_system(datum)
-    x = identity(datum)
+    x, lx = identity(datum), 0
     for i in reversed(tuple(word)):
-        s = sys.simple(i)
-        sx = s * x
-        if length(sx) > length(x):
-            x = sx
+        if (lsx := length(sx := sys.simple(i) * x)) > lx:
+            x, lx = sx, lsx
     return x
 
 
@@ -384,14 +383,16 @@ def demazure_decomposition(a: AffineWeylElement, b: AffineWeylElement):
     elements = simple_system(a.datum).elements
     if len(word_a) <= len(word_b):
         x = _cores(b)[3]
+        lx = length(x)
         for i in reversed(word_a):
-            if length(sx := elements[i] * x) > length(x):
-                x = sx
+            if (lsx := length(sx := elements[i] * x)) > lx:
+                x, lx = sx, lsx
     else:
         x = core_a
+        lx = length(x)
         for i in word_b:
-            if length(xs := x * elements[i]) > length(x):
-                x = xs
+            if (lxs := length(xs := x * elements[i])) > lx:
+                x, lx = xs, lxs
     return tau_a, word_a, word_b, x, tau_b
 
 
@@ -413,9 +414,11 @@ class Facet:
     datum by sorted J, so equality is identity, and the hash is that of J.
     `gens` are the s_i, i in J; `elements` (sorted W_f) is built on first read,
     by the oracle and the tests only: computations use `descend` and `chamber`.
+    `_classes` interns the classes by representative, and `_reps` memoizes
+    `double_coset_rep` by element.
     """
 
-    __slots__ = ("datum", "indices", "gens", "_elements", "_hash", "_classes")
+    __slots__ = ("datum", "indices", "gens", "_elements", "_hash", "_classes", "_reps")
 
     def __new__(cls, datum: RootDatum, indices):
         key = tuple(sorted(set(indices)))
@@ -432,7 +435,7 @@ class Facet:
             f = object.__new__(cls)
             f.datum, f.indices = datum, key
             f.gens = tuple(sys.elements[i] for i in key)
-            f._elements, f._hash, f._classes = None, hash(key), {}
+            f._elements, f._hash, f._classes, f._reps = None, hash(key), {}, {}
             f = datum.facets.setdefault(key, f)
         return f
 
@@ -556,15 +559,13 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     """The representative _f w^f, the longest of the (v w)^f for v in W_f.
     It is x^f for x the longest element of W_f w, because the right W_f-coset
     of x holds the longest element of the double coset; x is reached by
-    ascent on the left.  Memoized on the datum per (element, facet)."""
-    if f.datum is not w.datum:
-        raise RootDatumError("datum mismatch")
-    memo = w.datum.coset_memo
-    key = (w, f.indices)
-    idx = memo.get(key)
+    ascent on the left.  Memoized on the facet by element, in `f._reps`."""
+    idx = f._reps.get(w)
     if idx is None:
+        if f.datum is not w.datum:
+            raise RootDatumError("datum mismatch")
         longest = descend(w, lambda x: (s * x for s in f.gens), key=lambda x: -length(x))
-        idx = memo[key] = DoubleCosetIndex(f, min_coset_rep(longest, f))
+        idx = f._reps.setdefault(w, DoubleCosetIndex(f, min_coset_rep(longest, f)))
     return idx
 
 

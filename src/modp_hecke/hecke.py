@@ -12,7 +12,7 @@ sparse F_p-combination type, FpCombination: reduction mod p, equality, sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, DoubleCosetIndex, Facet,
@@ -181,9 +181,9 @@ def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
     return HeckeElement(idx.facet, prime, "phi", {idx: 1})
 
 
-@dataclass(frozen=True)
-class ConvolutionWitness:
-    """Replayable record of one phi-class convolution.  The fields are the
+class ConvolutionWitness(NamedTuple):
+    """Replayable record of one phi-class convolution: an immutable named
+    tuple, so it compares and hashes like a tuple.  The fields are the
     interned elements (the class reps w1, w2 and result, the Omega parts tau1,
     tau2 and the fold), so replay compares by identity; `to_json` gives their
     strings."""

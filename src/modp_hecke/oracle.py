@@ -74,10 +74,6 @@ class GenericHeckeElement:
             bound = sum(sum(map(abs, unpack(c))) for c in self.coeffs.values())
         self.bound = bound
 
-    @classmethod
-    def t_basis(cls, w: AffineWeylElement):
-        return cls(w.datum, {w: 1}, 1)
-
     def __eq__(self, other):
         return (isinstance(other, GenericHeckeElement)
                 and self.datum is other.datum and self.coeffs == other.coeffs)

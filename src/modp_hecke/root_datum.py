@@ -254,8 +254,8 @@ class RootDatum:
       with its own memos;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
       (the facet intern table by sorted index tuple; each facet interns its
-      classes), `bruhat_memo` by `(u, w)`, and `coset_memo`, the
-      DoubleCosetIndex of w for a facet f, by `(w, f.indices)`;
+      classes and keeps the class of each element asked for), and
+      `bruhat_memo` by `(u, w)`;
     - for `satake`: `levis` (the Levi intern table by sorted J_M; each Levi
       keeps its W_{M,f} record per facet), and `satake_memo`, keyed by
       `(class, Levi)`, whose entries are the canonical W_{M,f}
@@ -327,7 +327,6 @@ class RootDatum:
         self.affine_system = None
         self.facets: dict = {}
         self.bruhat_memo: dict = {}
-        self.coset_memo: dict = {}
         self.levis: dict = {}
         self.satake_memo: dict = {}
 

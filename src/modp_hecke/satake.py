@@ -89,10 +89,6 @@ class LeviDatum:
     def is_minimal(self) -> bool:
         return not self.j_m
 
-    def in_w_m(self, w: AffineWeylElement) -> bool:
-        """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
-        return w.finite.act(self.lam) == self.lam
-
     def wmf(self, facet: Facet) -> "LeviFacetGroup":
         """The record of W_{M,f} = W_M meet W_f, built once per facet."""
         return self._wmf.get(facet) or self._wmf.setdefault(facet, LeviFacetGroup(self, facet))

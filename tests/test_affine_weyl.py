@@ -8,6 +8,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
+from reference import in_w_m
 
 
 def els(datum, *strings):
@@ -439,6 +440,20 @@ def test_double_coset_rep_rejects_a_foreign_facet():
         aw.double_coset_rep(w, aw.hyperspecial(other))
 
 
+def test_each_facet_memoizes_its_own_classes():
+    # The memo of double_coset_rep is keyed by the element alone, on its
+    # facet; a memo shared across facets would answer with the first class.
+    for order in ((0, 1), (1, 0)):
+        d = RootDatum(preset("A2").cartan_datum)
+        w = aw.parse_element(d, "s1")
+        facets = (aw.iwahori(d), aw.hyperspecial(d))
+        expected = (w, aw.identity(d))
+        for i in order + order:
+            idx = aw.double_coset_rep(w, facets[i])
+            assert idx.facet is facets[i]
+            assert idx.rep is expected[i]
+
+
 def w0_elements(d):
     """The finite Weyl group, by closure under the simple reflections."""
     return closure([d.weyl_identity], lambda w: (s * w for s in d.simple_reflections))
@@ -447,7 +462,7 @@ def w0_elements(d):
 def w0m_size(d, j_m):
     """|W0(M)|, as the number of elements of W0 in W_M."""
     levi = sat.levi_datum(d, j_m)
-    return sum(levi.in_w_m(aw.from_finite(d, u)) for u in w0_elements(d))
+    return sum(in_w_m(levi, aw.from_finite(d, u)) for u in w0_elements(d))
 
 
 def test_is_special_facet():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -152,7 +151,7 @@ def test_forged_witness_does_not_replay(forged):
     f = aw.facet(d, (1, 2))
     _, wit = hk.convolve_phi_classes(cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]"))
     with pytest.raises(hk.HeckeError, match="not the recorded e"):
-        dataclasses.replace(wit, **dict.fromkeys(forged, aw.identity(d))).replay()
+        wit._replace(**dict.fromkeys(forged, aw.identity(d))).replay()
 
 
 # The witness of the first `hecke multiply --witness` line in CI.
@@ -176,6 +175,19 @@ def test_convolve_phi_classes_forms_no_string(monkeypatch):
     prod, wit = hk.convolve_phi_classes(a, b)
     assert wit.replay() is prod
     monkeypatch.undo()
+    assert wit.to_json() == CI_WITNESS
+
+
+def test_witness_is_an_immutable_hashable_record():
+    d = preset("A2:ad")
+    f = aw.facet(d, (1, 2))
+    a, b = cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]")
+    _, wit = hk.convolve_phi_classes(a, b)
+    _, again = hk.convolve_phi_classes(a, b)
+    assert wit == again and hash(wit) == hash(again)
+    for field in ("folded", "word1", "facet"):
+        with pytest.raises(AttributeError):
+            setattr(wit, field, getattr(again, field))
     assert wit.to_json() == CI_WITNESS
 
 
