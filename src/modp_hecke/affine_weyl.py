@@ -17,7 +17,7 @@ Each coset minimum or maximum is one `descend`: descent along the canonical
 generators of a reflection subgroup ends at a coset's minimum, ascent in a
 finite parabolic coset at its maximum (Dyer, J. Algebra 135, 1990; Bjorner
 and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
-`chamber` descent, so W_f is enumerated only for the oracle and the tests.
+`chamber` descent, so W_f is never enumerated.
 
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products and
@@ -412,13 +412,12 @@ class Facet:
     (its affine node and its finite nodes): a proper subdiagram of a
     connected affine diagram is of finite type.  Facets are interned per
     datum by sorted J, so equality is identity, and the hash is that of J.
-    `gens` are the s_i, i in J; `elements` (sorted W_f) is built on first read,
-    by the oracle and the tests only: computations use `descend` and `chamber`.
-    `_classes` interns the classes by representative, and `_reps` memoizes
-    `double_coset_rep` by element.
+    `gens` are the s_i, i in J; W_f itself is never enumerated: computations
+    use `descend` and `chamber`.  `_classes` interns the classes by
+    representative, and `_reps` memoizes `double_coset_rep` by element.
     """
 
-    __slots__ = ("datum", "indices", "gens", "_elements", "_hash", "_classes", "_reps")
+    __slots__ = ("datum", "indices", "gens", "_hash", "_classes", "_reps")
 
     def __new__(cls, datum: RootDatum, indices):
         key = tuple(sorted(set(indices)))
@@ -435,16 +434,9 @@ class Facet:
             f = object.__new__(cls)
             f.datum, f.indices = datum, key
             f.gens = tuple(sys.elements[i] for i in key)
-            f._elements, f._hash, f._classes, f._reps = None, hash(key), {}, {}
+            f._hash, f._classes, f._reps = hash(key), {}, {}
             f = datum.facets.setdefault(key, f)
         return f
-
-    @property
-    def elements(self) -> tuple:
-        if self._elements is None:  # racing threads can only store equal tuples
-            seen = closure([identity(self.datum)], lambda w: (w * g for g in self.gens))
-            self._elements = tuple(sorted(seen, key=element_sort_key))
-        return self._elements
 
     def __hash__(self):
         return self._hash

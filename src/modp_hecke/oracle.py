@@ -1,18 +1,17 @@
 """Independent brute-force implementations used only for validation.
 
-Four oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
+Three oracles: a generic Iwahori-Hecke algebra over Z[q] whose q -> 0 mod p
 specialization must reproduce the phi-basis convolution, a subword-property
-Bruhat test, an exact alcove-walk length count and a W_f sweep for double
-cosets.  None of them calls `demazure_product` or `bruhat_leq`, but they do
-share these layers with what they check:
+Bruhat test and an exact alcove-walk length count.  None of them calls
+`demazure_product` or `bruhat_leq`, but they do share these layers with what
+they check:
 - the generic product uses the affine product, `length` and `right_descents`;
 - `phi_to_generic` takes `lower_set`, and so does `oracle_convolve_phi`,
   which goes back to the phi basis by back-substitution over it, not through
   `HeckeElement.convert`: the class walk of `enumerate_lower_interval`
   (one-letter deletions, `double_coset_rep`) is not among the shared layers;
 - the subword test is membership in `lower_set`, which builds the products
-  of the subwords of a reduced word letter by letter;
-- the W_f sweep uses `min_coset_rep`.
+  of the subwords of a reduced word letter by letter.
 The alcove-walk count shares none of them, so it checks `length` on its own.
 
 The generic algebra packs each Z[q] coefficient into one int, its value at
@@ -214,19 +213,6 @@ def brute_length(w: AffineWeylElement) -> int:
 
 def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-# -- double-coset representative by a sweep of W_f --------------------------------------
-
-def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
-    """The representative _f w^f: the unique longest element among the
-    minimal coset representatives {(v w)^f : v in W_f}."""
-    candidates = {aw.min_coset_rep(v * w, f) for v in f.elements}
-    best = max(candidates, key=length)
-    ties = [c for c in candidates if length(c) == length(best)]
-    if len(ties) != 1:
-        raise RootDatumError("double coset has no unique maximal min-rep")
-    return DoubleCosetIndex(f, best)
 
 
 # -- cross-validation suite --------------------------------------------------------------

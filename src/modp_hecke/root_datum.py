@@ -17,9 +17,10 @@ Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
 the datum holds the tables keyed by more than one element.  Nothing is
 cached at module level except the preset data.
-The groups and orbits the package enumerates (the roots, each facet's W_f,
-the length balls of W, the anti-dominant coweights and the Satake walk) all
-come from one breadth-first search, `closure`.
+The sets the package enumerates (the roots, the length balls of W, the
+classes below a class, the cosets of a point count, the anti-dominant
+coweights and the Satake walk) all come from one breadth-first search,
+`closure`.
 """
 
 from __future__ import annotations
@@ -500,14 +501,22 @@ def from_json(doc) -> RootDatum:
     if not isinstance(doc, dict) or not {"type", "lattice_basis"} <= doc.keys():
         raise RootDatumError("datum document must be an object with 'type' and "
                              "'lattice_basis'")
+    rank = _json_int(doc["rank"]) if "rank" in doc else None
     typ = str(doc["type"])
-    if not any(ch.isdigit() for ch in typ):
-        typ = f"{typ}{doc.get('rank', '')}"
+    if rank is not None and not any(ch.isdigit() for ch in typ):
+        typ = f"{typ}{rank}"
     comps = _parse_components(typ)
+    if rank is not None and sum(r for _, r in comps) != rank:
+        raise RootDatumError("rank field disagrees with type string")
     try:
-        if "rank" in doc and sum(r for _, r in comps) != int(doc["rank"]):
-            raise RootDatumError("rank field disagrees with type string")
-        basis = tuple(tuple(int(e) for e in row) for row in doc["lattice_basis"])
+        basis = tuple(tuple(map(_json_int, row)) for row in doc["lattice_basis"])
     except TypeError as exc:
         raise RootDatumError(f"malformed datum document: {exc}") from exc
     return RootDatum(CartanDatum(comps, basis))
+
+
+def _json_int(v) -> int:
+    """v itself when it is a JSON integer: not a float, string or boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise RootDatumError(f"malformed datum document: {v!r} is not an integer")
+    return v

@@ -14,8 +14,9 @@ either, as the u in W_f that bring w into W_M are read off chamber descents
 (`_partner`).  The image of phi_w is found by a walk inside the Schubert
 scheme from the one element of its coset that the label gives (`phi_c_w`),
 never by the Bruhat interval below w.  A Levi is interned per datum and keeps
-one `LeviFacetGroup`, its W_{M,f}, per facet.  LeviHeckeElement and
-MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
+one `LeviFacetGroup` per facet: W_{M,f}, held by its canonical generators.
+LeviHeckeElement and MonoidAlgebraElement derive from hecke.FpCombination, as
+HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -102,22 +103,20 @@ class LeviDatum:
 
 class LeviFacetGroup:
     """W_{M,f}, the stabiliser of lam in W_f: g^-1 W_J g for (y, g) =
-    chamber(facet, lam), W_J the stabiliser of y, generated by `stab`, the s_i
-    of the facet whose beta_i vanish on y (Humphreys, §1.12).  `reflections`
-    generate it: the g^-1 s_r g = s_{g^-1 r}, r in the orbit of the simple
-    affine roots of W_J.  Both are empty for the minimal Levi (lam regular)."""
+    chamber(facet, lam), W_J the stabiliser of y, generated by the s_i of the
+    facet whose beta_i vanish on y (Humphreys, §1.12).  g is minimal in W_J g,
+    so the g^-1 s_i g, `gens`, are the canonical generators of W_{M,f} (Dyer,
+    J. Algebra 135, 1990), and descent along them ends at a coset's minimum.
+    Empty for the minimal Levi (lam regular)."""
 
-    __slots__ = ("y", "g", "g_inv", "stab", "reflections")
+    __slots__ = ("y", "g", "gens")
 
     def __init__(self, levi: LeviDatum, facet: Facet):
-        d, sys = levi.datum, simple_system(levi.datum)
+        d, roots = levi.datum, simple_system(levi.datum).simple_roots
         self.y, self.g = chamber(facet, levi.lam)
-        self.g_inv = self.g.inverse()
-        j = [i for i in facet.indices if d.pair(sys.simple_roots[i][0], self.y) == 0]
-        self.stab = tuple(sys.elements[i] for i in j)
-        orbit = closure([sys.simple_roots[i] for i in j],
-                        lambda r: (aff_act(s, r) for s in self.stab))
-        self.reflections = tuple({aw.reflection(d, aff_act(self.g_inv, r)) for r in orbit})
+        self.gens = tuple(self.g.inverse() * s * self.g
+                          for i, s in zip(facet.indices, facet.gens)
+                          if d.pair(roots[i][0], self.y) == 0)
 
 
 def levi_datum(datum: RootDatum, j_m) -> LeviDatum:
@@ -230,10 +229,11 @@ def component_has_levi_point(label: ComponentLabel) -> bool:
     return label.partner is not None
 
 
-def _canon_m_coset(reflections: tuple, y: AffineWeylElement) -> AffineWeylElement:
-    """Canonical representative of W_{M,f} y W_{M,f}, its unique minimal-length
-    element: descent along the reflections of W_{M,f} on either side."""
-    return descend(y, lambda x: (z for r in reflections for z in (r * x, x * r)))
+def _canon_m_coset(gens: tuple, y: AffineWeylElement) -> AffineWeylElement:
+    """Canonical representative of W_{M,f} y W_{M,f}, for y in W_M: its unique
+    minimal-length element, by descent on either side along `gens`, the
+    canonical generators of W_{M,f} (`LeviFacetGroup`)."""
+    return descend(y, lambda x: (z for t in gens for z in (t * x, x * t)))
 
 
 class LeviHeckeElement(FpCombination):
@@ -306,14 +306,13 @@ class MonoidAlgebraElement(FpCombination):
 def _walk(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
           cap: int | None) -> set:
     """The right W_{M,f}-cosets of W_{M,af} rep * u inside the Schubert scheme
-    S of idx, u the label's partner; more than cap of them when the walk
-    stopped at the cap (see `phi_c_w`).  As W_{M,f} = g^-1 W_J g
-    (`LeviFacetGroup`), the coset z W_{M,f} is held by the one element m g,
-    m the minimum of z g^-1 W_J."""
-    group = levi.wmf(facet)
+    S of idx, u the label's partner, each held by its minimum (descent along
+    the canonical generators of W_{M,f}); more than cap of them when the walk
+    stopped at the cap (see `phi_c_w`)."""
+    gens = levi.wmf(facet).gens
 
     def coset(z):
-        return descend(z * group.g_inv, lambda x: (x * s for s in group.stab)) * group.g
+        return descend(z, lambda x: (x * t for t in gens))
 
     def inside(z):
         return bruhat_leq(min_coset_rep(z, facet), idx.rep)
@@ -332,8 +331,8 @@ def _image(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet:
     walked = _walk(label, idx, levi, facet, cap)
     if cap is not None and len(walked) > cap:
         raise over_cap("Satake walk", cap)
-    reflections = levi.wmf(facet).reflections
-    return tuple({_canon_m_coset(reflections, z): 1 for z in walked}), len(walked)
+    gens = levi.wmf(facet).gens
+    return tuple({_canon_m_coset(gens, z): 1 for z in walked}), len(walked)
 
 
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,

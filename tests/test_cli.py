@@ -243,6 +243,16 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["weyl", "length", '{"type":"A1","lattice_basis":5}', "--elt", "e"], ""),
     (["weyl", "length", '{"type":"A1","rank":[1],"lattice_basis":[[1]]}', "--elt", "e"],
      ""),
+    (["weyl", "length", '{"type":"A1","lattice_basis":[[1.5]]}', "--elt", "e"],
+     "1.5 is not an integer"),
+    (["weyl", "length", '{"type":"A1","lattice_basis":[[true]]}', "--elt", "e"],
+     "True is not an integer"),
+    (["weyl", "length", '{"type":"A1","lattice_basis":[["2"]]}', "--elt", "e"],
+     "'2' is not an integer"),
+    (["weyl", "length", '{"type":"A1","rank":1.7,"lattice_basis":[[1]]}', "--elt", "e"],
+     "1.7 is not an integer"),
+    (["weyl", "length", '{"type":"A1","lattice_basis":[[Infinity]]}', "--elt", "e"],
+     "inf is not an integer"),
     (["satake", "A1", "--facet", "1"], ""),  # neither --w nor --list-lambda-minus
     (["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"], ""),
     (["weyl", "length", "A1", "--elt", "t[1"], "cannot parse element 't[1' at "),
@@ -267,6 +277,8 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["--config", 'CONFIG:{"cap": -1}', "hecke", "basis", "A1", "--w", "t[1]"],
      "-1 is not valid for 'cap'"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
+        "float-basis-entry", "bool-basis-entry", "string-basis-entry", "float-rank",
+        "infinite-basis-entry",
         "satake-without-w", "config-not-an-object", "unclosed-bracket",
         "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range",
         "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string",

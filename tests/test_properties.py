@@ -14,7 +14,7 @@ from modp_hecke import hecke
 from modp_hecke import oracle
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
-from reference import in_w_m
+from reference import brute_double_coset_rep, in_w_m, wf_elements
 
 SPECS = ("A1", "A2", "C2", "G2", "A3")
 
@@ -132,17 +132,24 @@ def test_x_coords_off_the_lattice():
 
 
 def _finite_facets(d):
-    """Every facet of a single-component datum: the proper subsets of nodes."""
+    """Every facet of d whose W_f is finite: the subsets of nodes that leave
+    out a node of each component."""
     indices = aw.simple_system(d).indices
-    return [aw.facet(d, J) for r in range(len(indices))
-            for J in itertools.combinations(indices, r)]
+    out = []
+    for r in range(len(indices)):
+        for J in itertools.combinations(indices, r):
+            try:
+                out.append(aw.facet(d, J))
+            except rd.RootDatumError:
+                pass  # J holds a whole component block
+    return out
 
 
 @given(st.sampled_from(("A1", "A1:ad", "A2", "A2:ad", "C2", "C2:ad", "G2", "B3"))
        .flatmap(affine_elements))
 def test_double_coset_rep_matches_the_sweep(w):
     for f in _finite_facets(w.datum):
-        assert aw.double_coset_rep(w, f).rep == oracle.brute_double_coset_rep(w, f).rep
+        assert aw.double_coset_rep(w, f).rep == brute_double_coset_rep(w, f).rep
 
 
 @pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2", "B3"))
@@ -154,7 +161,7 @@ def test_chamber_matches_the_w_f_sweep(spec):
     sys = aw.simple_system(d)
     for f in _finite_facets(d):
         betas = [sys.simple_roots[i][0] for i in f.indices]
-        elements = set(f.elements)
+        elements = set(wf_elements(f))
         for x in itertools.product(range(-2, 3), repeat=d.dim):
             y, h = aw.chamber(f, x)
             orbit = {u.finite.act(x) for u in elements}
@@ -169,8 +176,8 @@ def test_schubert_scheme_is_lower_set_times_parabolic():
     for f in facets:
         for idx in {aw.double_coset_rep(w, f) for w in aw.length_ball(f.datum, 4)}:
             swept = {g * v.rep * h for v in aw.enumerate_lower_interval(idx)
-                     for g in f.elements for h in f.elements}
-            assert swept == {a * u for a in aw.lower_set(idx.rep) for u in f.elements}
+                     for g in wf_elements(f) for h in wf_elements(f)}
+            assert swept == {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(f)}
 
 
 # References for the Satake layer: the enumerations it once made.  W0(M) by
@@ -210,13 +217,13 @@ def _min_left_reference(levi, x):
 def _wmf_reference(levi, facet):
     """W_{M,f} = W_M meet W_f, with W_M membership read off W0(M)."""
     w0m = _w0m_reference(levi)
-    return tuple(u for u in facet.elements if u.finite in w0m)
+    return tuple(u for u in wf_elements(facet) if u.finite in w0m)
 
 
 def _cosets_reference(levi, facet, w):
     """The minima of the left cosets W_{M,af} w v, v in W_f, whose union is
     the class W_{M,af} w W_f."""
-    return frozenset(_min_left_reference(levi, w * v) for v in facet.elements)
+    return frozenset(_min_left_reference(levi, w * v) for v in wf_elements(facet))
 
 
 def _canon_reference(wmf, y):
@@ -231,7 +238,7 @@ def _swept_phi_c_w(label, idx, levi, facet, prime):
     wmf = _wmf_reference(levi, facet)
     cosets = _cosets_reference(levi, facet, label.rep)
     coeffs = {}
-    for y in {a * u for a in aw.lower_set(idx.rep) for u in facet.elements}:
+    for y in {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(facet)}:
         if y.finite in w0m:
             canon = _canon_reference(wmf, y)
             if _min_left_reference(levi, canon) in cosets:
@@ -246,8 +253,8 @@ def _standard_levis(d):
 
 @pytest.mark.parametrize("spec", ("A1:ad", "A2", "C2", "G2", "B3"))
 def test_levi_membership_and_reflections_match_the_enumeration(spec):
-    """in_w_m is membership in the W0(M) closure, and the reflections of
-    W_{M,f} generate the W_{M,f} read off it, for every standard Levi and
+    """in_w_m is membership in the W0(M) closure, and the canonical generators
+    of W_{M,f} generate the W_{M,f} read off it, for every standard Levi and
     every finite facet."""
     d = rd.preset(spec)
     w0 = _w0m_reference(sat.levi_datum(d, range(d.n)))
@@ -255,9 +262,63 @@ def test_levi_membership_and_reflections_match_the_enumeration(spec):
         w0m = _w0m_reference(levi)
         assert {u for u in w0 if in_w_m(levi, aw.from_finite(d, u))} == w0m, levi
         for f in _finite_facets(d):
-            gens = levi.wmf(f).reflections
+            gens = levi.wmf(f).gens
             assert rd.closure([aw.identity(d)], lambda w: (w * g for g in gens)) == \
                 set(_wmf_reference(levi, f)), (levi, f)
+
+
+def _orbit_reflections(levi, facet):
+    """Every reflection of W_{M,f}: s_{g^-1 r} for r in the orbit of the
+    simple affine roots of W_J under W_J, (y, g) = chamber(facet, lam)."""
+    d, sys = levi.datum, aw.simple_system(levi.datum)
+    y, g = aw.chamber(facet, levi.lam)
+    j = [i for i in facet.indices if d.pair(sys.simple_roots[i][0], y) == 0]
+    orbit = rd.closure([sys.simple_roots[i] for i in j],
+                       lambda r: (aw.aff_act(sys.elements[i], r) for i in j))
+    return {aw.reflection(d, aw.aff_act(g.inverse(), r)) for r in orbit}
+
+
+def _orbit_canon(reflections, y):
+    """The minimum of W_{M,f} y W_{M,f} by descent along every reflection of
+    W_{M,f} on either side."""
+    return aw.descend(y, lambda x: (z for r in reflections for z in (r * x, x * r)))
+
+
+GENERATOR_RADII = {"A1:ad": 8, "A2": 6, "A2:ad": 5, "C2": 6, "G2": 6, "A3": 4, "B3": 3,
+                   "C3": 3, "A1xA1": 6, "A1xA2:ad": 3}
+
+
+@pytest.mark.parametrize("spec", GENERATOR_RADII)
+def test_w_m_f_generators_are_canonical(spec):
+    """For every finite facet and standard Levi, on a fresh datum: (i) g is
+    minimal in W_J g, so the g^-1 s_i g are the canonical generators of
+    W_{M,f}; (ii) on W_M the double-coset descent along them stops where the
+    descent along every reflection of W_{M,f} does; (iii) the walk holds each
+    coset by its shortest element."""
+    d = rd.RootDatum(rd.preset(spec).cartan_datum)
+    radius = GENERATOR_RADII[spec]
+    roots = aw.simple_system(d).simple_roots
+    ball = aw.length_ball(d, radius)
+    for f in _finite_facets(d):
+        classes = {aw.double_coset_rep(w, f) for w in ball}
+        for levi in _standard_levis(d):
+            group = levi.wmf(f)
+            for i, s in zip(f.indices, f.gens):
+                if d.pair(roots[i][0], group.y) == 0:
+                    assert aw.length(s * group.g) > aw.length(group.g), (f, levi, s)
+            reflections = _orbit_reflections(levi, f)
+            for y in ball:
+                if in_w_m(levi, y):
+                    assert sat._canon_m_coset(group.gens, y) is \
+                        _orbit_canon(reflections, y), (f, levi, y)
+            wmf = _wmf_reference(levi, f)
+            for idx in (c for c in classes if c.length <= radius):
+                label = sat.closed_attractor_component(idx, levi, f)
+                if label.partner is None:
+                    continue
+                for z in sat._walk(label, idx, levi, f, None):
+                    assert all(aw.length(z * u) > aw.length(z) for u in wmf
+                               if not u.is_identity()), (f, levi, idx, z)
 
 
 @pytest.mark.parametrize("spec, radius", (("A1:ad", 5), ("A2", 4), ("C2", 4), ("G2", 3),
@@ -294,7 +355,7 @@ def test_component_label_is_the_minimum_of_its_double_coset(case):
                 for beta, k in data.draw(st.lists(st.tuples(st.sampled_from(levi.phi_m),
                                                             st.integers(-3, 3)), max_size=3)):
                     a = aw.reflection(d, (beta, k)) * a
-            y = a * w * data.draw(st.sampled_from(f.elements))
+            y = a * w * data.draw(st.sampled_from(wf_elements(f)))
             assert sat.component_of(y, levi, f) == label, (f, levi, y)
             assert _cosets_reference(levi, f, y) == cosets
             w0m = _w0m_reference(levi)
@@ -317,15 +378,15 @@ def test_phi_c_w_matches_the_full_sweep(spec):
         classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)}
         for levi in levis:
             wmf = _wmf_reference(levi, f)
-            reflections = levi.wmf(f).reflections
+            gens = levi.wmf(f).gens
             for idx in (c for c in classes if c.length <= radius):
                 label = sat.closed_attractor_component(idx, levi, f)
                 if sat.component_has_levi_point(label):
                     assert sat.phi_c_w(label, idx, levi, f, 2) == \
                         _swept_phi_c_w(label, idx, levi, f, 2), (f, idx, levi)
-                for y in {a * u for a in aw.lower_set(idx.rep) for u in f.elements}:
+                for y in {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(f)}:
                     if in_w_m(levi, y):
-                        assert sat._canon_m_coset(reflections, y) is \
+                        assert sat._canon_m_coset(gens, y) is \
                             _canon_reference(wmf, y), (f, levi, y)
 
 
