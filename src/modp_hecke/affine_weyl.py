@@ -13,10 +13,11 @@ the shorter factor's word is folded onto the other factor's Omega-free core.
 Affine roots are pairs (beta, k) with beta a root in simple-root coordinates
 and k an integer, acting on the coweight space as x -> <beta, x> + k.
 
-Each coset minimum or maximum is one `descend`: descent along the canonical
-generators of a reflection subgroup ends at a coset's minimum, ascent in a
-finite parabolic coset at its maximum (Dyer, J. Algebra 135, 1990; Bjorner
-and Brenti, GTM 231, §2.4); a coweight's orbit point under W_f is one
+Every coset minimum is one `coset_min`: descent along the canonical
+generators of reflection subgroups, on the left and then on the right, ends
+at the minimum of a one- or two-sided coset (Dyer, J. Algebra 135, 1990;
+Bjorner and Brenti, GTM 231, §2.4); the one maximum, that of W_f w, is an
+ascent in `double_coset_rep`; and a coweight's orbit point under W_f is one
 `chamber` descent, so W_f is never enumerated.
 
 This module keeps no state of its own.  Elements are interned per datum, and
@@ -413,7 +414,7 @@ class Facet:
     connected affine diagram is of finite type.  Facets are interned per
     datum by sorted J, so equality is identity, and the hash is that of J.
     `gens` are the s_i, i in J; W_f itself is never enumerated: computations
-    use `descend` and `chamber`.  `_classes` interns the classes by
+    use `coset_min` and `chamber`.  `_classes` interns the classes by
     representative, and `_reps` memoizes `double_coset_rep` by element.
     """
 
@@ -495,9 +496,26 @@ def descend(x, moves, key=None):
             return x
 
 
+def coset_min(x: AffineWeylElement, left=(), right=()) -> AffineWeylElement:
+    """The minimum of H x K, for H and K the reflection subgroups with
+    canonical generators `left` and `right`: descent on the left, which ends
+    at the minimum y of H x (Dyer, J. Algebra 135, 1990), then on the right.
+    A right step by a simple reflection s keeps y minimal in H y: a reflection
+    t of H with l(t y s) < l(y s) < l(y) would give l(t y) < l(y).  So with
+    W_f on the right the result is minimal on both sides, which makes it the
+    minimum (Bjorner and Brenti, GTM 231, §2.4, for H parabolic;
+    `test_component_label_is_the_minimum_of_its_double_coset` for W_{M,af}).
+    For W_{M,f}'s canonical generators on both sides, which need not be
+    simple, `test_w_m_f_generators_are_canonical` and
+    `test_phi_c_w_matches_the_full_sweep` check it."""
+    if left:
+        x = descend(x, lambda y: (r * y for r in left))
+    return descend(x, lambda y: (y * s for s in right))
+
+
 def min_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
     """The unique minimal-length element of w W_f."""
-    return descend(w, lambda x: (x * s for s in f.gens))
+    return coset_min(w, right=f.gens)
 
 
 def chamber(f: Facet, x: Coweight):
@@ -542,10 +560,6 @@ class DoubleCosetIndex:
     def __repr__(self):
         return f"[{element_to_string(self.rep)}]"
 
-    def to_json(self):
-        return {"facet": list(self.facet.indices),
-                "rep": element_to_string(self.rep)}
-
 
 def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     """The representative _f w^f, the longest of the (v w)^f for v in W_f.
@@ -589,11 +603,9 @@ def enumerate_lower_interval(idx: DoubleCosetIndex,
 
 def _one_letter_deletions(c: DoubleCosetIndex):
     """The elements s_{i1} .. (s_{ij} left out) .. s_{ik} tau, for s_{i1} ..
-    s_{ik} tau the reduced word of the minimal element of c: the minimum of
-    W_f c.rep, by left descent, is minimal in its double coset once it is
-    minimal in its right W_f-coset."""
-    f = c.facet
-    m = min_coset_rep(descend(c.rep, lambda x: (s * x for s in f.gens)), f)
+    s_{ik} tau the reduced word of the minimal element of c (`coset_min`)."""
+    gens = c.facet.gens
+    m = coset_min(c.rep, gens, gens)
     word, tau = reduced_word(m)
     elements = simple_system(m.datum).elements
     suffixes = [tau]  # suffixes[t]: the last t letters, then tau

@@ -217,15 +217,16 @@ def _floor(x: Fraction) -> int:
 
 # -- cross-validation suite --------------------------------------------------------------
 
+PRIMES = (2, 3, 5)  # the primes each convolution cross-check runs at
 
-def check_convolution(datum: RootDatum, length_cap: int = 3,
-                      primes=(2, 3, 5)) -> dict:
+
+def check_convolution(datum: RootDatum, length_cap: int = 3) -> dict:
     """Compare hecke.convolve_phi_classes with the generic-Hecke oracle on all
     ordered pairs of Iwahori phi classes up to the length cap; returns a summary."""
     f = aw.iwahori(datum)
     classes = [DoubleCosetIndex(f, w) for w in aw.length_ball(datum, length_cap)]
     pairs = 0
-    for p in primes:
+    for p in PRIMES:
         for w1 in classes:
             for w2 in classes:
                 got, _ = convolve_phi_classes(w1, w2)
@@ -236,7 +237,7 @@ def check_convolution(datum: RootDatum, length_cap: int = 3,
                             "pairs": pairs, "failed": (repr(w1), repr(w2), p)}
                 pairs += 1
     return {"datum": datum.spec_string, "ok": True, "pairs": pairs,
-            "primes": list(primes), "length_cap": length_cap}
+            "primes": list(PRIMES), "length_cap": length_cap}
 
 
 def check_bruhat(datum: RootDatum, length_cap: int = 4) -> dict:
@@ -262,14 +263,14 @@ def check_length(datum: RootDatum, length_cap: int = 6) -> dict:
 
 
 def run_checks(specs=("A1", "A2"), conv_cap: int = 3, bruhat_cap: int = 4,
-               length_cap: int = 6, primes=(2, 3, 5)):
+               length_cap: int = 6):
     """The full cross-validation matrix; one result row per (datum, oracle)."""
     from .root_datum import preset
 
     rows = []
     for spec in specs:
         datum = preset(spec)
-        rows.append(("convolution", check_convolution(datum, conv_cap, primes)))
+        rows.append(("convolution", check_convolution(datum, conv_cap)))
         rows.append(("bruhat", check_bruhat(datum, bruhat_cap)))
         rows.append(("length", check_length(datum, length_cap)))
     return rows

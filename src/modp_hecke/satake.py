@@ -9,7 +9,7 @@ sum of that intersection when the component meets W_M, and to zero
 otherwise.  The Levi is its coweight: lam is dominant with stabiliser W0(M),
 so W_M is the set of w whose finite part fixes lam, and W0(M) is never
 enumerated.  A component is labelled by the unique minimal-length element of
-its double coset W_{M,af} w W_f, found by descent; W_f is not enumerated
+its double coset W_{M,af} w W_f, found by `coset_min`; W_f is not enumerated
 either, as the u in W_f that bring w into W_M are read off chamber descents
 (`_partner`).  The image of phi_w is found by a walk inside the Schubert
 scheme from the one element of its coset that the label gives (`phi_c_w`),
@@ -37,7 +37,7 @@ from operator import le, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, bruhat_leq, chamber, descend, element_to_string,
+                          Facet, aff_act, bruhat_leq, chamber, coset_min, element_to_string,
                           hyperspecial, min_coset_rep, reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure, over_cap
@@ -106,7 +106,7 @@ class LeviFacetGroup:
     chamber(facet, lam), W_J the stabiliser of y, generated by the s_i of the
     facet whose beta_i vanish on y (Humphreys, §1.12).  g is minimal in W_J g,
     so the g^-1 s_i g, `gens`, are the canonical generators of W_{M,f} (Dyer,
-    J. Algebra 135, 1990), and descent along them ends at a coset's minimum.
+    J. Algebra 135, 1990), along which `coset_min` finds a coset's minimum.
     Empty for the minimal Levi (lam regular)."""
 
     __slots__ = ("y", "g", "gens")
@@ -130,16 +130,11 @@ def minimal_levi(datum: RootDatum) -> LeviDatum:
 # -- canonical labels for W_{M,af} \ W / W_f -----------------------------------------
 
 
-def _min_left_m_coset(levi: LeviDatum, x: AffineWeylElement) -> AffineWeylElement:
-    """The unique minimal-length element of W_{M,af} x: descent on the left
-    along the canonical generators of the reflection subgroup W_{M,af}."""
-    return descend(x, lambda y: (r * y for r in levi.af_reflections))
-
-
 @dataclass(frozen=True)
 class ComponentLabel:
     """A class W_{M,af} \\ W / W_f, held as `rep`, its unique minimal-length
-    element."""
+    element, `coset_min` along `af_reflections` on the left and the facet's
+    `gens` on the right."""
 
     levi: LeviDatum
     facet: Facet
@@ -155,12 +150,10 @@ class ComponentLabel:
 
 
 def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> ComponentLabel:
-    """Label of the attractor component through w: the minimum y of the
-    right W_f-coset of x, the minimum of W_{M,af} w.  y is still minimal in
-    its left W_{M,af}-coset, as x = y v with lengths adding: a reflection t
-    with l(t y) < l(y) would give l(t x) < l(x).  So one descent on each side
-    reaches the minimum of W_{M,af} w W_f."""
-    return ComponentLabel(levi, facet, min_coset_rep(_min_left_m_coset(levi, w), facet))
+    """Label of the attractor component through w: the minimum of W_{M,af} w
+    W_f, `coset_min` along the canonical generators of W_{M,af} on the left
+    and the simple reflections of W_f on the right."""
+    return ComponentLabel(levi, facet, coset_min(w, levi.af_reflections, facet.gens))
 
 
 # -- closed attractor selection ----------------------------------------------------
@@ -227,13 +220,6 @@ def component_has_levi_point(label: ComponentLabel) -> bool:
     """True iff the double coset W_{M,af} rep W_f meets W_M: since
     W_{M,af} lies in W_M, iff rep W_f does, iff rep.finite has a partner."""
     return label.partner is not None
-
-
-def _canon_m_coset(gens: tuple, y: AffineWeylElement) -> AffineWeylElement:
-    """Canonical representative of W_{M,f} y W_{M,f}, for y in W_M: its unique
-    minimal-length element, by descent on either side along `gens`, the
-    canonical generators of W_{M,f} (`LeviFacetGroup`)."""
-    return descend(y, lambda x: (z for t in gens for z in (t * x, x * t)))
 
 
 class LeviHeckeElement(FpCombination):
@@ -306,20 +292,17 @@ class MonoidAlgebraElement(FpCombination):
 def _walk(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
           cap: int | None) -> set:
     """The right W_{M,f}-cosets of W_{M,af} rep * u inside the Schubert scheme
-    S of idx, u the label's partner, each held by its minimum (descent along
-    the canonical generators of W_{M,f}); more than cap of them when the walk
-    stopped at the cap (see `phi_c_w`)."""
+    S of idx, u the label's partner, each held by its minimum (`coset_min`
+    along the canonical generators of W_{M,f} on the right); more than cap of
+    them when the walk stopped at the cap (see `phi_c_w`)."""
     gens = levi.wmf(facet).gens
-
-    def coset(z):
-        return descend(z, lambda x: (x * t for t in gens))
 
     def inside(z):
         return bruhat_leq(min_coset_rep(z, facet), idx.rep)
 
-    return closure([coset(label.rep * label.partner)],
-                   lambda z: (coset(x) for r in levi.af_reflections if inside(x := r * z)),
-                   cap)
+    return closure([coset_min(label.rep * label.partner, right=gens)],
+                   lambda z: (coset_min(x, right=gens) for r in levi.af_reflections
+                              if inside(x := r * z)), cap)
 
 
 def _image(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
@@ -332,7 +315,7 @@ def _image(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet:
     if cap is not None and len(walked) > cap:
         raise over_cap("Satake walk", cap)
     gens = levi.wmf(facet).gens
-    return tuple({_canon_m_coset(gens, z): 1 for z in walked}), len(walked)
+    return tuple({coset_min(z, gens, gens): 1 for z in walked}), len(walked)
 
 
 def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,

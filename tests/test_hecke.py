@@ -33,6 +33,23 @@ def test_prime_validation():
         assert hk.phi_basis_element(e, p).prime == p
 
 
+def test_unknown_basis_is_rejected():
+    d = preset("A1")
+    f = aw.iwahori(d)
+    with pytest.raises(hk.HeckeError, match="unknown basis 'kl'"):
+        hk.HeckeElement(f, 3, "kl", {cls(d, f, "e"): 1})
+
+
+def test_hecke_repr():
+    # the sorted canonical strings of the classes, as the hecke_mixed digest reads them
+    d = preset("A2")
+    f = aw.iwahori(d)
+    a = hk.HeckeElement(f, 3, "phi", {cls(d, f, "s1"): 1, cls(d, f, "t[-1,-1]"): 2})
+    assert repr(a) == "phi[s1] + 2*phi[t[-1,-1]]"
+    assert repr(a.convert("indicator")).startswith("2*1[s1*s2] + 2*1[s1*s2*s1] + 2*1[s2] + ")
+    assert repr(hk.HeckeElement(f, 3, "phi", {})) == "0"
+
+
 def test_phi_expansion_examples():
     d = preset("A1")
     f = aw.iwahori(d)

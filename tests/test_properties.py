@@ -227,8 +227,12 @@ def _cosets_reference(levi, facet, w):
 
 
 def _canon_reference(wmf, y):
-    """The least element of W_{M,f} y W_{M,f} in the global element order."""
-    return min((a * y * b for a in wmf for b in wmf), key=aw.element_sort_key)
+    """The shortest element of W_{M,f} y W_{M,f}, checked to be the only one."""
+    coset = {a * y * b for a in wmf for b in wmf}
+    least = min(map(aw.length, coset))
+    shortest = [x for x in coset if aw.length(x) == least]
+    assert len(shortest) == 1, (y, shortest)
+    return shortest[0]
 
 
 def _swept_phi_c_w(label, idx, levi, facet, prime):
@@ -309,7 +313,7 @@ def test_w_m_f_generators_are_canonical(spec):
             reflections = _orbit_reflections(levi, f)
             for y in ball:
                 if in_w_m(levi, y):
-                    assert sat._canon_m_coset(group.gens, y) is \
+                    assert aw.coset_min(y, group.gens, group.gens) is \
                         _orbit_canon(reflections, y), (f, levi, y)
             wmf = _wmf_reference(levi, f)
             for idx in (c for c in classes if c.length <= radius):
@@ -330,7 +334,8 @@ def test_min_left_m_coset_matches_the_affine_root_descent(spec, radius):
     ball = aw.length_ball(d, radius)
     for levi in _standard_levis(d):
         for w in ball:
-            assert sat._min_left_m_coset(levi, w) is _min_left_reference(levi, w), (levi, w)
+            assert aw.coset_min(w, levi.af_reflections) is \
+                _min_left_reference(levi, w), (levi, w)
 
 
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
@@ -386,7 +391,7 @@ def test_phi_c_w_matches_the_full_sweep(spec):
                         _swept_phi_c_w(label, idx, levi, f, 2), (f, idx, levi)
                 for y in {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(f)}:
                     if in_w_m(levi, y):
-                        assert sat._canon_m_coset(gens, y) is \
+                        assert aw.coset_min(y, gens, gens) is \
                             _canon_reference(wmf, y), (f, levi, y)
 
 

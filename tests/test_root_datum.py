@@ -70,6 +70,16 @@ def test_explicit_lattice_must_contain_coroots():
     assert d.x_basis == ((1,),)
 
 
+def test_from_json_reads_the_rank_field():
+    # A type with no digits takes its rank from the rank field; a rank that
+    # disagrees with a type that has digits is an error.
+    d = rd.from_json({"type": "A", "rank": 2, "lattice_basis": [[1, 0], [0, 1]]})
+    assert d.cartan_datum.components == (("A", 2),)
+    assert len(d.positive_roots) == 3
+    with pytest.raises(rd.RootDatumError, match="rank field disagrees"):
+        rd.from_json({"type": "A2", "rank": 3, "lattice_basis": [[1, 0], [0, 1]]})
+
+
 def test_pairing_normalization():
     d = rd.preset("A1")
     alpha = (1,)

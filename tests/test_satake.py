@@ -303,6 +303,41 @@ def test_phi_c_w_precondition():
         sat.phi_c_w(s1_label, cls(d, f, "s1"), lev, f, 2)
 
 
+def test_levi_side_reprs():
+    # MonoidAlgebraElement's repr feeds the hecke_mixed digest
+    d = preset("A2")
+    f = aw.iwahori(d)
+    lev, lev1 = sat.minimal_levi(d), sat.levi_datum(d, (0,))
+    m = sat.MonoidAlgebraElement(d, 5, {(0, 0): 1, (-1, -1): 2})
+    assert repr(m) == "2*e^t[-1,-1] + e^t[0,0]"
+    assert repr(sat.MonoidAlgebraElement(d, 5, {})) == "0"
+    a = hk.HeckeElement(f, 3, "phi", {cls(d, f, "t[-1,-1]*s1"): 2})
+    assert repr(sat.satake(a, lev1)) == \
+        "2*1M[t[-1,-1]] + 2*1M[t[-1,-1]*s1] + 2*1M[t[0,-1]] + 2*1M[t[0,-1]*s1]"
+    hs = aw.facet(d, (1, 2))
+    assert repr(sat.satake_phi(cls(d, hs, "t[-2,-1]"), lev, hs, 3)) == "1M[t[-2,-1]]"
+    assert repr(sat.LeviHeckeElement(lev, f, 3, {})) == "0"
+
+
+def test_satake_preconditions():
+    d = preset("A2")
+    f = aw.iwahori(d)
+    a = hk.phi_basis_element(cls(d, f, "t[-1,-1]*s1"), 3)
+    with pytest.raises(sat.SatakeError, match="requires the minimal Levi"):
+        sat.satake(a, sat.levi_datum(d, (0,))).to_monoid()
+    with pytest.raises(sat.SatakeError, match="different data"):
+        sat.satake(a, sat.minimal_levi(RootDatum(d.cartan_datum)))
+
+
+def test_closed_chains_cap_is_named():
+    d = preset("A2")
+    f = aw.iwahori(d)
+    idx = cls(d, f, "t[-1,-1]*s1")  # reduced word of length 5
+    with pytest.raises(aw.CapExceeded, match=r"closed-chain word reached length 5, "
+                       r"over the limit 4 set by enumerate_closed_chains\(cap=\)"):
+        sat.enumerate_closed_chains(idx, sat.minimal_levi(d), f, cap=4)
+
+
 def test_mismatched_facet_or_datum_is_rejected():
     # An Iwahori class passed with the hyperspecial facet, or with a Levi of
     # another datum, is an error, not the transform of some other class.
