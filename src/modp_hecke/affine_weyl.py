@@ -31,6 +31,7 @@ other memos live on the RootDatum: the affine simple system and
 
 from __future__ import annotations
 
+import re
 from operator import add, neg, sub
 
 # CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
@@ -589,9 +590,18 @@ def enumerate_lower_interval(idx: DoubleCosetIndex,
     `_below`.
 
     `cap` bounds the classes walked and the set returned, on a memo hit as
-    on a miss, so whether a call raises depends only on the set's size."""
+    on a miss, so whether a call raises depends only on the set's size.  A
+    miss raises before walking when l(m) > (cap - 1)(1 + 2N), N the number
+    of positive roots: dropping m's first letter gives a class strictly
+    below C whose minimum is at least l(m) - 1 - 2N long (l(w_{0,J}) <= N
+    on each side), so cap + 1 classes run down from C."""
     below = idx._below
     if below is None:
+        if cap is not None:
+            gens = idx.facet.gens
+            reach = (cap - 1) * (1 + 2 * len(idx.facet.datum.positive_roots))
+            if length(coset_min(idx.rep, gens, gens)) > reach:
+                raise over_cap("lower interval", cap)
         below = closure([idx], lambda c: {double_coset_rep(v, c.facet)
                                           for v in _one_letter_deletions(c)}, cap)
         if cap is None or len(below) <= cap:
@@ -642,61 +652,41 @@ def element_to_string(w: AffineWeylElement) -> str:
     return "*".join(parts) or "e"
 
 
-def parse_element(datum: RootDatum, text: str) -> AffineWeylElement:
-    """Parse 'e', 't[..]', 's<i>', 'w[i,j,..]' and '*'-products thereof.
+# The atoms of an element string: a separator, the identity, a simple
+# reflection 's<i>' or bare '<i>', and a translation 't[..]' or word 'w[..]'.
+_ATOM = re.compile(r"[*,]|e|s?(-?[0-9]+)|([tw])\[([^\]]*)\]")
+_INTEGERS = re.compile(r"(-?[0-9]+(,-?[0-9]+)*)?")
 
-    Commas may be used instead of '*' between atoms; a bare integer after an
-    's'-atom is read as another simple reflection index.
+
+def parse_element(datum: RootDatum, text: str) -> AffineWeylElement:
+    """Parse 'e', 't[..]', 's<i>', 'w[i,j,..]' and '*'-products thereof:
+    the string, spaces dropped, is a run of `_ATOM` matches, multiplied in
+    as read.  Commas may be used instead of '*' between atoms; a bare
+    integer is a simple reflection index, as in 's0,1'.  Integers are
+    ASCII: an optional '-' and the digits 0-9.
     """
     sys = simple_system(datum)
     s = text.strip().replace(" ", "")
     if not s:
         raise RootDatumError("empty element string")
-    atoms = []
-    i = 0
+    out, i = identity(datum), 0
     while i < len(s):
-        ch = s[i]
-        if ch in "*,":
-            i += 1
-            continue
-        if ch == "e":
-            atoms.append(identity(datum))
-            i += 1
-        elif ch == "s" or ch.isdigit() or ch == "-":
-            j = i + 1 if ch == "s" else i
-            k = j
-            if k < len(s) and s[k] == "-":
-                k += 1
-            while k < len(s) and s[k].isdigit():
-                k += 1
-            if k == j or (k == j + 1 and s[j] == "-"):
-                raise RootDatumError(f"cannot parse element {text!r} at {i}")
-            atoms.append(sys.simple(int(s[j:k])))
-            i = k
-        elif ch in "tw":
-            if i + 1 >= len(s) or s[i + 1] != "[":
-                raise RootDatumError(f"cannot parse element {text!r} at {i}")
-            close = s.find("]", i)
-            if close < 0:
-                raise RootDatumError(f"cannot parse element {text!r} at {i}")
-            body = s[i + 2:close]
-            try:
-                nums = [int(v) for v in body.split(",")] if body else []
-            except ValueError:
-                raise RootDatumError(f"cannot parse element {text!r} at {i + 2}") from None
-            if ch == "t":
-                atoms.append(translation(datum, datum.coweight_from_x_coords(nums)))
-            else:
-                el = identity(datum)
-                for v in nums:
-                    el = el * sys.simple(v)
-                atoms.append(el)
-            i = close + 1
-        else:
+        atom = _ATOM.match(s, i)
+        if atom is None:
             raise RootDatumError(f"cannot parse element {text!r} at {i}")
-    out = identity(datum)
-    for a in atoms:
-        out = out * a
+        index, kind, body = atom.groups()
+        if kind:
+            if not _INTEGERS.fullmatch(body):
+                raise RootDatumError(f"cannot parse element {text!r} at {i + 2}")
+            nums = [int(v) for v in body.split(",")] if body else []
+            if kind == "t":
+                out = out * translation(datum, datum.coweight_from_x_coords(nums))
+            else:
+                for v in nums:
+                    out = out * sys.simple(v)
+        elif index:
+            out = out * sys.simple(int(index))
+        i = atom.end()
     return out
 
 

@@ -21,7 +21,6 @@ from . import satake as sat
 from .affine_weyl import CapExceeded, element_to_string, parse_element, word_form
 from .hecke import (HeckeError, convolve_phi_classes, phi_basis_element,
                     point_count_polynomial, poly_string)
-from .root_datum import RootDatumError
 from .satake import SatakeError
 
 EXIT_OK = 0
@@ -201,60 +200,48 @@ def nonnegative_int(text: str) -> int:
     return val
 
 
+def _shared(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag that several subcommands take."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="modp-hecke",
                 description="mod p parahoric Hecke algebra computations")
     p.add_argument("--config", help="JSON config file mirroring the flags")
     sub = p.add_subparsers(dest="cmd", required=True)
+    datum = _shared("datum")
+    datum.add_argument("--json", action="store_true")
+    at_facet = _shared("--facet", default="")
+    mod_p = _shared("--p", type=int, default=2)
+    capped = _shared("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
 
     w = sub.add_parser("weyl", help="affine Weyl group computations")
     wsub = w.add_subparsers(dest="weyl_cmd", required=True)
     for name in ("reduce", "length"):
-        q = wsub.add_parser(name)
-        q.add_argument("datum")
-        q.add_argument("--elt", required=True)
-        q.add_argument("--json", action="store_true")
-    q = wsub.add_parser("leq")
-    q.add_argument("datum")
+        wsub.add_parser(name, parents=[datum]).add_argument("--elt", required=True)
+    q = wsub.add_parser("leq", parents=[datum])
     q.add_argument("--u", required=True)
     q.add_argument("--w", required=True)
-    q.add_argument("--json", action="store_true")
-    q = wsub.add_parser("demazure")
-    q.add_argument("datum")
+    q = wsub.add_parser("demazure", parents=[datum])
     q.add_argument("--word", required=True, help="comma-separated simple indices")
-    q.add_argument("--json", action="store_true")
 
     h = sub.add_parser("hecke", help="Hecke algebra products and bases")
     hsub = h.add_subparsers(dest="hecke_cmd", required=True)
-    q = hsub.add_parser("multiply")
-    q.add_argument("datum")
-    q.add_argument("--facet", default="")
-    q.add_argument("--p", type=int, default=2)
+    q = hsub.add_parser("multiply", parents=[datum, at_facet, mod_p, capped])
     q.add_argument("--w1", required=True)
     q.add_argument("--w2", required=True)
     q.add_argument("--witness", action="store_true")
-    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
-    q.add_argument("--json", action="store_true")
-    q = hsub.add_parser("basis")
-    q.add_argument("datum")
-    q.add_argument("--facet", default="")
-    q.add_argument("--p", type=int, default=2)
+    q = hsub.add_parser("basis", parents=[datum, at_facet, mod_p, capped])
     q.add_argument("--w", required=True)
     q.add_argument("--to", choices=("indicator", "phi"), default="indicator")
-    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
-    q.add_argument("--json", action="store_true")
-    q = hsub.add_parser("pointcount")
-    q.add_argument("datum")
-    q.add_argument("--facet", default="")
-    q.add_argument("--w", required=True)
-    q.add_argument("--cap", type=nonnegative_int, default=aw.INTERVAL_CAP)
-    q.add_argument("--json", action="store_true")
+    hsub.add_parser("pointcount", parents=[datum, at_facet, capped]).add_argument(
+        "--w", required=True)
 
-    s = sub.add_parser("satake", help="Satake transform")
-    s.add_argument("datum")
-    s.add_argument("--facet", default="")
+    s = sub.add_parser("satake", help="Satake transform", parents=[datum, at_facet, mod_p])
     s.add_argument("--levi", default="")
-    s.add_argument("--p", type=int, default=2)
     s.add_argument("--w")
     s.add_argument("--special", action="store_true",
                    help="assert a special facet and use the anti-dominant fast path")
@@ -263,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length cap of --list-lambda-minus (default 8), else the most "
                         "right W_{M,f}-cosets the transform's walk inside the Schubert "
                         f"scheme may visit (default {aw.INTERVAL_CAP})")
-    s.add_argument("--json", action="store_true")
 
     o = sub.add_parser("oracle", help="cross-validation suite")
     osub = o.add_subparsers(dest="oracle_cmd", required=True)
@@ -351,10 +337,10 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SatakeError,) as exc:
+    except SatakeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (RootDatumError, HeckeError, ValueError) as exc:
+    except ValueError as exc:  # RootDatumError and HeckeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

@@ -250,10 +250,10 @@ def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP
     Schubert scheme over F_q.  The constant term is always 1.  The u are the
     right W_f-cosets of W_f c W_f, c below idx, reached from c.rep by u ->
     (s u)^f.  `cap` bounds the classes walked and the cells counted."""
-    f = idx.facet
-    coeffs = [0] * (idx.length + 1)
+    f, below = idx.facet, enumerate_lower_interval(idx, cap)
+    coeffs = [0] * (idx.length + 1)  # after the capped walk: the length is bounded
     cells = 0
-    for c in enumerate_lower_interval(idx, cap):
+    for c in below:
         cosets = closure([c.rep], lambda u: (aw.min_coset_rep(s * u, f) for s in f.gens), cap)
         cells += len(cosets)
         if cap is not None and cells > cap:

@@ -371,6 +371,42 @@ def test_lower_classes_match_the_w_interval(spec):
             assert aw.enumerate_lower_interval(idx) == _w_interval_classes(idx), (spec, f, idx)
 
 
+@pytest.mark.parametrize("spec", LOWER_CLASS_BALLS)
+def test_length_bound_never_fires_when_the_classes_fit_the_cap(spec):
+    # On a miss, enumerate_lower_interval raises before walking when
+    # l(m) > (cap - 1)(1 + 2N).  With cap the exact number of classes below,
+    # every class of the ball at every finite facet must pass: sizes come
+    # from one fresh datum, the capped calls (each a miss) run on another.
+    def classes(d):
+        ball = aw.length_ball(d, LOWER_CLASS_BALLS[spec])
+        reps = {aw.double_coset_rep(w, f) for f in _every_finite_facet(d) for w in ball}
+        return {(idx.facet.indices, aw.element_to_string(idx.rep)): idx for idx in reps}
+
+    sizes = {k: len(aw.enumerate_lower_interval(idx))
+             for k, idx in classes(RootDatum(preset(spec).cartan_datum)).items()}
+    d = RootDatum(preset(spec).cartan_datum)
+    reach = 1 + 2 * len(d.positive_roots)
+    for k, idx in classes(d).items():
+        gens = idx.facet.gens
+        assert aw.length(aw.coset_min(idx.rep, gens, gens)) <= (sizes[k] - 1) * reach, k
+        assert len(aw.enumerate_lower_interval(idx, sizes[k])) == sizes[k], k
+
+
+def test_cap_raises_before_walking_a_long_class(closure_results):
+    # t[-100000] at A1's hyperspecial facet: m has length 199,999, past
+    # (cap - 1)(1 + 2N) = 12 for cap 5, so no class is walked and no reduced
+    # word of m is formed.
+    d = RootDatum(preset("A1").cartan_datum)
+    f = aw.facet(d, [1])
+    idx = aw.double_coset_rep(aw.parse_element(d, "t[-100000]"), f)
+    closure_results.clear()
+    with pytest.raises(aw.CapExceeded, match="reached 6 elements, over the limit 5 set by"):
+        aw.enumerate_lower_interval(idx, 5)
+    m = aw.coset_min(idx.rep, f.gens, f.gens)
+    assert aw.length(m) == 199999 and m._word is None
+    assert closure_results == [] and idx._below is None
+
+
 @pytest.mark.parametrize("spec, indices, text, count", [
     ("A1", (), "t[-8]", 32), ("A2", (1, 2), "t[-3,-3]", 8),
     ("C2", (0, 2), "t[-2,-1]*s1", 15), ("G2", (1, 2), "t[-2,-1]", 5)])
@@ -609,3 +645,14 @@ def test_parse_forms():
     assert aw.parse_element(d, "t[-1]") == aw.translation(d, (-2,))
     with pytest.raises(Exception):
         aw.parse_element(d, "x[1]")
+
+
+@pytest.mark.parametrize("text, at", [
+    ("x[1]", 0), ("t[1", 0), ("s", 0), ("-", 0), ("s1x", 2), ("s1*t[a]", 5), ("t[,]", 2),
+    ("w[1,,2]", 2), ("t[+1]", 2), ("t[1_0]", 2), ("t[\t1]", 2), ("s\u0661", 0), ("\u00b2", 0),
+    ("e*\uff11", 2)])
+def test_parse_error_positions(text, at):
+    # Integers are ASCII: no sign '+', no '_', no other digit or space.
+    d = preset("A1")
+    with pytest.raises(RootDatumError, match=f"cannot parse element .* at {at}$"):
+        aw.parse_element(d, text)

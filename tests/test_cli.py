@@ -257,6 +257,8 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"], ""),
     (["weyl", "length", "A1", "--elt", "t[1"], "cannot parse element 't[1' at "),
     (["weyl", "length", "A1", "--elt", "t[a]"], "cannot parse element 't[a]' at "),
+    (["weyl", "length", "A2", "--elt", "s\u0661"], "cannot parse element"),
+    (["weyl", "length", "A2", "--elt", "\u00b2"], "cannot parse element"),
     (["hecke", "multiply", "A1", "--p", str(10 ** 30 + 57), "--w1", "e", "--w2", "e"],
      "3317044064679887385961981"),
     (["hecke", "multiply", "A1", "--p", str(10 ** 400 + 1), "--w1", "e", "--w2", "e"],
@@ -280,7 +282,8 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
         "float-basis-entry", "bool-basis-entry", "string-basis-entry", "float-rank",
         "infinite-basis-entry",
         "satake-without-w", "config-not-an-object", "unclosed-bracket",
-        "non-integer-coordinate", "prime-above-the-test-bound", "prime-above-float-range",
+        "non-integer-coordinate", "arabic-indic-digit", "superscript-digit",
+        "prime-above-the-test-bound", "prime-above-float-range",
         "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string",
         "negative-cap", "negative-length-cap-of-lambda-minus", "negative-conv-cap",
         "negative-bruhat-cap", "negative-length-cap", "config-negative-cap"])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -392,3 +393,18 @@ def test_point_count_cap_bounds_the_cells():
                                               "over the limit 9"):
             hk.point_count_polynomial(idx, cap=9)
         assert hk.point_count_polynomial(idx, cap=10) == (1, 1, 2, 2, 2, 1, 1)
+
+
+def test_point_count_over_the_cap_allocates_nothing_per_length():
+    # t[-10**7] has length 2 * 10**7; a coefficient list sized by it (160 MB)
+    # must not be built before the capped walk raises.
+    d = RootDatum(preset("A1").cartan_datum)
+    idx = cls(d, aw.hyperspecial(d), f"t[{-10 ** 7}]")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="lower interval reached 16 elements"):
+            hk.point_count_polynomial(idx, cap=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
