@@ -32,7 +32,7 @@ other memos live on the RootDatum: the affine simple system and
 from __future__ import annotations
 
 import re
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 # CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
 from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDatum,
@@ -188,20 +188,13 @@ def length(w: AffineWeylElement) -> int:
     count for the base alcove 0 < <alpha, x> < 1 (see oracle.brute_length)."""
     val = w._length
     if val is None:
-        datum = w.datum
+        lam = w.translation
         val = 0
-        for rt, negated in zip(datum.positive_roots, w.finite.inverse_negates()):
-            m = datum.pair(rt, w.translation)
+        for rt, negated in zip(w.datum.positive_roots, w.finite.inverse_negates()):
+            m = sum(map(mul, rt, lam))  # <rt, lam>, as RootDatum.pair
             val += abs(m - 1) if negated else abs(m)
         w._length = val
     return val
-
-
-def aff_act(w: AffineWeylElement, aroot: AffineRoot) -> AffineRoot:
-    """Action on affine roots: t_lambda u . (beta, k) = (u beta, k - <u beta, lambda>)."""
-    beta, k = aroot
-    ubeta = w.finite.act_root(beta)
-    return (ubeta, k - w.datum.pair(ubeta, w.translation))
 
 
 def left_descents(w: AffineWeylElement):

@@ -137,22 +137,22 @@ class HeckeElement(FpCombination):
                 for v in enumerate_lower_interval(idx, cap):
                     out[v] = out.get(v, 0) + c
             return HeckeElement(self.facet, self.prime, "indicator", out)
-        # indicator -> phi by unitriangular back-substitution from the top.
-        remaining = dict(self.coeffs)
+        # indicator -> phi by back-substitution in one pass from the longest
+        # length down: the classes below idx are shorter, so only shorter layers change.
+        remaining = dict(self.coeffs)  # a class stays, at 0 if cancelled, until its layer
+        layers: dict[int, list] = {}
+        for idx in remaining:
+            layers.setdefault(idx.length, []).append(idx)
         out = {}
-        while remaining:
-            # Classes below idx are shorter, so equal lengths may go in any order.
-            idx = max(remaining, key=lambda i: i.length)
-            c = remaining.pop(idx)
-            out[idx] = c
-            for v in enumerate_lower_interval(idx, cap):
-                if v == idx:
-                    continue
-                newc = (remaining.get(v, 0) - c) % self.prime
-                if newc:
-                    remaining[v] = newc
-                else:
-                    remaining.pop(v, None)
+        while layers:
+            for idx in layers.pop(max(layers)):
+                if c := remaining.pop(idx):
+                    out[idx] = c
+                    for v in enumerate_lower_interval(idx, cap):
+                        if v is not idx:
+                            if v not in remaining:
+                                layers.setdefault(v.length, []).append(v)
+                            remaining[v] = (remaining.get(v, 0) - c) % self.prime
         return HeckeElement(self.facet, self.prime, "phi", out)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":

@@ -191,9 +191,9 @@ class FiniteWeylElement:
         """Dual action on roots (simple-root coordinates)."""
         img = self._root_images.get(root)
         if img is None:
-            n = self.datum.n
-            minv = self.inverse().matrix
-            img = tuple(sum(root[i] * minv[i][j] for i in range(n)) for j in range(n))
+            # The root has n entries, so each column is read on its first n rows.
+            cols = zip(*self.inverse().matrix)
+            img = tuple([sum(map(mul, root, col)) for col in cols][:self.datum.n])
             self._root_images[root] = img
         return img
 
@@ -212,9 +212,8 @@ class FiniteWeylElement:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _coordinate_functionals(basis):
@@ -349,10 +348,10 @@ class RootDatum:
         return self._intern_weyl(tuple(rows))
 
     def _generate_roots(self):
-        def reflect(pair):
-            rt, crt = pair
+        def reflect(root_and_coroot):
+            rt, crt = root_and_coroot
             for i in range(self.n):
-                m = sum(rt[k] * self.cartan[k][i] for k in range(self.n))
+                m = self.pair(rt, self.simple_coroots[i])
                 yield (tuple(rt[j] - m * (j == i) for j in range(self.n)),
                        self.simple_reflections[i].act(crt))
 
@@ -379,8 +378,9 @@ class RootDatum:
     # -- basic arithmetic --------------------------------------------------------
 
     def pair(self, root: Root, coweight: Coweight) -> int:
-        """<alpha, nu> for alpha in simple-root coords, nu in ambient coords."""
-        return sum(root[i] * coweight[i] for i in range(self.n))
+        """<alpha, nu> for alpha in simple-root coords, nu in ambient coords: a dot
+        product over the root's n coordinates, so central coordinates never pair."""
+        return sum(map(mul, root, coweight))
 
     def coroot(self, root: Root) -> Coweight:
         if root in self.coroot_of:
@@ -401,7 +401,7 @@ class RootDatum:
         den = self.x_inverse_den
         out = []
         for col in self.x_inverse_cols:
-            c, rem = divmod(sum(v * a for v, a in zip(coweight, col)), den)
+            c, rem = divmod(sum(map(mul, coweight, col)), den)
             if rem:
                 return None
             out.append(c)
@@ -418,8 +418,7 @@ class RootDatum:
     def coweight_from_x_coords(self, coords) -> Coweight:
         if len(coords) != self.dim:
             raise RootDatumError(f"expected {self.dim} lattice coordinates")
-        return tuple(sum(c * b[i] for c, b in zip(coords, self.x_basis))
-                     for i in range(self.dim))
+        return tuple([sum(map(mul, coords, col)) for col in zip(*self.x_basis)])
 
     def in_lattice(self, coweight: Coweight) -> bool:
         """True iff the coweight has `dim` coordinates and lies in X."""

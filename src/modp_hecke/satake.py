@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import functools
 import itertools
 import math
-from operator import le, neg
+from operator import le, mul, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, aff_act, bruhat_leq, chamber, coset_min, element_to_string,
+                          Facet, bruhat_leq, chamber, coset_min, element_to_string,
                           hyperspecial, min_coset_rep, reduced_word, simple_system)
 from .hecke import FpCombination, HeckeElement
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure, over_cap
@@ -80,7 +80,7 @@ class LeviDatum:
             # m least such that den divides m <chi, col> for each lattice functional.
             chi = [int(i not in key) for i in range(datum.n)] + [0] * (datum.dim - datum.n)
             den, cols = datum.x_inverse_den, datum.x_inverse_cols
-            m = den // math.gcd(den, *(sum(c * v for c, v in zip(chi, col)) for col in cols))
+            m = den // math.gcd(den, *(sum(map(mul, chi, col)) for col in cols))
             levi.lam = tuple(m * c for c in chi)
             levi._hash, levi._wmf = hash(key), {}
             levi = datum.levis.setdefault(key, levi)
@@ -179,8 +179,8 @@ def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
         if i == len(word):
             labels.add(component_of(x * tau, levi, facet))
             continue
-        aroot = aff_act(x, sys.simple_roots[word[i]])
-        d = levi.datum.pair(aroot[0], levi.lam)
+        beta = sys.simple_roots[word[i]][0]
+        d = levi.datum.pair(x.finite.act_root(beta), levi.lam)
         if d >= 0:
             stack.append((i + 1, x * sys.elements[word[i]]))
         if d < 0 or (d == 0 and enumerate_all):
@@ -423,7 +423,7 @@ def enumerate_antidominant(datum: RootDatum, length_cap: int):
             rest = [s[i] - sum(c * basis[j][i] for c, j in zip(f, free)) for i in range(n)]
             coords = dict(zip(free, f))
             for j, col in zip(pivots, cols):
-                c, rem = divmod(sum(r * v for r, v in zip(rest, col)), den)
+                c, rem = divmod(sum(map(mul, rest, col)), den)
                 if rem or (free and abs(c) > length_cap):
                     break
                 coords[j] = c

@@ -9,6 +9,63 @@ from modp_hecke.root_datum import RootDatumError, closure
 from modp_hecke.satake import LeviDatum
 
 
+# The library's integer kernels written as plain index sums, for the tests
+# that pin each `sum(map(mul, a, b))` dot product to its definition.
+
+def mat_mul(a, b):
+    """The square matrix product a b by the triple loop over indices."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def pair(d, root, coweight) -> int:
+    """<alpha, nu>: the sum over the n simple-root indices."""
+    return sum(root[i] * coweight[i] for i in range(d.n))
+
+
+def act_root(u, root):
+    """u on a root in simple-root coordinates: the root times the top-left n x n
+    block of u's inverse."""
+    n = u.datum.n
+    minv = u.inverse().matrix
+    return tuple(sum(root[i] * minv[i][j] for i in range(n)) for j in range(n))
+
+
+def aff_act(w: AffineWeylElement, aroot):
+    """Action on affine roots: t_lambda u . (beta, k) = (u beta, k - <u beta, lambda>)."""
+    beta, k = aroot
+    ubeta = act_root(w.finite, beta)
+    return (ubeta, k - pair(w.datum, ubeta, w.translation))
+
+
+def length(w: AffineWeylElement) -> int:
+    """The Iwahori-Matsumoto closed form: over the positive roots alpha, with m =
+    <alpha, lambda>, |m - 1| when u^-1 alpha is negative and |m| otherwise."""
+    d, uinv = w.datum, w.finite.inverse()
+    total = 0
+    for rt in d.positive_roots:
+        m = pair(d, rt, w.translation)
+        total += abs(m - 1) if any(c < 0 for c in act_root(uinv, rt)) else abs(m)
+    return total
+
+
+def x_coords(d, coweight):
+    """Coordinates in the lattice basis by the index sums, or None off X."""
+    out = []
+    for col in d.x_inverse_cols:
+        c, rem = divmod(sum(v * a for v, a in zip(coweight, col)), d.x_inverse_den)
+        if rem:
+            return None
+        out.append(c)
+    return tuple(out)
+
+
+def coweight_from_x_coords(d, coords):
+    """The coweight with the given lattice coordinates, by the index sums."""
+    return tuple(sum(c * b[i] for c, b in zip(coords, d.x_basis)) for i in range(d.dim))
+
+
 def in_w_m(levi: LeviDatum, w: AffineWeylElement) -> bool:
     """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
     return w.finite.act(levi.lam) == levi.lam

@@ -14,6 +14,7 @@ from modp_hecke import hecke
 from modp_hecke import oracle
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
+import reference
 from reference import brute_double_coset_rep, in_w_m, wf_elements
 
 SPECS = ("A1", "A2", "C2", "G2", "A3")
@@ -52,17 +53,16 @@ def test_memoized_finite_product_matches_matrix_product(case):
         return reduce(lambda x, i: x * d.simple_reflections[i], word, d.weyl_identity)
 
     def raw(word):
-        return reduce(lambda m, i: rd._mat_mul(m, d.simple_reflections[i].matrix),
+        return reduce(lambda m, i: reference.mat_mul(m, d.simple_reflections[i].matrix),
                       word, d.weyl_identity.matrix)
 
     a, b, c = memoized(word_a), memoized(word_b), memoized(word_c)
     assert a.matrix == raw(word_a)
-    assert (a * b).matrix == rd._mat_mul(a.matrix, b.matrix)
+    assert (a * b).matrix == reference.mat_mul(a.matrix, b.matrix)
     assert (a * b) * c is a * (b * c)
     assert a * a.inverse() is d.weyl_identity
     for rt in d.positive_roots:
-        assert a.act_root(rt) == tuple(
-            sum(rt[i] * a.inverse().matrix[i][j] for i in range(d.n)) for j in range(d.n))
+        assert a.act_root(rt) == reference.act_root(a, rt)
 
 
 CENTRAL_A1 = rd.from_json({"type": "A1", "rank": 1, "lattice_basis": [[1, 1], [1, -1]]})
@@ -90,6 +90,33 @@ def _affine_matrix(w):
 def _matrix_product(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
                        for j in range(len(b[0]))) for i in range(len(a)))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two elements of a fresh copy of a datum, so that every memoized kernel
+    runs as a miss, a root of either sign and an integer vector of dim
+    entries, which need not lie in the lattice."""
+    d = rd.RootDatum(draw(st.sampled_from(PRODUCT_DATA)).cartan_datum)
+    x, y = draw(elements_from_parts(d)), draw(elements_from_parts(d))
+    rt = draw(st.sampled_from(d.positive_roots))
+    if draw(st.booleans()):
+        rt = tuple(-c for c in rt)
+    nu = tuple(draw(st.lists(st.integers(-6, 6), min_size=d.dim, max_size=d.dim)))
+    return x, y, rt, nu
+
+
+@given(kernel_inputs())
+def test_integer_kernels_match_their_index_sums(case):
+    x, y, rt, nu = case
+    d = x.datum
+    u, v = x.finite, y.finite
+    assert rd._mat_mul(u.matrix, v.matrix) == reference.mat_mul(u.matrix, v.matrix)
+    assert d.pair(rt, nu) == reference.pair(d, rt, nu)
+    assert u.act_root(rt) == reference.act_root(u, rt)
+    assert aw.length(x) == reference.length(x)
+    assert d.x_coords(nu) == reference.x_coords(d, nu)
+    assert d.coweight_from_x_coords(nu) == reference.coweight_from_x_coords(d, nu)
 
 
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
@@ -206,7 +233,7 @@ def _min_left_reference(levi, x):
         uinv = x.finite.inverse()
         for b in signed:
             kmin = 0 if positive(b) else 1
-            kmax = -d.pair(b, x.translation) - positive(uinv.act_root(b))
+            kmax = -reference.pair(d, b, x.translation) - positive(reference.act_root(uinv, b))
             if kmin <= kmax:
                 x = aw.reflection(d, (b, kmin)) * x
                 break
@@ -278,8 +305,8 @@ def _orbit_reflections(levi, facet):
     y, g = aw.chamber(facet, levi.lam)
     j = [i for i in facet.indices if d.pair(sys.simple_roots[i][0], y) == 0]
     orbit = rd.closure([sys.simple_roots[i] for i in j],
-                       lambda r: (aw.aff_act(sys.elements[i], r) for i in j))
-    return {aw.reflection(d, aw.aff_act(g.inverse(), r)) for r in orbit}
+                       lambda r: (reference.aff_act(sys.elements[i], r) for i in j))
+    return {aw.reflection(d, reference.aff_act(g.inverse(), r)) for r in orbit}
 
 
 def _orbit_canon(reflections, y):

@@ -8,7 +8,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
-from reference import in_w_m, wf_elements
+from reference import aff_act, in_w_m, wf_elements
 
 
 def cls(datum, facet, text):
@@ -234,7 +234,7 @@ def test_closed_attractor_word_independent():
         for word in words(idx.rep):
             x = aw.identity(d)
             for i in word:
-                aroot = aw.aff_act(x, sys.simple_roots[i])
+                aroot = aff_act(x, sys.simple_roots[i])
                 if d.pair(aroot[0], lev.lam) >= 0:
                     x = x * sys.simple(i)
             assert sat.component_of(x * tau, lev, f) == expected
