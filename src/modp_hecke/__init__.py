@@ -18,12 +18,11 @@ from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
 from .hecke import (ConvolutionWitness, HeckeElement, HeckeError, convolve,
                     convolve_phi_classes, phi_basis_element,
                     point_count_polynomial)
-from .satake import (ComponentLabel, LeviDatum, LeviHeckeElement,
-                     MonoidAlgebraElement, SatakeError,
-                     closed_attractor_component, component_has_levi_point,
-                     component_of, enumerate_antidominant,
-                     enumerate_closed_chains, levi_datum, minimal_levi,
-                     phi_c_w, satake_phi)
+from .satake import (LeviDatum, LeviHeckeElement, MonoidAlgebraElement,
+                     SatakeError, closed_attractor_component,
+                     component_has_levi_point, component_of,
+                     enumerate_antidominant, enumerate_closed_chains,
+                     levi_datum, minimal_levi, phi_c_w, satake_phi)
 from .satake import satake as satake_transform
 from . import oracle
 

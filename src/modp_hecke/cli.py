@@ -151,7 +151,7 @@ def cmd_satake(args) -> int:
         raise ValueError("satake needs --w unless --list-lambda-minus is given")
     w = aw.double_coset_rep(parse_element(datum, args.w), f)
     label = sat.closed_attractor_component(w, levi, f)
-    has_point = sat.component_has_levi_point(label)
+    has_point = sat.component_has_levi_point(label, levi, f)
     if args.special:
         image = sat.special_satake_fast(w, args.p)
         terms = [{"z": "t[" + ",".join(map(str, datum.x_coords(z))) + "]", "coeff": c}
@@ -160,7 +160,7 @@ def cmd_satake(args) -> int:
         cap = aw.INTERVAL_CAP if args.cap is None else args.cap
         out = sat.satake_phi(w, levi, f, args.p, cap)
         terms = [t for t in out.to_json()["terms"]]
-    _emit(args, {"closed_component": element_to_string(label.rep),
+    _emit(args, {"closed_component": element_to_string(label),
                  "has_levi_point": has_point, "image": terms})
     return EXIT_OK
 

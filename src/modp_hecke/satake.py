@@ -8,15 +8,14 @@ Schubert scheme of w is closed; the transform sends phi_w to the indicator
 sum of that intersection when the component meets W_M, and to zero
 otherwise.  The Levi is its coweight: lam is dominant with stabiliser W0(M),
 so W_M is the set of w whose finite part fixes lam, and W0(M) is never
-enumerated.  A component is labelled by the unique minimal-length element of
-its double coset W_{M,af} w W_f, found by `coset_min`; W_f is not enumerated
-either, as the u in W_f that bring w into W_M are read off chamber descents
-(`_partner`).  The image of phi_w is found by a walk inside the Schubert
-scheme from the one element of its coset that the label gives (`phi_c_w`),
-never by the Bruhat interval below w.  A Levi is interned per datum and keeps
-one `LeviFacetGroup` per facet: W_{M,f}, held by its canonical generators.
-LeviHeckeElement and MonoidAlgebraElement derive from hecke.FpCombination, as
-HeckeElement does.
+enumerated.  A component is held as its label, the unique minimal-length
+element of its double coset W_{M,af} w W_f, found by `coset_min`; W_f is not
+enumerated either, as the u in W_f that bring label into W_M are read off
+chamber descents (`_partner`).  The image of phi_w is found by a walk inside
+the Schubert scheme from label * u (`phi_c_w`), never by the Bruhat interval
+below w.  A Levi is interned per datum and keeps one `LeviFacetGroup` per
+facet: W_{M,f}, held by its canonical generators.  LeviHeckeElement and
+MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
 
 The closed component is found by a greedy flow over any reduced word of the
 canonical representative: walking the word left to right with partial
@@ -29,8 +28,6 @@ component of an anti-dominant translation t_z is the component of t_z itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import functools
 import itertools
 import math
 from operator import le, mul, neg
@@ -130,30 +127,11 @@ def minimal_levi(datum: RootDatum) -> LeviDatum:
 # -- canonical labels for W_{M,af} \ W / W_f -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
-    """A class W_{M,af} \\ W / W_f, held as `rep`, its unique minimal-length
-    element, `coset_min` along `af_reflections` on the left and the facet's
-    `gens` on the right."""
-
-    levi: LeviDatum
-    facet: Facet
-    rep: AffineWeylElement
-
-    @functools.cached_property
-    def partner(self) -> AffineWeylElement | None:
-        """A u in W_f with rep * u in W_M (`_partner`), or None."""
-        return _partner(self.facet, self.levi, self.rep.finite)
-
-    def __repr__(self):
-        return f"S[{element_to_string(self.rep)}]"
-
-
-def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> ComponentLabel:
+def component_of(w: AffineWeylElement, levi: LeviDatum, facet: Facet) -> AffineWeylElement:
     """Label of the attractor component through w: the minimum of W_{M,af} w
     W_f, `coset_min` along the canonical generators of W_{M,af} on the left
     and the simple reflections of W_f on the right."""
-    return ComponentLabel(levi, facet, coset_min(w, levi.af_reflections, facet.gens))
+    return coset_min(w, levi.af_reflections, facet.gens)
 
 
 # -- closed attractor selection ----------------------------------------------------
@@ -189,7 +167,7 @@ def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
 
 
 def closed_attractor_component(idx: DoubleCosetIndex, levi: LeviDatum,
-                               facet: Facet) -> ComponentLabel:
+                               facet: Facet) -> AffineWeylElement:
     """Label of the unique closed attractor component of the Schubert scheme
     of idx, via the greedy flow chain (zero-pairing steps take the letter;
     the choice there does not move the label)."""
@@ -216,10 +194,10 @@ def _partner(facet: Facet, levi: LeviDatum, v):
     return h.inverse() * group.g if y == group.y else None
 
 
-def component_has_levi_point(label: ComponentLabel) -> bool:
-    """True iff the double coset W_{M,af} rep W_f meets W_M: since
-    W_{M,af} lies in W_M, iff rep W_f does, iff rep.finite has a partner."""
-    return label.partner is not None
+def component_has_levi_point(label: AffineWeylElement, levi: LeviDatum, facet: Facet) -> bool:
+    """True iff the double coset W_{M,af} label W_f meets W_M: since
+    W_{M,af} lies in W_M, iff label W_f does, iff label.finite has a partner."""
+    return _partner(facet, levi, label.finite) is not None
 
 
 class LeviHeckeElement(FpCombination):
@@ -289,56 +267,61 @@ class MonoidAlgebraElement(FpCombination):
             for z, c in terms)
 
 
-def _walk(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
+def _walk(start: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
           cap: int | None) -> set:
-    """The right W_{M,f}-cosets of W_{M,af} rep * u inside the Schubert scheme
-    S of idx, u the label's partner, each held by its minimum (`coset_min`
-    along the canonical generators of W_{M,f} on the right); more than cap of
-    them when the walk stopped at the cap (see `phi_c_w`)."""
+    """The right W_{M,f}-cosets of W_{M,af} start inside the Schubert scheme
+    S of idx, start = label * u for the label (the minimal element of the
+    component's double coset) and its partner u, each held by its minimum
+    (`coset_min` along the canonical generators of W_{M,f} on the right);
+    more than cap of them when the walk stopped at the cap (see `phi_c_w`)."""
     gens = levi.wmf(facet).gens
 
     def inside(z):
         return bruhat_leq(min_coset_rep(z, facet), idx.rep)
 
-    return closure([coset_min(label.rep * label.partner, right=gens)],
+    return closure([coset_min(start, right=gens)],
                    lambda z: (coset_min(x, right=gens) for r in levi.af_reflections
                               if inside(x := r * z)), cap)
 
 
-def _image(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
+def _image(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
            cap: int | None) -> tuple:
     """(the canonical W_{M,f} double cosets of the image of `phi_c_w`, the
-    number of cosets its walk visited); CapExceeded when that is over cap."""
-    if label.partner is None:
-        raise SatakeError("component has no Levi point")
-    walked = _walk(label, idx, levi, facet, cap)
+    number of cosets its walk visited) for the component whose minimal
+    element is label; ((), 0) when it has no Levi point, and CapExceeded when
+    the walk is over cap."""
+    u = _partner(facet, levi, label.finite)
+    if u is None:
+        return (), 0
+    walked = _walk(label * u, idx, levi, facet, cap)
     if cap is not None and len(walked) > cap:
         raise over_cap("Satake walk", cap)
     gens = levi.wmf(facet).gens
     return tuple({coset_min(z, gens, gens): 1 for z in walked}), len(walked)
 
 
-def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
+def phi_c_w(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum,
             facet: Facet, prime: int, cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
-    """Indicator sum over the Levi double cosets lying in the component of
-    `label` and inside the Schubert scheme of idx, S = lower_set(idx.rep) W_f
-    (the subword property splits the interval below idx.rep w_f, a reduced
-    product), so z is in S iff min_coset_rep(z) <= idx.rep.  The component
-    must meet S, as the closed one does.
+    """Indicator sum over the Levi double cosets lying in the component whose
+    minimal element is `label` and inside the Schubert scheme of idx, S =
+    lower_set(idx.rep) W_f (the subword property splits the interval below
+    idx.rep w_f, a reduced product), so z is in S iff min_coset_rep(z) <=
+    idx.rep.  The component must meet S, as the closed one does, and W_M
+    (SatakeError otherwise).
 
     As W_{M,f} lies in W_{M,af}, normal in W_M, the component meets W_M in
-    the one coset W_{M,af} rep * u, u the `_partner` of rep; rep * u is in
-    S, as S is a lower ideal, right W_f-stable, and rep lies below a point
-    of it in rep W_f.  Right translation by the coset's minimum g preserves
-    the Bruhat order of W_{M,af} (Dyer, Compositio Math. 78, 1991), so the
-    coset meets S in a lower ideal of W_{M,af} times g.  From each x g in it
-    but g, a left descent r of x among the canonical generators
-    `af_reflections` leads to r x g, still in it; so the walk from rep * u by
-    left multiplication by them that never leaves S reaches g, and from g
-    all of it.  That intersection is a union of right W_{M,f}-cosets (g is
+    the one coset W_{M,af} label * u, u the `_partner` of label; label * u
+    is in S, as S is a lower ideal, right W_f-stable, and label lies below a
+    point of it in label W_f.  Right translation by the coset's minimum g
+    preserves the Bruhat order of W_{M,af} (Dyer, Compositio Math. 78,
+    1991), so the coset meets S in a lower ideal of W_{M,af} times g.  From
+    each x g in it but g, a left descent r of x among the canonical
+    generators `af_reflections` leads to r x g, still in it; so the walk
+    from label * u by left multiplication by them that never leaves S
+    reaches g, and from g all of it.  That intersection is a union of right W_{M,f}-cosets (g is
     in W_M, and S is right W_f-stable), which left multiplication permutes,
     so the walk (`_walk`) visits cosets, one element each.  The image is
-    their canonical W_{M,f} double cosets; for the minimal Levi, rep * u
+    their canonical W_{M,f} double cosets; for the minimal Levi, label * u
     alone, and for G itself (W_{M,f} = W_f) the W_f-cosets below idx.rep.
 
     `cap` bounds the cosets the walk visits, as `satake --cap` does in the
@@ -346,7 +329,9 @@ def phi_c_w(label: ComponentLabel, idx: DoubleCosetIndex, levi: LeviDatum,
     walks.  Nothing is memoized here: `satake_phi` keeps the image of the
     closed component."""
     _check_class(idx, levi, facet)
-    reps, _ = _image(label, idx, levi, facet, cap)
+    reps, walked = _image(label, idx, levi, facet, cap)
+    if not walked:
+        raise SatakeError("component has no Levi point")
     return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
@@ -366,8 +351,7 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     memo = facet.datum.satake_memo
     key = (idx, levi)
     if key not in memo:
-        label = closed_attractor_component(idx, levi, facet)
-        memo[key] = ((), 0) if label.partner is None else _image(label, idx, levi, facet, cap)
+        memo[key] = _image(closed_attractor_component(idx, levi, facet), idx, levi, facet, cap)
     reps, walked = memo[key]
     if cap is not None and walked > cap:
         raise over_cap("Satake walk", cap)

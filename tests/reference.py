@@ -1,12 +1,13 @@
 """Reference helpers that only the tests use, kept out of the library."""
 
 from functools import cache
+import itertools
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke.affine_weyl import AffineWeylElement, DoubleCosetIndex, Facet
 from modp_hecke.oracle import GenericHeckeElement
 from modp_hecke.root_datum import RootDatumError, closure
-from modp_hecke.satake import LeviDatum
+from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi
 
 
 # The library's integer kernels written as plain index sums, for the tests
@@ -69,6 +70,25 @@ def coweight_from_x_coords(d, coords):
 def in_w_m(levi: LeviDatum, w: AffineWeylElement) -> bool:
     """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
     return w.finite.act(levi.lam) == levi.lam
+
+
+def finite_facets(d) -> list:
+    """Every facet of d whose W_f is finite, the Iwahori facet included: the
+    subsets of nodes that leave out a node of each component."""
+    indices = aw.simple_system(d).indices
+    out = []
+    for r in range(len(indices)):
+        for J in itertools.combinations(indices, r):
+            try:
+                out.append(aw.facet(d, J))
+            except RootDatumError:
+                pass  # J holds a whole component block
+    return out
+
+
+def proper_levis(d) -> list:
+    """The minimal Levi and, in rank above 1, the Levi of each simple root."""
+    return [minimal_levi(d)] + [levi_datum(d, (i,)) for i in range(d.n) if d.n > 1]
 
 
 def t_basis(w: AffineWeylElement) -> GenericHeckeElement:

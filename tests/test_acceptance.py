@@ -12,6 +12,7 @@ from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import preset
+from reference import proper_levis
 
 SPECIAL_GROUPS = ("A1:sc", "A1:ad", "A2:sc", "C2:sc")
 
@@ -133,13 +134,6 @@ def test_criterion_5_bruhat_and_length_oracles():
                 assert aw.length(t) == orc.brute_length(t), (spec, coords)
 
 
-def _levis(d):
-    out = [sat.minimal_levi(d)]
-    if d.n > 1:
-        out += [sat.levi_datum(d, (i,)) for i in range(d.n)]
-    return out
-
-
 def test_criterion_6_closed_attractor_uniqueness():
     with criterion(6, "closed attractor is unique and word independent", 300):
         for spec in ("A1:sc", "A2:sc", "C2:sc"):
@@ -147,7 +141,7 @@ def test_criterion_6_closed_attractor_uniqueness():
             for f in (aw.iwahori(d), aw.hyperspecial(d)):
                 classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 6)}
                 classes = {c for c in classes if c.length <= 6}
-                for lev in _levis(d):
+                for lev in proper_levis(d):
                     for idx in classes:
                         chains = sat.enumerate_closed_chains(idx, lev, f)
                         assert chains == {sat.closed_attractor_component(idx, lev, f)}, \

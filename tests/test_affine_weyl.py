@@ -8,7 +8,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
-from reference import in_w_m, wf_elements
+from reference import finite_facets, in_w_m, wf_elements
 
 
 def els(datum, *strings):
@@ -345,18 +345,6 @@ def _w_interval_classes(idx):
                      if (c := aw.double_coset_rep(v, idx.facet)).rep is v)
 
 
-def _every_finite_facet(d):
-    indices = aw.simple_system(d).indices
-    out = []
-    for J in itertools.chain.from_iterable(
-            itertools.combinations(indices, r) for r in range(len(indices))):
-        try:
-            out.append(aw.facet(d, J))
-        except RootDatumError:  # W_J is infinite
-            pass
-    return out
-
-
 LOWER_CLASS_BALLS = {"A1": 5, "A1:ad": 5, "A2": 4, "A2:ad": 4, "C2": 4, "C2:ad": 4, "G2": 4,
                      "A3": 3, "B3": 3, "C3": 2, "A1xA1": 3, "A1xA2:ad": 2}
 
@@ -366,7 +354,7 @@ def test_lower_classes_match_the_w_interval(spec):
     # Every class of the length ball at every finite facet, on a fresh datum.
     d = RootDatum(preset(spec).cartan_datum)
     ball = aw.length_ball(d, LOWER_CLASS_BALLS[spec])
-    for f in _every_finite_facet(d):
+    for f in finite_facets(d):
         for idx in {aw.double_coset_rep(w, f) for w in ball}:
             assert aw.enumerate_lower_interval(idx) == _w_interval_classes(idx), (spec, f, idx)
 
@@ -379,7 +367,7 @@ def test_length_bound_never_fires_when_the_classes_fit_the_cap(spec):
     # from one fresh datum, the capped calls (each a miss) run on another.
     def classes(d):
         ball = aw.length_ball(d, LOWER_CLASS_BALLS[spec])
-        reps = {aw.double_coset_rep(w, f) for f in _every_finite_facet(d) for w in ball}
+        reps = {aw.double_coset_rep(w, f) for f in finite_facets(d) for w in ball}
         return {(idx.facet.indices, aw.element_to_string(idx.rep)): idx for idx in reps}
 
     sizes = {k: len(aw.enumerate_lower_interval(idx))
@@ -573,19 +561,6 @@ def test_double_coset_rep_does_not_enumerate_w_f(spec, closure_results):
     assert max(map(len, closure_results), default=0) < {"A6": 5040, "E6": 51840}[spec]
 
 
-def _finite_facets(d):
-    """Every facet of d whose W_f is finite, the Iwahori facet included."""
-    indices = aw.simple_system(d).indices
-    out = []
-    for r in range(len(indices)):
-        for J in itertools.combinations(indices, r):
-            try:
-                out.append(aw.facet(d, J))
-            except RootDatumError:
-                pass  # J holds a whole component block
-    return out
-
-
 def _explicit_a1(basis):
     return from_json({"type": "A1", "rank": 1, "lattice_basis": basis})
 
@@ -616,7 +591,7 @@ def test_torsion_reps_give_every_length_zero_element(make, size):
 def test_finite_parabolics_lie_in_the_affine_weyl_group(spec):
     # W_f is generated by affine simple reflections, so its Omega part is trivial
     # and its translations lie in Q^vee.
-    for f in _finite_facets(preset(spec)):
+    for f in finite_facets(preset(spec)):
         assert all(aw.omega_part(h).is_identity() for h in wf_elements(f)), f
 
 
@@ -625,7 +600,7 @@ def test_is_special_matches_the_order_of_w_f(spec):
     # W_f -> W0 is injective, so W_f is special iff it has |W0| elements.
     d = preset(spec)
     order = len(w0_elements(d))
-    for f in _finite_facets(d):
+    for f in finite_facets(d):
         assert f.is_special() == (len(wf_elements(f)) == order), f
 
 

@@ -15,7 +15,7 @@ from modp_hecke import oracle
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
 import reference
-from reference import brute_double_coset_rep, in_w_m, wf_elements
+from reference import brute_double_coset_rep, finite_facets, in_w_m, wf_elements
 
 SPECS = ("A1", "A2", "C2", "G2", "A3")
 
@@ -158,24 +158,10 @@ def test_x_coords_off_the_lattice():
     assert central.x_coords((1, 1)) == (1, 0)
 
 
-def _finite_facets(d):
-    """Every facet of d whose W_f is finite: the subsets of nodes that leave
-    out a node of each component."""
-    indices = aw.simple_system(d).indices
-    out = []
-    for r in range(len(indices)):
-        for J in itertools.combinations(indices, r):
-            try:
-                out.append(aw.facet(d, J))
-            except rd.RootDatumError:
-                pass  # J holds a whole component block
-    return out
-
-
 @given(st.sampled_from(("A1", "A1:ad", "A2", "A2:ad", "C2", "C2:ad", "G2", "B3"))
        .flatmap(affine_elements))
 def test_double_coset_rep_matches_the_sweep(w):
-    for f in _finite_facets(w.datum):
+    for f in finite_facets(w.datum):
         assert aw.double_coset_rep(w, f).rep == brute_double_coset_rep(w, f).rep
 
 
@@ -186,7 +172,7 @@ def test_chamber_matches_the_w_f_sweep(spec):
     is an element of W_f taking x there."""
     d = rd.preset(spec)
     sys = aw.simple_system(d)
-    for f in _finite_facets(d):
+    for f in finite_facets(d):
         betas = [sys.simple_roots[i][0] for i in f.indices]
         elements = set(wf_elements(f))
         for x in itertools.product(range(-2, 3), repeat=d.dim):
@@ -267,7 +253,7 @@ def _swept_phi_c_w(label, idx, levi, facet, prime):
     keeping those in W_M, all by the references above."""
     w0m = _w0m_reference(levi)
     wmf = _wmf_reference(levi, facet)
-    cosets = _cosets_reference(levi, facet, label.rep)
+    cosets = _cosets_reference(levi, facet, label)
     coeffs = {}
     for y in {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(facet)}:
         if y.finite in w0m:
@@ -292,7 +278,7 @@ def test_levi_membership_and_reflections_match_the_enumeration(spec):
     for levi in _standard_levis(d):
         w0m = _w0m_reference(levi)
         assert {u for u in w0 if in_w_m(levi, aw.from_finite(d, u))} == w0m, levi
-        for f in _finite_facets(d):
+        for f in finite_facets(d):
             gens = levi.wmf(f).gens
             assert rd.closure([aw.identity(d)], lambda w: (w * g for g in gens)) == \
                 set(_wmf_reference(levi, f)), (levi, f)
@@ -330,7 +316,7 @@ def test_w_m_f_generators_are_canonical(spec):
     radius = GENERATOR_RADII[spec]
     roots = aw.simple_system(d).simple_roots
     ball = aw.length_ball(d, radius)
-    for f in _finite_facets(d):
+    for f in finite_facets(d):
         classes = {aw.double_coset_rep(w, f) for w in ball}
         for levi in _standard_levis(d):
             group = levi.wmf(f)
@@ -345,9 +331,10 @@ def test_w_m_f_generators_are_canonical(spec):
             wmf = _wmf_reference(levi, f)
             for idx in (c for c in classes if c.length <= radius):
                 label = sat.closed_attractor_component(idx, levi, f)
-                if label.partner is None:
+                partner = sat._partner(f, levi, label.finite)
+                if partner is None:
                     continue
-                for z in sat._walk(label, idx, levi, f, None):
+                for z in sat._walk(label * partner, idx, levi, f, None):
                     assert all(aw.length(z * u) > aw.length(z) for u in wmf
                                if not u.is_identity()), (f, levi, idx, z)
 
@@ -375,13 +362,13 @@ def test_component_label_is_the_minimum_of_its_double_coset(case):
     the Levi-point test agrees with the set read against W0(M)."""
     w, data = case
     d = w.datum
-    for f in _finite_facets(d):
+    for f in finite_facets(d):
         for levi in _standard_levis(d):
             label = sat.component_of(w, levi, f)
             cosets = _cosets_reference(levi, f, w)
-            assert label.rep in cosets
-            assert all(aw.length(c) > aw.length(label.rep) for c in cosets
-                       if c is not label.rep), (f, levi, w)
+            assert label in cosets
+            assert all(aw.length(c) > aw.length(label) for c in cosets
+                       if c is not label), (f, levi, w)
             a = aw.identity(d)
             if levi.phi_m:
                 for beta, k in data.draw(st.lists(st.tuples(st.sampled_from(levi.phi_m),
@@ -391,7 +378,8 @@ def test_component_label_is_the_minimum_of_its_double_coset(case):
             assert sat.component_of(y, levi, f) == label, (f, levi, y)
             assert _cosets_reference(levi, f, y) == cosets
             w0m = _w0m_reference(levi)
-            assert sat.component_has_levi_point(label) == any(c.finite in w0m for c in cosets)
+            assert sat.component_has_levi_point(label, levi, f) == \
+                any(c.finite in w0m for c in cosets)
 
 
 SWEEP_LENGTHS = {"A1:ad": 4, "A2": 4, "A2:ad": 3, "C2": 4, "C2:ad": 3, "G2": 4, "A3": 2,
@@ -406,14 +394,14 @@ def test_phi_c_w_matches_the_full_sweep(spec):
     d = rd.preset(spec)
     levis = _standard_levis(d)
     radius = SWEEP_LENGTHS[spec]
-    for f in _finite_facets(d):
+    for f in finite_facets(d):
         classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)}
         for levi in levis:
             wmf = _wmf_reference(levi, f)
             gens = levi.wmf(f).gens
             for idx in (c for c in classes if c.length <= radius):
                 label = sat.closed_attractor_component(idx, levi, f)
-                if sat.component_has_levi_point(label):
+                if sat.component_has_levi_point(label, levi, f):
                     assert sat.phi_c_w(label, idx, levi, f, 2) == \
                         _swept_phi_c_w(label, idx, levi, f, 2), (f, idx, levi)
                 for y in {a * u for a in aw.lower_set(idx.rep) for u in wf_elements(f)}:

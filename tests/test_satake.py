@@ -8,7 +8,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
-from reference import aff_act, in_w_m, wf_elements
+from reference import aff_act, in_w_m, proper_levis, wf_elements
 
 
 def cls(datum, facet, text):
@@ -25,14 +25,6 @@ def is_antidominant(datum, z):
     return all(datum.pair(rt, z) <= 0 for rt in datum.positive_roots)
 
 
-def proper_levis(datum):
-    out = [sat.minimal_levi(datum)]
-    if datum.n > 1:
-        for i in range(datum.n):
-            out.append(sat.levi_datum(datum, (i,)))
-    return out
-
-
 @pytest.mark.parametrize("spec", ["A6", "E6"])
 def test_the_satake_path_does_not_enumerate_w_f(spec, closure_results):
     # The hyperspecial W_f of A6 has 5,040 elements and that of E6 51,840, and
@@ -45,7 +37,7 @@ def test_the_satake_path_does_not_enumerate_w_f(spec, closure_results):
     e = cls(d, f, "e")
     for levi in (sat.minimal_levi(d), sat.levi_datum(d, (0, 2))):
         label = sat.closed_attractor_component(e, levi, f)
-        assert label.rep.is_identity() and sat.component_has_levi_point(label)
+        assert label.is_identity() and sat.component_has_levi_point(label, levi, f)
         assert set(sat.satake_phi(e, levi, f, 2).coeffs) == {aw.identity(d)}
     if spec == "A6":
         t = cls(d, f, "t[-1,0,0,0,0,0]")
@@ -187,7 +179,7 @@ def test_closed_attractor_point_class():
     f = aw.iwahori(d)
     lev = sat.minimal_levi(d)
     e = cls(d, f, "e")
-    assert sat.closed_attractor_component(e, lev, f).rep.is_identity()
+    assert sat.closed_attractor_component(e, lev, f).is_identity()
 
 
 def test_special_case_collapse():
@@ -245,9 +237,9 @@ def test_component_has_levi_point():
     f = aw.iwahori(d)
     lev = sat.minimal_levi(d)
     e_label = sat.component_of(aw.identity(d), lev, f)
-    assert sat.component_has_levi_point(e_label)
+    assert sat.component_has_levi_point(e_label, lev, f)
     s1_label = sat.component_of(aw.parse_element(d, "s1"), lev, f)
-    assert not sat.component_has_levi_point(s1_label)
+    assert not sat.component_has_levi_point(s1_label, lev, f)
 
 
 def _levi_facet_group(levi, f):
@@ -301,6 +293,15 @@ def test_phi_c_w_precondition():
     s1_label = sat.component_of(aw.parse_element(d, "s1"), lev, f)
     with pytest.raises(sat.SatakeError):
         sat.phi_c_w(s1_label, cls(d, f, "s1"), lev, f, 2)
+    # a non-minimal Levi: C2 with Levi {alpha_2}, whose closed component of
+    # s0*s1*s2 at the Iwahori facet, s1*s2, has no Levi point
+    d = preset("C2")
+    f, lev = aw.iwahori(d), sat.levi_datum(d, (1,))
+    idx = cls(d, f, "s0*s1*s2")
+    label = sat.closed_attractor_component(idx, lev, f)
+    assert aw.element_to_string(label) == "s1*s2"
+    with pytest.raises(sat.SatakeError, match="component has no Levi point"):
+        sat.phi_c_w(label, idx, lev, f, 2)
 
 
 def test_levi_side_reprs():
@@ -626,7 +627,7 @@ def test_special_facet_has_no_zero_case():
         classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 5)}
         for idx in classes:
             label = sat.closed_attractor_component(idx, lev, f)
-            assert sat.component_has_levi_point(label), (spec, fidx, idx)
+            assert sat.component_has_levi_point(label, lev, f), (spec, fidx, idx)
 
 
 def test_other_types_special_behavior():
@@ -731,13 +732,17 @@ def test_memo_hit_still_checks_the_prime():
 
 
 def test_zero_image_walks_no_interval_on_a_memo_hit():
-    # the image of s1 is zero (test_satake_phi_iwahori_values); its interval
-    # has 2 elements, which cap=1 would refuse
-    d = fresh("A1")
-    f, lev = aw.iwahori(d), sat.minimal_levi(d)
-    idx = cls(d, f, "s1")
-    for _ in range(2):
-        assert sat.satake_phi(idx, lev, f, 2, cap=1).is_zero()
+    # the image of s1 in A1 is zero (test_satake_phi_iwahori_values); its
+    # interval has 2 elements, which cap=1 would refuse.  The image of
+    # s0*s1*s2 in C2 at the Levi {alpha_2} is zero too
+    # (test_phi_c_w_precondition), and its interval has 8 elements.
+    for spec, j_m, text in (("A1", (), "s1"), ("C2", (1,), "s0*s1*s2")):
+        d = fresh(spec)
+        f, lev = aw.iwahori(d), sat.levi_datum(d, j_m)
+        idx = cls(d, f, text)
+        for _ in range(2):
+            assert sat.satake_phi(idx, lev, f, 2, cap=1).is_zero()
+        assert d.satake_memo[(idx, lev)] == ((), 0)
 
 
 def test_the_levi_facet_group_is_built_once(monkeypatch):
@@ -759,7 +764,7 @@ def test_the_levi_facet_group_is_built_once(monkeypatch):
         for idx in facet_classes(d, f, 3):
             sat.satake_phi(idx, lev, f, 2)
             label = sat.closed_attractor_component(idx, lev, f)
-            if sat.component_has_levi_point(label):
+            if sat.component_has_levi_point(label, lev, f):
                 sat.phi_c_w(label, idx, lev, f, 2)
         assert calls.count(f) == 1, f
     assert len(calls) == len(facets)
