@@ -256,6 +256,9 @@ class RootDatum:
       (the facet intern table by sorted index tuple; each facet interns its
       classes and keeps the class of each element asked for), and
       `bruhat_memo` by `(u, w)`;
+    - for `oracle`: `generic_steps`, the generic Hecke algebra's numbering of
+      the elements it meets, each with its right simple steps w -> w s_i
+      (`oracle.RightSteps`);
     - for `satake`: `levis` (the Levi intern table by sorted J_M; each Levi
       keeps its W_{M,f} record per facet), and `satake_memo`, keyed by
       `(class, Levi)`, whose entries are the canonical W_{M,f}
@@ -327,6 +330,7 @@ class RootDatum:
         self.affine_system = None
         self.facets: dict = {}
         self.bruhat_memo: dict = {}
+        self.generic_steps = None  # oracle.RightSteps, made on first use
         self.levis: dict = {}
         self.satake_memo: dict = {}
 

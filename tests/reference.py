@@ -1,12 +1,13 @@
 """Reference helpers that only the tests use, kept out of the library."""
 
 from functools import cache
+import gc
 import itertools
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke.affine_weyl import AffineWeylElement, DoubleCosetIndex, Facet
 from modp_hecke.oracle import GenericHeckeElement
-from modp_hecke.root_datum import RootDatumError, closure
+from modp_hecke.root_datum import RootDatumError, closure, from_json
 from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi
 
 
@@ -112,3 +113,23 @@ def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
     if len(ties) != 1:
         raise RootDatumError("double coset has no unique maximal min-rep")
     return DoubleCosetIndex(f, best)
+
+
+# A2 and B2 on the same explicit lattice: two data that a memo keyed by the
+# datum's address, or by its lattice, would mix up.
+ALTERNATING_DOCS = (dict(type="A2", rank=2, lattice_basis=[[1, 0], [0, 1]]),
+                    dict(type="B2", rank=2, lattice_basis=[[1, 0], [0, 1]]))
+
+
+def alternating_data(rounds: int):
+    """Yields (k, datum from ALTERNATING_DOCS[k]) for k = 0, 1 in turn, `rounds`
+    times, with a collection before each is built, so a new datum may reuse
+    the address of one just freed."""
+    gc.freeze()  # keep what earlier tests allocated out of the collections below
+    try:
+        for _ in range(rounds):
+            for k, doc in enumerate(ALTERNATING_DOCS):
+                gc.collect()
+                yield k, from_json(doc)
+    finally:
+        gc.unfreeze()

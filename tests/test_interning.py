@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
+from modp_hecke import oracle as orc
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
 
@@ -151,6 +152,51 @@ def test_interning_is_race_free():
             assert len({id(m) for m in levis}) == len({m.j_m for m in levis}) == 4
             assert len({id(c) for c in classes}) == len({
                 (c.facet.indices, c.rep.translation, c.rep.finite.matrix) for c in classes})
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_step_table_numbering_is_race_free():
+    # Four threads multiply in the generic algebra of one fresh datum at once,
+    # each starting at its own quarter of the pairs; a number handed out twice
+    # would give two elements one number, and wrong products.
+    cartan = rd.preset("A2").cartan_datum
+
+    def phis(d):
+        f = aw.iwahori(d)
+        return [orc.phi_to_generic(aw.DoubleCosetIndex(f, w)) for w in aw.length_ball(d, 2)]
+
+    def products(phi, order):
+        return {(i, j): sorted((aw.element_to_string(w), c)
+                               for w, c in (phi[i] * phi[j]).coeffs.items())
+                for i, j in order}
+
+    first = phis(rd.RootDatum(cartan))
+    pairs = [(i, j) for i in range(len(first)) for j in range(len(first))]
+    expected = products(first, pairs)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            d = rd.RootDatum(cartan)
+            phi = phis(d)
+            barrier = threading.Barrier(4)
+            found = []
+
+            def work(k):
+                barrier.wait(timeout=30)
+                start = len(pairs) * k // 4
+                found.append(products(phi, pairs[start:] + pairs[:start]))
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and len(found) == 4
+            assert all(expected[key] == got for out in found for key, got in out.items())
+            table = d.generic_steps
+            assert [table._index[w] for w in table.elements] == list(range(len(table.elements)))
     finally:
         sys.setswitchinterval(old)
 

@@ -6,7 +6,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke.root_datum import CartanDatum, RootDatum, preset
-from reference import t_basis
+from reference import alternating_data, t_basis
 
 
 def test_quadratic_relation():
@@ -122,6 +122,79 @@ def test_check_convolution_on_adjoint_data():
     for spec, cap, pairs in (("A1:ad", 3, 588), ("A2:ad", 2, 2700)):
         row = orc.check_convolution(preset(spec), cap)
         assert row["ok"] and row["pairs"] == pairs, row
+
+
+def test_check_convolution_names_a_planted_failure(monkeypatch):
+    # A planted convolution that drops w2 is right on (e, e) and wrong on (e, s1),
+    # the second class of the ball
+    d = preset("A1")
+    real = hk.convolve_phi_classes
+    monkeypatch.setattr(orc, "convolve_phi_classes", lambda w1, w2: real(w1, w1))
+    row = orc.check_convolution(d, 2)
+    assert row == {"datum": "A1:sc", "ok": False, "pairs": len(orc.PRIMES),
+                   "failed": ("[e]", "[s1]", orc.PRIMES[0])}
+
+
+def _generic_strings(a):
+    return {str(w): orc.unpack(c) for w, c in a.coeffs.items()}
+
+
+def test_generic_step_table_lives_and_dies_with_its_datum():
+    # T_{s0 s1}^2 on A2 and B2 on one explicit lattice, built and freed in turn:
+    # the step table is the datum's, so no product reads another datum's steps.
+    expected = ({"t[-1,2]*s2": (-1, 1), "t[-1,2]*s2*s1": (0, 1)},
+                {"e": (0, 0, 1), "s1": (0, -1, 1), "t[0,1]*s1*s2*s1*s2": (1, -2, 1),
+                 "t[0,1]*s2*s1*s2": (0, -1, 1)})
+    wrong = 0
+    for k, d in alternating_data(100):
+        t = t_basis(aw.parse_element(d, "s0*s1"))
+        if _generic_strings(t * t) != expected[k]:
+            wrong += 1
+    assert wrong == 0
+
+
+@pytest.mark.parametrize("spec", ["A2", "C2"])
+def test_oracle_convolution_does_not_depend_on_call_order(spec):
+    # The same calls on a fresh datum in reverse order give the same answers,
+    # though the step table numbers the elements in another order.
+    def answers(pairs):
+        d = RootDatum(CartanDatum(((spec[0], 2),), "sc"))
+        f = aw.iwahori(d)
+        ball = [aw.DoubleCosetIndex(f, w) for w in aw.length_ball(d, 2)]
+        return {(i, j, p): {repr(c): v for c, v in
+                            orc.oracle_convolve_phi(ball[i], ball[j], p).coeffs.items()}
+                for i, j, p in pairs}
+
+    n = len(aw.length_ball(preset(spec), 2))
+    pairs = [(i, j, p) for i in range(n) for j in range(n) for p in (2, 3)]
+    assert answers(pairs) == answers(pairs[::-1])
+
+
+def test_a_generic_product_across_data_raises():
+    # Also when the left factor is zero; and no foreign element is numbered.
+    a, b = (RootDatum(CartanDatum((("A", 1),), "sc")) for _ in range(2))
+    s1 = t_basis(aw.parse_element(b, "s1"))
+    for left in (t_basis(aw.parse_element(a, "s1")), orc.GenericHeckeElement(a, {})):
+        with pytest.raises(aw.RootDatumError, match="datum mismatch"):
+            left * s1
+    assert a.generic_steps is None
+
+
+def test_oracle_convolution_work_counts():
+    # Deterministic work of one oracle convolution on a fresh A2 datum: the
+    # elements interned, the affine product memo entries, and the elements
+    # the step table numbers, with the right steps of how many filled.
+    d = RootDatum(CartanDatum((("A", 2),), "sc"))
+    f = aw.iwahori(d)
+    w1 = aw.double_coset_rep(aw.parse_element(d, "t[1,-1]*s1"), f)
+    w2 = aw.double_coset_rep(aw.parse_element(d, "w[0,1,2,1]"), f)
+    out = orc.oracle_convolve_phi(w1, w2, 3)
+    table = d.generic_steps
+    assert (len(d._affine_cache),
+            sum(len(w._products) for w in d._affine_cache.values()),
+            len(table.elements),
+            sum(st is not None for st in table.steps)) == (65, 129, 64, 42)
+    assert out == hk.phi_basis_element(hk.convolve_phi_classes(w1, w2)[0], 3)
 
 
 def test_run_checks_all_pass():

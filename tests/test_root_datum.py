@@ -1,4 +1,3 @@
-import gc
 import random
 
 import pytest
@@ -7,7 +6,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
-from reference import mat_mul
+from reference import alternating_data, mat_mul
 
 
 def w0_elements(d):
@@ -247,19 +246,10 @@ def test_explicit_lattice_with_central_torus():
 
 
 def test_memos_do_not_outlive_their_datum():
-    # A2 and B2 on the same explicit lattice, built and freed in turn, so a
-    # new datum may reuse the address of the one just collected.
-    docs = ((dict(type="A2", rank=2, lattice_basis=[[1, 0], [0, 1]]), 2),
-            (dict(type="B2", rank=2, lattice_basis=[[1, 0], [0, 1]]), 3))
+    # l(t[1,-1]) is 2 on A2 and 3 on B2
+    expected = (2, 3)
     wrong = 0
-    gc.freeze()  # keep what earlier tests allocated out of the collections below
-    try:
-        for _ in range(200):
-            for doc, expected in docs:
-                gc.collect()
-                d = rd.from_json(doc)
-                if aw.length(aw.AffineWeylElement(d, (1, -1), d.weyl_identity)) != expected:
-                    wrong += 1
-    finally:
-        gc.unfreeze()
+    for k, d in alternating_data(200):
+        if aw.length(aw.AffineWeylElement(d, (1, -1), d.weyl_identity)) != expected[k]:
+            wrong += 1
     assert wrong == 0
