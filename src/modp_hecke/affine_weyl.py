@@ -24,9 +24,9 @@ This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products and
 Omega-stripped cores.  Facets are interned in the datum's `facets`, each
 with its own intern table of classes and its memo of the class of each
-element asked for, and each class keeps the set of classes below it; the
-other memos live on the RootDatum: the affine simple system and
-`bruhat_memo`.
+element asked for, and each class keeps the set of classes below it and
+its phi products (`hecke.convolve_phi_classes`); the other memos live on
+the RootDatum: the affine simple system and `bruhat_memo`.
 """
 
 from __future__ import annotations
@@ -531,16 +531,17 @@ def chamber(f: Facet, x: Coweight):
 class DoubleCosetIndex:
     """Canonical representative of a class in W_f \\ W / W_f, interned in
     its facet by representative, so equality is identity.  `_below` memoizes
-    `enumerate_lower_interval`."""
+    `enumerate_lower_interval`, and `_products` maps each right class to
+    `hecke.convolve_phi_classes`' (product class, witness) with it."""
 
-    __slots__ = ("facet", "rep", "_hash", "_below")
+    __slots__ = ("facet", "rep", "_hash", "_below", "_products")
 
     def __new__(cls, facet_: Facet, rep: AffineWeylElement):
         idx = facet_._classes.get(rep)
         if idx is None:
             idx = object.__new__(cls)
             idx.facet, idx.rep, idx._hash = facet_, rep, hash((facet_, rep))
-            idx._below = None
+            idx._below, idx._products = None, {}
             idx = facet_._classes.setdefault(rep, idx)
         return idx
 

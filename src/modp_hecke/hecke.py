@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, DoubleCosetIndex, Facet,
-                          demazure_decomposition, demazure_mult, demazure_product,
+                          demazure_decomposition, demazure_product,
                           double_coset_rep, element_to_string, enumerate_lower_interval)
 from .root_datum import closure, over_cap
 
@@ -219,26 +219,31 @@ class ConvolutionWitness(NamedTuple):
 def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
     """Product class of phi_{w1} * phi_{w2} = phi_w, with a witness: the
     double coset of tau1 * fold(word1 ++ word2) * tau2, the decomposition of
-    affine_weyl.demazure_decomposition."""
+    affine_weyl.demazure_decomposition.  The pair is kept in w1's `_products`
+    by w2, so a repeated call returns the same class and witness objects."""
     if w1.facet is not w2.facet:
         raise HeckeError("facet mismatch")
-    tau1, word1, word2, folded, tau2 = demazure_decomposition(w1.rep, w2.rep)
-    out = double_coset_rep(tau1 * folded * tau2, w1.facet)
-    return out, ConvolutionWitness(w1.facet, w1.rep, w2.rep, tau1, tau2,
-                                   word1, word2, folded, out.rep)
+    entry = w1._products.get(w2)
+    if entry is None:
+        tau1, word1, word2, folded, tau2 = demazure_decomposition(w1.rep, w2.rep)
+        out = double_coset_rep(tau1 * folded * tau2, w1.facet)
+        entry = w1._products.setdefault(w2, (out, ConvolutionWitness(
+            w1.facet, w1.rep, w2.rep, tau1, tau2, word1, word2, folded, out.rep)))
+    return entry
 
 
 def convolve(a: HeckeElement, b: HeckeElement,
              cap: int | None = INTERVAL_CAP) -> HeckeElement:
-    """Convolution product, computed bilinearly in the phi basis; the result
-    is returned in the basis of the left operand."""
+    """Convolution product, computed bilinearly in the phi basis from the
+    class products of `convolve_phi_classes`, which keeps each one; the
+    result is returned in the basis of the left operand."""
     a._check_compatible(b)
     pa = a.convert("phi", cap)
     pb = b.convert("phi", cap)
     out = {}
     for i1, c1 in pa.coeffs.items():
         for i2, c2 in pb.coeffs.items():
-            prod = double_coset_rep(demazure_mult(i1.rep, i2.rep), a.facet)
+            prod = convolve_phi_classes(i1, i2)[0]
             out[prod] = out.get(prod, 0) + c1 * c2
     result = HeckeElement(a.facet, a.prime, "phi", out)
     return result.convert(a.basis, cap)

@@ -8,8 +8,8 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import CapExceeded, RootDatum, preset
-from reference import wf_elements
+from modp_hecke.root_datum import CapExceeded, CartanDatum, RootDatum, preset
+from reference import alternating_data, wf_elements
 
 
 def cls(datum, facet, text):
@@ -220,6 +220,65 @@ def test_witness_fields_are_the_interned_elements():
     assert wit.folded is aw.demazure_product(d, wit.word1 + wit.word2)
     assert wit.tau1 is aw.omega_part(a.rep)
     assert wit.tau2 is aw.omega_part(b.rep)
+
+
+# t[-1,0] * t[0,-1] at the hyperspecial facet of each datum of
+# reference.alternating_data: A2 and B2 on one explicit lattice, both with
+# nontrivial Omega there.  The A2 witness is the one of the CI line above.
+ALTERNATING_WITNESSES = (CI_WITNESS, {
+    "facet": [1, 2], "folded": "t[4,-1]*s1*s2*s1", "result": "t[-1,-1]",
+    "tau1": "t[1,0]*s1*s2*s1", "tau2": "e", "w1": "t[-1,0]", "w2": "t[0,-1]",
+    "word1": [0, 2, 0], "word2": [2, 1, 2, 0]})
+
+
+def test_class_product_memo_lives_and_dies_with_its_datum():
+    # The memo is the left class's, so no datum reads a freed datum's pairs.
+    wrong = 0
+    for k, d in alternating_data(100):
+        f = aw.hyperspecial(d)
+        prod, wit = hk.convolve_phi_classes(cls(d, f, "t[-1,0]"), cls(d, f, "t[0,-1]"))
+        if (aw.element_to_string(prod.rep), wit.to_json()) != (
+                "t[-1,-1]", ALTERNATING_WITNESSES[k]):
+            wrong += 1
+    assert wrong == 0
+
+
+def test_class_product_memo_keeps_the_witness_and_the_facet_check():
+    d = RootDatum(preset("A2:ad").cartan_datum)
+    f, g = aw.facet(d, (1, 2)), aw.iwahori(d)
+    a, b = cls(d, f, "t[0,1]*s1"), cls(d, f, "t[1,0]")
+    prod, wit = hk.convolve_phi_classes(a, b)
+    again, wit2 = hk.convolve_phi_classes(a, b)
+    assert again is prod and wit2 is wit and wit.to_json() == CI_WITNESS
+    # b's representative is its own Iwahori class: same rep, another facet.
+    foreign = aw.double_coset_rep(b.rep, g)
+    assert foreign.rep is b.rep
+    with pytest.raises(hk.HeckeError, match="facet mismatch"):
+        hk.convolve_phi_classes(a, foreign)
+    with pytest.raises(hk.HeckeError, match="facet mismatch"):
+        hk.convolve_phi_classes(foreign, b)
+    assert list(a._products) == [b] and not foreign._products
+
+
+def test_class_product_work_counts():
+    # Deterministic work of ten class products with repeats on a fresh A2
+    # datum: interned elements, affine product-memo entries and class-memo
+    # entries after one pass, and a second pass adds to none of them.
+    d = RootDatum(CartanDatum((("A", 2),), "sc"))
+    f = aw.hyperspecial(d)
+    c = [cls(d, f, t) for t in ("e", "t[-1,-1]", "t[-1,-2]", "t[-2,-1]", "t[-2,-2]")]
+    pairs = [(1, 2), (2, 1), (1, 1), (3, 4), (4, 3), (1, 2), (4, 4), (0, 3), (3, 4), (1, 1)]
+
+    def counts():
+        return (len(d._affine_cache),
+                sum(len(w._products) for w in d._affine_cache.values()),
+                sum(len(k._products) for k in f._classes.values()))
+
+    first = [hk.convolve_phi_classes(c[i], c[j]) for i, j in pairs]
+    pinned = counts()
+    assert pinned == (71, 115, 7)
+    assert [hk.convolve_phi_classes(c[i], c[j]) for i, j in pairs] == first
+    assert counts() == pinned
 
 
 def test_point_count_polynomials():

@@ -114,7 +114,8 @@ def test_a_product_across_data_raises_before_and_after_memoizing():
 def test_interning_is_race_free():
     # Four threads form the same new elements of fresh data at once; with
     # the thread switch forced every microsecond, a lookup-then-insert
-    # intern table hands out two objects for one element in most data.
+    # intern table hands out two objects for one element in most data.  The
+    # class-product memo stores the same way, so each pair has one witness.
     cartan = rd.preset("A3").cartan_datum
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -131,8 +132,10 @@ def test_interning_is_race_free():
                 ball = aw.length_ball(d, 2)
                 facets = [aw.Facet(d, indices) for indices in ((), (1,), (0, 2), (1, 2, 3))]
                 levis = [sat.levi_datum(d, j_m) for j_m in ((), (0,), (2, 1), (0, 1, 2))]
-                found.append((list(w0), ball, facets, levis,
-                              [aw.double_coset_rep(w, f) for f in facets for w in ball]))
+                classes = [aw.double_coset_rep(w, f) for f in facets for w in ball]
+                iwahori = classes[:len(ball)]
+                found.append((list(w0), ball, facets, levis, classes,
+                              [hk.convolve_phi_classes(a, b)[1] for a in iwahori for b in iwahori]))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
@@ -143,8 +146,8 @@ def test_interning_is_race_free():
             finite = [x for w0, *_ in found for x in w0]
             affine = [x for _, ball, *_ in found for x in ball]
             facets = [f for _, _, fs, *_ in found for f in fs]
-            levis = [m for *_, ms, _ in found for m in ms]
-            classes = [c for *_, cs in found for c in cs]
+            levis = [m for *_, ms, _, _ in found for m in ms]
+            classes = [c for *_, cs, _ in found for c in cs]
             assert len({id(x) for x in finite}) == len({x.matrix for x in finite}) == 24
             assert len({id(x) for x in affine}) == len({(x.translation, x.finite.matrix)
                                                         for x in affine})
@@ -152,6 +155,8 @@ def test_interning_is_race_free():
             assert len({id(m) for m in levis}) == len({m.j_m for m in levis}) == 4
             assert len({id(c) for c in classes}) == len({
                 (c.facet.indices, c.rep.translation, c.rep.finite.matrix) for c in classes})
+            witnesses = zip(*(ws for *_, ws in found))  # the four threads' witnesses of each pair
+            assert all(len(set(map(id, same))) == 1 for same in witnesses)
     finally:
         sys.setswitchinterval(old)
 

@@ -489,6 +489,13 @@ def _results(w, reverse=False):
     def satake(p):
         return sat.satake_phi(aw.double_coset_rep(w, f), levi, f, p).to_json()
 
+    def product():
+        c = aw.double_coset_rep(w, f)
+        out, witness = hecke.convolve_phi_classes(c, c)
+        phi = hecke.phi_basis_element(c, 3)
+        return (aw.element_to_string(out.rep), witness.to_json(),
+                hecke.convolve(phi, phi).to_json())
+
     steps = {
         "class": lambda: aw.element_to_string(aw.double_coset_rep(w, f).rep),
         "interval": lambda: sorted(aw.element_to_string(v.rep) for v in
@@ -496,6 +503,7 @@ def _results(w, reverse=False):
         "leq": lambda: sum(aw.bruhat_leq(v, w) for v in aw.lower_set(w)),
         "length": lambda: aw.length(w),
         "lower": lambda: sorted(aw.element_to_string(v) for v in aw.lower_set(w)),
+        "product": product,
         "satake2": lambda: satake(2),
         "satake3": lambda: satake(3),
         "string": lambda: aw.element_to_string(w),
