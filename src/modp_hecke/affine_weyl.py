@@ -18,7 +18,9 @@ generators of reflection subgroups, on the left and then on the right, ends
 at the minimum of a one- or two-sided coset (Dyer, J. Algebra 135, 1990;
 Bjorner and Brenti, GTM 231, §2.4); the one maximum, that of W_f w, is an
 ascent in `double_coset_rep`; and a coweight's orbit point under W_f is one
-`chamber` descent, so W_f is never enumerated.
+`chamber` descent, so W_f is never enumerated.  One lifting walk,
+`_lower_quotient`, finds the minimal right W_f-coset representatives below
+an element: a point count's cells and the classes below a class.
 
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products and
@@ -572,53 +574,53 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
 
 def enumerate_lower_interval(idx: DoubleCosetIndex,
                              cap: int | None = INTERVAL_CAP) -> frozenset:
-    """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices.
-
-    The classes below C are C and the classes below its one-letter deletions:
-    the classes of the elements that drop one letter of the reduced word of
-    C's minimal element m.  A class C' < C has its minimum m' < m, so by the
-    chain property m' <= m t < m for a reflection t with m t one such
-    deletion, and projection to double cosets preserves the order (Bjorner
-    and Brenti, GTM 231, §§1.4, 2.2, 2.5); induction on length does the rest.
-    The walk is `closure`, level by level; idx keeps the whole set in
-    `_below`.
-
-    `cap` bounds the classes walked and the set returned, on a memo hit as
-    on a miss, so whether a call raises depends only on the set's size.  A
-    miss raises before walking when l(m) > (cap - 1)(1 + 2N), N the number
-    of positive roots: dropping m's first letter gives a class strictly
-    below C whose minimum is at least l(m) - 1 - 2N long (l(w_{0,J}) <= N
-    on each side), so cap + 1 classes run down from C."""
+    """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices: the
+    classes of the left-minimal v in [e, m]^f (`_lower_quotient`), m the
+    minimum of idx, as classes are ordered by their minima (Bjorner and
+    Brenti, GTM 231, §2.5).  The walk stays in [e, m]^f, inside the class's
+    cells [e, idx.rep]^f.  idx keeps the set in `_below`.  `cap` bounds the
+    classes found and returned, on a memo hit as on a miss, so only the set's
+    size decides whether a call raises.  A miss raises before walking when
+    l(m) > (cap - 1)(1 + 2N), N the number of positive roots: dropping m's
+    first letter gives a class below idx whose minimum is at least
+    l(m) - 1 - 2N long (l(w_{0,J}) <= N a side): cap + 1 classes lie below."""
     below = idx._below
     if below is None:
-        if cap is not None:
-            gens = idx.facet.gens
-            reach = (cap - 1) * (1 + 2 * len(idx.facet.datum.positive_roots))
-            if length(coset_min(idx.rep, gens, gens)) > reach:
-                raise over_cap("lower interval", cap)
-        below = closure([idx], lambda c: {double_coset_rep(v, c.facet)
-                                          for v in _one_letter_deletions(c)}, cap)
-        if cap is None or len(below) <= cap:
-            below = idx._below = frozenset(below)
+        gens = idx.facet.gens
+        m = coset_min(idx.rep, gens, gens)
+        if cap is not None and length(m) > (cap - 1) * (1 + 2 * len(m.datum.positive_roots)):
+            raise over_cap("lower interval", cap)
+        below = set()
+        for v in _lower_quotient(m, gens):
+            if all(length(g * v) > length(v) for g in gens):
+                below.add(idx if v is m else double_coset_rep(v, idx.facet))
+                if cap is not None and len(below) > cap:
+                    raise over_cap("lower interval", cap)
+        below = idx._below = frozenset(below)
     if cap is not None and len(below) > cap:
         raise over_cap("lower interval", cap)
     return below
 
 
-def _one_letter_deletions(c: DoubleCosetIndex):
-    """The elements s_{i1} .. (s_{ij} left out) .. s_{ik} tau, for s_{i1} ..
-    s_{ik} tau the reduced word of the minimal element of c (`coset_min`)."""
-    gens = c.facet.gens
-    m = coset_min(c.rep, gens, gens)
-    word, tau = reduced_word(m)
-    elements = simple_system(m.datum).elements
-    suffixes = [tau]  # suffixes[t]: the last t letters, then tau
+def _lower_quotient(top: AffineWeylElement, gens):
+    """Yield once each v <= top in W^f, the minimal right coset representatives
+    of the W_f generated by `gens`, for top in W^f.  From {tau}, for top =
+    s_{i1} .. s_{ik} tau reduced, each letter s, last first, adds the s u > u
+    in W^f for u found so far: the lifting property (Deodhar, Invent. Math.
+    39, 1977; Bjorner and Brenti, GTM 231, Prop. 2.2.7 and §2.5).  By
+    Deodhar's lemma such an s u leaves W^f only as u g, g in gens.  The set
+    only grows, so a caller counting what it yields can stop at a cap."""
+    word, tau = reduced_word(top)
+    elements = simple_system(top.datum).elements
+    val = {tau}
+    yield tau
     for i in reversed(word):
-        suffixes.append(elements[i] * suffixes[-1])
-    prefix = identity(m.datum)
-    for j, i in enumerate(word):
-        yield prefix * suffixes[-2 - j]
-        prefix = prefix * elements[i]
+        s = elements[i]
+        for u in tuple(val):
+            v = s * u
+            if v not in val and length(v) > length(u) and all(u * g is not v for g in gens):
+                val.add(v)
+                yield v
 
 
 def length_ball(datum: RootDatum, length_cap: int):

@@ -18,7 +18,7 @@ from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, DoubleCosetIndex, Facet,
                           demazure_decomposition, demazure_product,
                           double_coset_rep, element_to_string, enumerate_lower_interval)
-from .root_datum import closure, over_cap
+from .root_datum import over_cap
 
 
 class HeckeError(ValueError):
@@ -250,23 +250,19 @@ def convolve(a: HeckeElement, b: HeckeElement,
 
 
 def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP):
-    """Coefficients (low to high) of sum_u q^{ell(u)} over the minimal coset
-    representatives u with _f u^f <= idx: the cell count of the associated
-    Schubert scheme over F_q.  The constant term is always 1.  The u are the
-    right W_f-cosets of W_f c W_f, c below idx, reached from c.rep by u ->
-    (s u)^f.  `cap` bounds the classes walked and the cells counted."""
-    f, below = idx.facet, enumerate_lower_interval(idx, cap)
-    coeffs = [0] * (idx.length + 1)  # after the capped walk: the length is bounded
-    cells = 0
-    for c in below:
-        cosets = closure([c.rep], lambda u: (aw.min_coset_rep(s * u, f) for s in f.gens), cap)
-        cells += len(cosets)
+    """Coefficients (low to high) of sum_u q^{ell(u)} over the cells of the
+    Schubert scheme of idx over F_q: the u <= idx.rep in W^f, found by the
+    lifting walk `affine_weyl._lower_quotient`.  The constant term is 1 and
+    the degree l(idx.rep).  `cap` bounds the cells, counted as the walk finds
+    them.  It raises before walking when l(idx.rep) + 1 > cap, as the cells
+    along idx.rep's reduced word have every length from 0 to l(idx.rep)."""
+    if cap is not None and idx.length + 1 > cap:
+        raise over_cap("Schubert cells", cap)
+    coeffs = [0] * (idx.length + 1)
+    for cells, u in enumerate(aw._lower_quotient(idx.rep, idx.facet.gens), 1):
         if cap is not None and cells > cap:
             raise over_cap("Schubert cells", cap)
-        for u in cosets:
-            coeffs[aw.length(u)] += 1
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+        coeffs[aw.length(u)] += 1
     return tuple(coeffs)
 
 

@@ -1,7 +1,8 @@
 """Test-suite settings: property tests draw the same examples on every run,
 and a test that runs past `TEST_SECONDS`, or while the process holds more
 than `TEST_RESIDENT`, fails instead of hanging the suite or exhausting memory.
-The `closure_results` fixture records what the library's `closure` returns."""
+The `closure_results` fixture records what the library's `closure` and its
+lifting walk return."""
 
 import itertools
 import os
@@ -11,7 +12,7 @@ import sys
 from hypothesis import settings
 import pytest
 
-from modp_hecke import root_datum
+from modp_hecke import affine_weyl, root_datum
 
 settings.register_profile("tier1", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("tier1")
@@ -71,15 +72,26 @@ def pytest_runtest_call():
 
 @pytest.fixture
 def closure_results(monkeypatch):
-    """A list that gains every set `closure` returns during the test: `closure`
-    is patched in every library module that binds it."""
-    real, results = root_datum.closure, []
+    """A list that gains every set `closure` returns during the test, and the
+    set of what each lifting walk (`affine_weyl._lower_quotient`) yields, which
+    grows as the walk does: both are patched in every library module that
+    binds them."""
+    real, real_walk, results = root_datum.closure, affine_weyl._lower_quotient, []
 
     def recorded(*args, **kwargs):
         results.append(out := real(*args, **kwargs))
         return out
 
+    def recorded_walk(*args, **kwargs):
+        results.append(out := set())
+        for v in real_walk(*args, **kwargs):
+            out.add(v)
+            yield v
+
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "modp_hecke" and getattr(module, "closure", None) is real:
-            monkeypatch.setattr(module, "closure", recorded)
+        if name.partition(".")[0] == "modp_hecke":
+            if getattr(module, "closure", None) is real:
+                monkeypatch.setattr(module, "closure", recorded)
+            if getattr(module, "_lower_quotient", None) is real_walk:
+                monkeypatch.setattr(module, "_lower_quotient", recorded_walk)
     return results

@@ -9,7 +9,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import CapExceeded, CartanDatum, RootDatum, preset
-from reference import alternating_data, wf_elements
+from reference import alternating_data, finite_facets, wf_elements
 
 
 def cls(datum, facet, text):
@@ -300,6 +300,24 @@ def test_point_count_constant_term_one():
             assert coeffs[0] == 1
 
 
+@pytest.mark.parametrize("spec, facet, text, call, size, interned", [
+    ("E7", aw.hyperspecial, "s0", "point count", 127, 1325),
+    ("A2", aw.iwahori, "t[-10,-10]", "classes below", 1740, 1742),
+    ("E6", aw.hyperspecial, "t[-2,0,0,0,0,0]", "classes below", 5, 1475)],
+    ids=("E7-s0-cells", "A2-iwahori-classes", "E6-classes"))
+def test_lifting_walk_work_counts(spec, facet, text, call, size, interned):
+    # Deterministic work of one lifting walk on a fresh datum: the elements
+    # interned, forming the class included.  A change that does more work
+    # fails here; one that does less updates the pin.
+    d = RootDatum(preset(spec).cartan_datum)
+    idx = cls(d, facet(d), text)
+    if call == "point count":
+        assert sum(hk.point_count_polynomial(idx)) == size
+    else:
+        assert len(aw.enumerate_lower_interval(idx)) == size
+    assert len(d._affine_cache) == interned
+
+
 def test_point_count_degree_is_dimension():
     d = preset("A2")
     f = aw.facet(d, (1, 2))
@@ -383,6 +401,7 @@ def test_the_hecke_path_does_not_enumerate_w_f(spec, facet, closure_results):
     # (These W_f are small, so a closure of classes or cosets may reach |W_f|.)
     d = RootDatum(preset(spec).cartan_datum)
     f = aw.facet(d, facet)
+    closure_results.clear()  # the datum's root closure
     x, y = cls(d, f, "t[-1,0]*s1"), cls(d, f, "t[0,-1]")
     prod, witness = hk.convolve_phi_classes(x, y)
     assert witness.replay() is prod
@@ -391,7 +410,7 @@ def test_the_hecke_path_does_not_enumerate_w_f(spec, facet, closure_results):
     assert hk.convolve(a.convert("indicator"), b).convert("phi") == hk.convolve(a, b)
     hk.point_count_polynomial(prod)
     w_f = set(wf_elements(f))
-    assert not any(w_f <= r for r in closure_results)
+    assert closure_results and not any(w_f <= r for r in closure_results)
 
 
 def test_the_hecke_path_does_not_build_the_w_interval(monkeypatch):
@@ -427,26 +446,26 @@ def _point_count_by_interval(idx):
 
 
 @pytest.mark.parametrize("spec, radius", [
-    ("A1", 4), ("A1:ad", 4), ("A2", 4), ("A2:ad", 4), ("C2", 4), ("G2", 4),
-    ("B3", 3), ("A3", 3)])
+    ("A1", 4), ("A1:ad", 4), ("A2", 4), ("A2:ad", 4), ("C2", 4), ("C2:ad", 4), ("G2", 4),
+    ("B3", 3), ("A3", 3), ("A1xA1", 3)])
 def test_point_count_matches_the_w_interval(spec, radius):
-    # A fresh datum, so the class walk and the interval share no memo.
+    # Every class of the length ball at every finite facet, on a fresh datum,
+    # so the lifting walk and the interval share no memo.
     d = RootDatum(preset(spec).cartan_datum)
-    indices = aw.simple_system(d).indices
     ball = aw.length_ball(d, radius)
-    for f in {aw.facet(d, J) for r in range(len(indices))
-              for J in itertools.combinations(indices, r)}:
+    for f in finite_facets(d):
         for idx in {aw.double_coset_rep(w, f) for w in ball}:
             assert hk.point_count_polynomial(idx) == _point_count_by_interval(idx), idx
 
 
 def test_point_count_cap_bounds_the_cells():
-    # A2 hyperspecial t[-2,-1]: three classes below it and ten cells; the cap
-    # bounds both, and the boundary does not move with the memo.
+    # A2 hyperspecial t[-2,-1]: three classes below it and ten cells.  The cap
+    # bounds the cells, which bounds the classes too, as each class has a
+    # cell; the boundary does not move with the memo.
     d = RootDatum(preset("A2").cartan_datum)
     idx = cls(d, aw.hyperspecial(d), "t[-2,-1]")
     for _ in range(2):
-        with pytest.raises(CapExceeded, match="lower interval reached 3 elements"):
+        with pytest.raises(CapExceeded, match="Schubert cells reached 3 elements"):
             hk.point_count_polynomial(idx, cap=2)
         with pytest.raises(CapExceeded, match="Schubert cells reached 10 elements, "
                                               "over the limit 9"):
@@ -456,14 +475,15 @@ def test_point_count_cap_bounds_the_cells():
 
 def test_point_count_over_the_cap_allocates_nothing_per_length():
     # t[-10**7] has length 2 * 10**7; a coefficient list sized by it (160 MB)
-    # must not be built before the capped walk raises.
+    # must not be built, nor a reduced word formed, before the cap raises.
     d = RootDatum(preset("A1").cartan_datum)
     idx = cls(d, aw.hyperspecial(d), f"t[{-10 ** 7}]")
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match="lower interval reached 16 elements"):
+        with pytest.raises(CapExceeded, match="Schubert cells reached 16 elements"):
             hk.point_count_polynomial(idx, cap=15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6, peak
+    assert idx.rep._word is None
