@@ -25,16 +25,17 @@ an element: a point count's cells and the classes below a class.
 This module keeps no state of its own.  Elements are interned per datum, and
 each keeps its length, reduced word, lower Bruhat set, products and
 Omega-stripped cores.  Facets are interned in the datum's `facets`, each
-with its own intern table of classes and its memo of the class of each
-element asked for, and each class keeps the set of classes below it and
-its phi products (`hecke.convolve_phi_classes`); the other memos live on
-the RootDatum: the affine simple system and `bruhat_memo`.
+with one table of classes, `_classes`: it maps every element asked for, rep
+included, to its class, and only `double_coset_rep` makes a class.  Each
+class keeps the set of classes below it and its phi products
+(`hecke.convolve_phi_classes`); the other memos live on the RootDatum: the
+affine simple system and `bruhat_memo`.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 
 # CapExceeded is also this module's: callers catch it as affine_weyl.CapExceeded.
 from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDatum,
@@ -237,14 +238,6 @@ def omega_part(w: AffineWeylElement) -> AffineWeylElement:
     return reduced_word(w)[1]
 
 
-def same_omega_part(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """omega_part(u) == omega_part(w), read without reduced words.  W_af =
-    Q^vee x| W0 is the kernel of W -> X / Q^vee, t_lambda v -> lambda mod
-    Q^vee (as v(mu) - mu lies in Q^vee), so the Omega parts agree iff the
-    translations differ by an element of Q^vee."""
-    return u.datum.in_coroot_lattice(tuple(map(sub, u.translation, w.translation)))
-
-
 def omega_element(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
     """The length-zero element of t_mu W_af, for mu in the lattice: the Omega
     part of t_mu, which is the same read on either side as W = W_af x| Omega."""
@@ -267,24 +260,17 @@ def omega_conjugate(tau: AffineWeylElement, i: int) -> int:
 
 
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Bruhat order on W; elements with different Omega parts are incomparable."""
+    """Bruhat order on W = W_af x| Omega: u tau <= w tau' iff tau = tau' and
+    u <= w in W_af.  Strip the smallest left descent s of w off w, and off u
+    when it is a descent of u too (the lifting property), until the answer is
+    plain; every pair passed on the way gets that answer in `bruhat_memo`.
+    Left multiplication by s keeps both Omega parts, so elements in different
+    Omega-cosets need no case of their own: the descent ends at l(w) = 0, with
+    w its own Omega part, where u is not w and the answer is False."""
     if u.datum is not w.datum:
         raise RootDatumError("datum mismatch")
-    if length(u) > length(w):
-        return False
-    if u is w:
-        return True
-    if not same_omega_part(u, w):
-        return False
-    return _bruhat_descend(u, w)
-
-
-def _bruhat_descend(u, w):
-    """Strip the smallest left descent s of w off w, and off u when it is a
-    descent of u too, until the answer is plain; every pair passed on the
-    way gets that answer in the memo.  Omega parts of u and w agree."""
     memo = u.datum.bruhat_memo
-    sys = simple_system(u.datum)
+    elements = simple_system(u.datum).elements
     passed = []
     while True:
         if u is w:
@@ -299,7 +285,7 @@ def _bruhat_descend(u, w):
         if val is not None:
             break
         passed.append(key)
-        s = sys.elements[next(iter(left_descents(w)))]
+        s = elements[next(left_descents(w))]
         su = s * u
         if length(su) < lu:
             u = su
@@ -410,11 +396,12 @@ class Facet:
     connected affine diagram is of finite type.  Facets are interned per
     datum by sorted J, so equality is identity, and the hash is that of J.
     `gens` are the s_i, i in J; W_f itself is never enumerated: computations
-    use `coset_min` and `chamber`.  `_classes` interns the classes by
-    representative, and `_reps` memoizes `double_coset_rep` by element.
+    use `coset_min` and `chamber`.  `_classes` is the one table of classes:
+    it maps every element `double_coset_rep` was asked for, each class's
+    representative included, to its class.
     """
 
-    __slots__ = ("datum", "indices", "gens", "_hash", "_classes", "_reps")
+    __slots__ = ("datum", "indices", "gens", "_hash", "_classes")
 
     def __new__(cls, datum: RootDatum, indices):
         key = tuple(sorted(set(indices)))
@@ -431,7 +418,7 @@ class Facet:
             f = object.__new__(cls)
             f.datum, f.indices = datum, key
             f.gens = tuple(sys.elements[i] for i in key)
-            f._hash, f._classes, f._reps = hash(key), {}, {}
+            f._hash, f._classes = hash(key), {}
             f = datum.facets.setdefault(key, f)
         return f
 
@@ -531,21 +518,18 @@ def chamber(f: Facet, x: Coweight):
 
 
 class DoubleCosetIndex:
-    """Canonical representative of a class in W_f \\ W / W_f, interned in
-    its facet by representative, so equality is identity.  `_below` memoizes
-    `enumerate_lower_interval`, and `_products` maps each right class to
-    `hecke.convolve_phi_classes`' (product class, witness) with it."""
+    """A class in W_f \\ W / W_f, held by its canonical representative
+    _f w^f.  `double_coset_rep` is its one constructor, and
+    `DoubleCosetIndex(f, w)` is `double_coset_rep(w, f)` for any element w,
+    so a class is interned in its facet by representative and equality is
+    identity.  `_below` memoizes `enumerate_lower_interval`, and `_products`
+    maps each right class to `hecke.convolve_phi_classes`' (product class,
+    witness) with it."""
 
     __slots__ = ("facet", "rep", "_hash", "_below", "_products")
 
-    def __new__(cls, facet_: Facet, rep: AffineWeylElement):
-        idx = facet_._classes.get(rep)
-        if idx is None:
-            idx = object.__new__(cls)
-            idx.facet, idx.rep, idx._hash = facet_, rep, hash((facet_, rep))
-            idx._below, idx._products = None, {}
-            idx = facet_._classes.setdefault(rep, idx)
-        return idx
+    def __new__(cls, facet_: Facet, w: AffineWeylElement):
+        return double_coset_rep(w, facet_)
 
     def __hash__(self):
         return self._hash
@@ -559,16 +543,22 @@ class DoubleCosetIndex:
 
 
 def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
-    """The representative _f w^f, the longest of the (v w)^f for v in W_f.
-    It is x^f for x the longest element of W_f w, because the right W_f-coset
-    of x holds the longest element of the double coset; x is reached by
-    ascent on the left.  Memoized on the facet by element, in `f._reps`."""
-    idx = f._reps.get(w)
+    """The class of w, held by _f w^f, the longest of the (v w)^f for v in
+    W_f.  It is x^f for x the longest element of W_f w, because the right
+    W_f-coset of x holds the longest element of the double coset; x is
+    reached by ascent on the left.  The only place a class is made: on a miss
+    in `f._classes` the class is interned there by representative, and then
+    w is recorded with it."""
+    idx = f._classes.get(w)
     if idx is None:
         if f.datum is not w.datum:
             raise RootDatumError("datum mismatch")
         longest = descend(w, lambda x: (s * x for s in f.gens), key=lambda x: -length(x))
-        idx = f._reps.setdefault(w, DoubleCosetIndex(f, min_coset_rep(longest, f)))
+        rep = min_coset_rep(longest, f)
+        idx = object.__new__(DoubleCosetIndex)
+        idx.facet, idx.rep, idx._hash = f, rep, hash((f, rep))
+        idx._below, idx._products = None, {}
+        idx = f._classes.setdefault(w, f._classes.setdefault(rep, idx))
     return idx
 
 

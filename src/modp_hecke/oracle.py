@@ -11,7 +11,10 @@ they check:
 - `phi_to_generic` takes `lower_set`, and so does `oracle_convolve_phi`,
   which goes back to the phi basis by back-substitution over it, not through
   `HeckeElement.convert`: the class walk of `enumerate_lower_interval`
-  (the lifting walk, `double_coset_rep`) is not among the shared layers;
+  (the lifting walk) is not among the shared layers;
+- classes come from the one class constructor: `DoubleCosetIndex(f, w)` is
+  `double_coset_rep(w, f)`, and at the Iwahori facet, the oracles' only
+  facet, every element is its own class and W_f has no generator to step by;
 - the subword test is membership in `lower_set`, which builds the products
   of the subwords of a reduced word letter by letter.
 The alcove-walk count shares none of them, so it checks `length` on its own.

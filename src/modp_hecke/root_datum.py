@@ -11,7 +11,7 @@ A finite Weyl element w is read off the point w.rho_check, rho_check =
 (1, ..., 1, 0, ..., 0) pairing to 1 with every simple root (it need not lie
 in X): <w^-1 alpha, rho_check> = <alpha, w.rho_check> (Humphreys, Reflection
 Groups and Coxeter Groups, §1.12).  No matrix is inverted; the one exact
-elimination, `_coordinate_functionals`, sets up lattices.
+elimination, `_coordinate_functionals`, sets up the lattice X.
 
 Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
@@ -219,8 +219,7 @@ def _mat_mul(a, b):
 def _coordinate_functionals(basis):
     """(den, cols) such that the coordinates of v in the basis are
     <v, cols[j]> / den, integral exactly when v lies in the lattice the basis
-    spans (a v longer than the basis is paired on its first entries); None
-    when the basis is singular.  Gauss-Jordan over the rationals."""
+    spans; None when the basis is singular.  Gauss-Jordan over the rationals."""
     n = len(basis)
     aug = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
            for i in range(n)]
@@ -253,8 +252,9 @@ class RootDatum:
     - the intern tables of the finite and affine Weyl elements, each element
       with its own memos;
     - for `affine_weyl`: `affine_system` (the affine simple system), `facets`
-      (the facet intern table by sorted index tuple; each facet interns its
-      classes and keeps the class of each element asked for), and
+      (the facet intern table by sorted index tuple; each facet has one
+      table of classes, by every element asked for, rep included, which
+      only `affine_weyl.double_coset_rep` fills), and
       `bruhat_memo` by `(u, w)`;
     - for `oracle`: `generic_steps`, the generic Hecke algebra's numbering of
       the elements it meets, each with its right simple steps w -> w s_i
@@ -315,8 +315,6 @@ class RootDatum:
             if self.x_coords(crt) is None:
                 raise RootDatumError(
                     f"lattice does not contain the simple coroot alpha_{j + 1}^vee")
-        self.q_inverse_den, self.q_inverse_cols = _coordinate_functionals(
-            [crt[:self.n] for crt in self.simple_coroots])
 
         self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
         self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
@@ -410,14 +408,6 @@ class RootDatum:
                 return None
             out.append(c)
         return tuple(out)
-
-    def in_coroot_lattice(self, coweight: Coweight) -> bool:
-        """True iff the coweight lies in Q^vee, the span of the simple
-        coroots: its central coordinates are zero, and its semisimple part has
-        integral simple-coroot coordinates."""
-        den = self.q_inverse_den
-        return not any(coweight[self.n:]) and all(
-            sum(map(mul, coweight, col)) % den == 0 for col in self.q_inverse_cols)
 
     def coweight_from_x_coords(self, coords) -> Coweight:
         if len(coords) != self.dim:

@@ -5,7 +5,7 @@ import gc
 import itertools
 
 from modp_hecke import affine_weyl as aw
-from modp_hecke.affine_weyl import AffineWeylElement, DoubleCosetIndex, Facet
+from modp_hecke.affine_weyl import AffineWeylElement, Facet
 from modp_hecke.oracle import GenericHeckeElement
 from modp_hecke.root_datum import RootDatumError, closure, from_json
 from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi
@@ -104,15 +104,16 @@ def wf_elements(f: Facet) -> tuple:
     return tuple(sorted(seen, key=aw.element_sort_key))
 
 
-def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
+def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
     """The representative _f w^f by a sweep of W_f: the unique longest element
-    among the minimal coset representatives {(v w)^f : v in W_f}."""
+    among the minimal coset representatives {(v w)^f : v in W_f}.  It returns
+    the element, not its class, since making a class runs `double_coset_rep`."""
     candidates = {aw.min_coset_rep(v * w, f) for v in wf_elements(f)}
     best = max(candidates, key=aw.length)
     ties = [c for c in candidates if aw.length(c) == aw.length(best)]
     if len(ties) != 1:
         raise RootDatumError("double coset has no unique maximal min-rep")
-    return DoubleCosetIndex(f, best)
+    return best
 
 
 # A2 and B2 on the same explicit lattice: two data that a memo keyed by the
