@@ -123,7 +123,7 @@ def reflection(datum: RootDatum, aroot: AffineRoot) -> AffineWeylElement:
     beta, k = aroot
     crt = datum.coroot(beta)
     lam = tuple(-k * c for c in crt)
-    return AffineWeylElement(datum, lam, datum.reflection(beta))
+    return AffineWeylElement(datum, lam, datum.reflection(beta, crt))
 
 
 # -- affine simple system ------------------------------------------------------
@@ -152,7 +152,7 @@ class AffineSimpleSystem:
             self.affine_indices.append(idx0)
             self.simple_roots[idx0] = (tuple(-c for c in theta), 1)
             self.elements[idx0] = AffineWeylElement(
-                datum, theta_vee, datum.reflection(theta))
+                datum, theta_vee, datum.reflection(theta, theta_vee))
             for pos, i in enumerate(rng):
                 idx = off + 1 + pos
                 self.finite_indices.append(idx)
@@ -408,16 +408,13 @@ class Facet:
         f = datum.facets.get(key)
         if f is None:
             sys = simple_system(datum)
-            for i in key:
-                if i not in sys.elements:
-                    raise RootDatumError(f"invalid affine simple index {i}")
+            gens = tuple(map(sys.simple, key))
             for a, rng in zip(sys.affine_indices, datum.component_ranges):
                 if set(range(a, a + 1 + len(rng))) <= set(key):
                     raise RootDatumError(
                         f"facet {key} does not generate a finite parabolic")
             f = object.__new__(cls)
-            f.datum, f.indices = datum, key
-            f.gens = tuple(sys.elements[i] for i in key)
+            f.datum, f.indices, f.gens = datum, key, gens
             f._hash, f._classes = hash(key), {}
             f = datum.facets.setdefault(key, f)
         return f

@@ -28,6 +28,10 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
 EXIT_IO = 5
+# The first matching type gives the exit code: SatakeError is a ValueError,
+# so it comes before ValueError (RootDatumError and HeckeError among them).
+EXIT_CODES = {CapExceeded: EXIT_CAP, SatakeError: EXIT_PRECONDITION,
+              ValueError: EXIT_PARSE, OSError: EXIT_IO}
 
 
 def _parse_indices(text: str) -> tuple:
@@ -159,7 +163,7 @@ def cmd_satake(args) -> int:
     else:
         cap = aw.INTERVAL_CAP if args.cap is None else args.cap
         out = sat.satake_phi(w, levi, f, args.p, cap)
-        terms = [t for t in out.to_json()["terms"]]
+        terms = out.to_json()["terms"]
     _emit(args, {"closed_component": element_to_string(label),
                  "has_levi_point": has_point, "image": terms})
     return EXIT_OK
@@ -334,18 +338,9 @@ def main(argv=None) -> int:
         if args.cmd == "oracle":
             return cmd_oracle(args)
         return EXIT_PARSE
-    except CapExceeded as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except SatakeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:  # RootDatumError and HeckeError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

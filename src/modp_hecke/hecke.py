@@ -7,11 +7,13 @@ double coset of the 0-Hecke (Demazure) product of the representatives, which
 folds only the shorter word (affine_weyl.demazure_decomposition); witnesses
 replay the full fold.  Indicator-basis products convert through phi.
 HeckeElement and satake's Levi-Hecke and monoid-algebra elements share one
-sparse F_p-combination type, FpCombination: reduction mod p, equality, sums.
+sparse F_p-combination type, FpCombination: reduction mod p, equality and
+one printer of terms.  Every sum of terms, here and in satake, is `sum_terms`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from . import affine_weyl as aw
@@ -63,13 +65,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def sum_terms(terms) -> dict:
+    """{key: sum of its coefficients} over (key, coefficient) terms; the
+    constructor that takes the dict drops the keys that are 0 mod p."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return out
+
+
 class FpCombination:
     """Sparse F_p-linear combination: `coeffs` maps basis keys to nonzero
     residues mod `prime`.  `space` is the tuple of what else two elements must
-    share to be equal or added; a mismatched operand raises `error`."""
+    share to be equal or added; a mismatched operand raises `error`.  `_terms`
+    gives the terms for JSON, sorted by the string of the key (of its rep, for
+    a class), and repr prints each as c*sym[rep]."""
 
     __slots__ = ("space", "prime", "coeffs")
     error = HeckeError
+    sym = None  # the basis symbol of repr: 1, phi or 1M
 
     def __init__(self, space: tuple, prime: int, coeffs: dict):
         _check_prime(prime)
@@ -98,13 +112,20 @@ class FpCombination:
 
     def __add__(self, other):
         self._check_operand(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return self._like(out)
+        return self._like(sum_terms(chain(self.coeffs.items(), other.coeffs.items())))
 
     def scale(self, c: int):
         return self._like({k: v * c for k, v in self.coeffs.items()})
+
+    def _terms(self) -> list:
+        return [{"rep": r, "coeff": c} for r, c in sorted(
+            (element_to_string(k.rep if isinstance(k, DoubleCosetIndex) else k), c)
+            for k, c in self.coeffs.items())]
+
+    def __repr__(self):
+        terms = ((t["coeff"], t["rep"]) for t in self._terms())
+        return " + ".join((f"{c}*" if c != 1 else "") + f"{self.sym}[{r}]"
+                          for c, r in terms) or "0"
 
 
 class HeckeElement(FpCombination):
@@ -114,6 +135,7 @@ class HeckeElement(FpCombination):
     __slots__ = ()
     facet = property(lambda self: self.space[0])
     basis = property(lambda self: self.space[1])
+    sym = property(lambda self: "1" if self.basis == "indicator" else "phi")
 
     def __init__(self, facet: Facet, prime: int, basis: str, coeffs: dict):
         super().__init__((facet, basis), prime, coeffs)
@@ -132,11 +154,9 @@ class HeckeElement(FpCombination):
         if basis == self.basis:
             return self
         if basis == "indicator":
-            out = {}
-            for idx, c in self.coeffs.items():
-                for v in enumerate_lower_interval(idx, cap):
-                    out[v] = out.get(v, 0) + c
-            return HeckeElement(self.facet, self.prime, "indicator", out)
+            return HeckeElement(self.facet, self.prime, "indicator", sum_terms(
+                (v, c) for idx, c in self.coeffs.items()
+                for v in enumerate_lower_interval(idx, cap)))
         # indicator -> phi by back-substitution in one pass from the longest
         # length down: the classes below idx are shorter, so only shorter layers change.
         remaining = dict(self.coeffs)  # a class stays, at 0 if cancelled, until its layer
@@ -159,20 +179,8 @@ class HeckeElement(FpCombination):
         return convolve(self, other)
 
     def to_json(self):
-        terms = sorted(((element_to_string(idx.rep), c)
-                        for idx, c in self.coeffs.items()))
         return {"facet": list(self.facet.indices), "prime": self.prime,
-                "basis": self.basis,
-                "terms": [{"rep": r, "coeff": c} for r, c in terms]}
-
-    def __repr__(self):
-        sym = "1" if self.basis == "indicator" else "phi"
-        if not self.coeffs:
-            return "0"
-        terms = sorted(((element_to_string(idx.rep), c)
-                        for idx, c in self.coeffs.items()))
-        return " + ".join(f"{c}*{sym}[{r}]" if c != 1 else f"{sym}[{r}]"
-                          for r, c in terms)
+                "basis": self.basis, "terms": self._terms()}
 
 
 def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
@@ -240,12 +248,9 @@ def convolve(a: HeckeElement, b: HeckeElement,
     a._check_compatible(b)
     pa = a.convert("phi", cap)
     pb = b.convert("phi", cap)
-    out = {}
-    for i1, c1 in pa.coeffs.items():
-        for i2, c2 in pb.coeffs.items():
-            prod = convolve_phi_classes(i1, i2)[0]
-            out[prod] = out.get(prod, 0) + c1 * c2
-    result = HeckeElement(a.facet, a.prime, "phi", out)
+    result = HeckeElement(a.facet, a.prime, "phi", sum_terms(
+        (convolve_phi_classes(i1, i2)[0], c1 * c2)
+        for i1, c1 in pa.coeffs.items() for i2, c2 in pb.coeffs.items()))
     return result.convert(a.basis, cap)
 
 

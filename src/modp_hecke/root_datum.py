@@ -320,9 +320,10 @@ class RootDatum:
         self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         self.weyl_identity = self._intern_weyl(ident)
-        self.simple_reflections = tuple(self._simple_reflection(i) for i in range(self.n))
+        simple_roots = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
+        self.simple_reflections = tuple(map(self.reflection, simple_roots, self.simple_coroots))
 
-        self._generate_roots()
+        self._generate_roots(simple_roots)
         self.spec_string = spec_string or self._default_spec_string()
 
         self.affine_system = None
@@ -340,16 +341,7 @@ class RootDatum:
             el = self._weyl_cache.setdefault(matrix, FiniteWeylElement(self, matrix))
         return el
 
-    def _simple_reflection(self, i: int) -> FiniteWeylElement:
-        crt = self.simple_coroots[i]
-        rows = []
-        for r in range(self.dim):
-            row = [int(r == c) for c in range(self.dim)]
-            row[i] -= crt[r]  # s_i(x) = x - x[i] * alpha_i^vee
-            rows.append(tuple(row))
-        return self._intern_weyl(tuple(rows))
-
-    def _generate_roots(self):
+    def _generate_roots(self, simple_roots):
         def reflect(root_and_coroot):
             rt, crt = root_and_coroot
             for i in range(self.n):
@@ -357,7 +349,6 @@ class RootDatum:
                 yield (tuple(rt[j] - m * (j == i) for j in range(self.n)),
                        self.simple_reflections[i].act(crt))
 
-        simple_roots = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
         pairs = dict(closure(zip(simple_roots, self.simple_coroots), reflect))
         pos = sorted(rt for rt in pairs if all(x >= 0 for x in rt))
         if len(pairs) != 2 * len(pos):
@@ -390,12 +381,12 @@ class RootDatum:
         neg = tuple(-x for x in root)
         return tuple(-x for x in self.coroot_of[neg])
 
-    def reflection(self, root: Root) -> FiniteWeylElement:
+    def reflection(self, root: Root, coroot: Coweight) -> FiniteWeylElement:
         """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, interned
-        by its matrix."""
-        crt = self.coroot(root)
+        by its matrix, for alpha in simple-root coordinates and its coroot.
+        It makes the simple reflections too, before `coroot` can answer."""
         return self._intern_weyl(tuple(
-            tuple(int(r == c) - crt[r] * (root[c] if c < self.n else 0)
+            tuple(int(r == c) - coroot[r] * (root[c] if c < self.n else 0)
                   for c in range(self.dim)) for r in range(self.dim)))
 
     def x_coords(self, coweight: Coweight):

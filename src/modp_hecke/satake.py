@@ -17,26 +17,27 @@ below w.  A Levi is interned per datum and keeps one `LeviFacetGroup` per
 facet: W_{M,f}, held by its canonical generators.  LeviHeckeElement and
 MonoidAlgebraElement derive from hecke.FpCombination, as HeckeElement does.
 
-The closed component is found by a greedy flow over any reduced word of the
-canonical representative: walking the word left to right with partial
-product x, the step letter s_i is taken exactly when the pairing of lam with
-the vector part of x(alpha_i) is >= 0.  The sign of this rule is pinned by
-the requirement that for a special facet and the minimal Levi the closed
+The closed component is found by one pass of a greedy flow along a reduced
+word of the canonical representative: walking the word left to right with
+partial product x, the letter s_i is taken exactly when the pairing of lam
+with the vector part of x(alpha_i) is >= 0.  The sign of this rule is pinned
+by the requirement that for a special facet and the minimal Levi the closed
 component of an anti-dominant translation t_z is the component of t_z itself
-(and it is: see tests); the zero-pairing steps never change the component.
+(and it is: see tests).  A zero pairing never changes the component:
+`enumerate_closed_chains` checks this by taking both choices there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import le, mul, neg
+from operator import add, le, mul, neg
 
 from . import affine_weyl as aw
 from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, bruhat_leq, chamber, coset_min, element_to_string,
-                          hyperspecial, min_coset_rep, reduced_word, simple_system)
-from .hecke import FpCombination, HeckeElement
+                          Facet, bruhat_leq, chamber, coset_min, hyperspecial,
+                          min_coset_rep, reduced_word, simple_system)
+from .hecke import FpCombination, HeckeElement, sum_terms
 from .root_datum import Coweight, RootDatum, _coordinate_functionals, closure, over_cap
 
 
@@ -142,8 +143,27 @@ def _check_class(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet):
         raise SatakeError("class, Levi and facet do not share one facet and datum")
 
 
-def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
-                  enumerate_all: bool, cap: int | None = None) -> set:
+def closed_attractor_component(idx: DoubleCosetIndex, levi: LeviDatum,
+                               facet: Facet) -> AffineWeylElement:
+    """Label of the unique closed attractor component of the Schubert scheme
+    of idx: one pass of the greedy flow along the reduced word of idx.rep,
+    taking each letter whose pairing is >= 0, then the label of the end
+    point times the Omega part."""
+    _check_class(idx, levi, facet)
+    word, tau = reduced_word(idx.rep)
+    sys, x = simple_system(levi.datum), aw.identity(levi.datum)
+    for i in word:
+        if levi.datum.pair(x.finite.act_root(sys.simple_roots[i][0]), levi.lam) >= 0:
+            x = x * sys.elements[i]
+    return component_of(x * tau, levi, facet)
+
+
+def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
+                            cap: int = 24) -> frozenset:
+    """The check of `closed_attractor_component`: the labels of all flow
+    chains, by a depth-first search that takes both choices wherever the
+    pairing vanishes.  Uniqueness demands a singleton.  The search doubles
+    at each zero pairing, so `cap` bounds the length of the word."""
     _check_class(idx, levi, facet)
     word, tau = reduced_word(idx.rep)
     if cap is not None and len(word) > cap:
@@ -157,29 +177,12 @@ def _chain_labels(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
         if i == len(word):
             labels.add(component_of(x * tau, levi, facet))
             continue
-        beta = sys.simple_roots[word[i]][0]
-        d = levi.datum.pair(x.finite.act_root(beta), levi.lam)
+        d = levi.datum.pair(x.finite.act_root(sys.simple_roots[word[i]][0]), levi.lam)
         if d >= 0:
             stack.append((i + 1, x * sys.elements[word[i]]))
-        if d < 0 or (d == 0 and enumerate_all):
+        if d <= 0:
             stack.append((i + 1, x))
-    return labels
-
-
-def closed_attractor_component(idx: DoubleCosetIndex, levi: LeviDatum,
-                               facet: Facet) -> AffineWeylElement:
-    """Label of the unique closed attractor component of the Schubert scheme
-    of idx, via the greedy flow chain (zero-pairing steps take the letter;
-    the choice there does not move the label)."""
-    (label,) = _chain_labels(idx, levi, facet, enumerate_all=False)
-    return label
-
-
-def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
-                            cap: int = 24) -> frozenset:
-    """Labels of all fully-closed flow chains (both choices explored whenever
-    the pairing vanishes).  Uniqueness demands this be a singleton."""
-    return frozenset(_chain_labels(idx, levi, facet, enumerate_all=True, cap=cap))
+    return frozenset(labels)
 
 
 # -- Levi-side Hecke elements ---------------------------------------------------------
@@ -207,6 +210,7 @@ class LeviHeckeElement(FpCombination):
 
     __slots__ = ()
     error = SatakeError
+    sym = "1M"
     levi = property(lambda self: self.space[0])
     facet = property(lambda self: self.space[1])
 
@@ -220,17 +224,8 @@ class LeviHeckeElement(FpCombination):
                                     {y.translation: c for y, c in self.coeffs.items()})
 
     def to_json(self):
-        terms = sorted((element_to_string(y), c) for y, c in self.coeffs.items())
         return {"levi": list(self.levi.j_m), "facet": list(self.facet.indices),
-                "prime": self.prime,
-                "terms": [{"rep": r, "coeff": c} for r, c in terms]}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = sorted((element_to_string(y), c) for y, c in self.coeffs.items())
-        return " + ".join(f"{c}*1M[{r}]" if c != 1 else f"1M[{r}]"
-                          for r, c in terms)
+                "prime": self.prime, "terms": self._terms()}
 
 
 class MonoidAlgebraElement(FpCombination):
@@ -251,12 +246,9 @@ class MonoidAlgebraElement(FpCombination):
 
     def __mul__(self, other):
         self._check_operand(other)
-        out = {}
-        for z1, c1 in self.coeffs.items():
-            for z2, c2 in other.coeffs.items():
-                z = tuple(a + b for a, b in zip(z1, z2))
-                out[z] = out.get(z, 0) + c1 * c2
-        return self._like(out)
+        return self._like(sum_terms((tuple(map(add, z1, z2)), c1 * c2)
+                                    for z1, c1 in self.coeffs.items()
+                                    for z2, c2 in other.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -365,11 +357,9 @@ def satake(a: HeckeElement, levi: LeviDatum,
     basis and each Satake walk."""
     if levi.datum is not a.facet.datum:
         raise SatakeError("Levi and element live over different data")
-    out = {}
-    for idx, c in a.convert("phi", cap).coeffs.items():
-        for y, v in satake_phi(idx, levi, a.facet, a.prime, cap).coeffs.items():
-            out[y] = out.get(y, 0) + c * v
-    return LeviHeckeElement(levi, a.facet, a.prime, out)
+    return LeviHeckeElement(levi, a.facet, a.prime, sum_terms(
+        (y, c * v) for idx, c in a.convert("phi", cap).coeffs.items()
+        for y, v in satake_phi(idx, levi, a.facet, a.prime, cap).coeffs.items()))
 
 
 # -- the special-parahoric picture ------------------------------------------------------

@@ -50,7 +50,7 @@ def test_affine_node_translation_part():
         s0 = sys.simple(sys.affine_indices[0])
         theta, theta_vee = d.highest_roots[0]
         assert s0.translation == theta_vee
-        assert s0.finite == d.reflection(theta)
+        assert s0.finite == d.reflection(theta, d.coroot(theta))
 
 
 def test_length_closed_form_vs_alcove_oracle():

@@ -110,6 +110,12 @@ def test_convolve_bilinear_example():
     lhs = hk.convolve(hk.HeckeElement(f, 3, "phi", {s0: 1, s1: 1}),
                       hk.phi_basis_element(s1, 3))
     assert lhs == hk.HeckeElement(f, 3, "phi", {s01: 1, s1: 1})
+    # terms that meet: s1 * s1 = e * s1 = s1, so (phi_s1 + phi_e) * phi_s1 is
+    # 2 phi_s1, which cancels at p = 2
+    e = cls(d, f, "e")
+    for p, text in ((2, "0"), (3, "2*phi[s1]")):
+        a = hk.phi_basis_element(s1, p) + hk.phi_basis_element(e, p)
+        assert repr(hk.convolve(a, hk.phi_basis_element(s1, p))) == text
 
 
 def test_convolve_mismatch_errors():

@@ -396,6 +396,9 @@ def test_satake_linear():
     assert out.coeffs == {z1: 1, z2: 2}
     zero = hk.HeckeElement(f, 3, "phi", {})
     assert sat.satake(zero, lev).is_zero()
+    # 1_{t[-1]} = phi_{t[-1]} - phi_e: at p = 2 the two images add
+    one = hk.HeckeElement(f, 2, "indicator", {cls(d, f, "t[-1]"): 1})
+    assert repr(sat.satake(one, lev)) == "1M[e] + 1M[t[-1]]"
 
 
 def test_satake_homomorphism_special():
@@ -440,6 +443,9 @@ def test_monoid_algebra_ops():
     assert prod.coeffs == {(-4,): 2, (-2,): 1}
     s = a + a
     assert s.coeffs == {(-2,): 1, (0,): 2}
+    # at p = 2 the cross terms of a square meet and cancel
+    m = sat.MonoidAlgebraElement(d, 2, {(-1,): 1, (0,): 1})
+    assert repr(m * m) == "e^t[-1] + e^t[0]"
 
 
 def test_monoid_algebra_operands_must_match():
@@ -770,3 +776,29 @@ def test_the_levi_facet_group_is_built_once(monkeypatch):
     assert len(calls) == len(facets)
     assert all(type(idx) is aw.DoubleCosetIndex and levi is lev
                for idx, levi in d.satake_memo)
+
+
+@pytest.mark.parametrize("spec, facet, radius, interned, bruhat, images", [
+    ("A2", (), 6, (85, 87), 1912, 256),
+    ("C2", (0, 2), 6, (83, 100), 141, 28),
+    ("G2", (1, 2), 8, (153, 185), 118, 16)],
+    ids=("A2-iwahori", "C2-facet-0-2", "G2-hyperspecial"))
+def test_satake_work_counts(spec, facet, radius, interned, bruhat, images):
+    # Deterministic work of satake_phi at p = 2 over every class of a length
+    # ball, with the minimal Levi, each simple-root Levi and G, on a fresh
+    # datum: the elements interned before and after the sweep, and the sizes
+    # of bruhat_memo and satake_memo.  A change that does more work fails
+    # here; one that does less updates the pin.  The ball interns every
+    # element up to its radius first, so work that forms only those elements
+    # (such as the closed-chain search) does not show in the element counts.
+    d = fresh(spec)
+    f = aw.facet(d, facet)
+    classes = sorted({aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)},
+                     key=lambda c: aw.element_sort_key(c.rep))
+    levis = [sat.levi_datum(d, j) for j in [(), *((i,) for i in range(d.n)), range(d.n)]]
+    before = len(d._affine_cache)
+    for lev in levis:
+        for idx in classes:
+            sat.satake_phi(idx, lev, f, 2)
+    assert (before, len(d._affine_cache)) == interned
+    assert (len(d.bruhat_memo), len(d.satake_memo)) == (bruhat, images)
