@@ -157,8 +157,7 @@ class AffineSimpleSystem:
                 idx = off + 1 + pos
                 self.finite_indices.append(idx)
                 self.index_of_finite[i] = idx
-                alpha = tuple(int(j == i) for j in range(datum.n))
-                self.simple_roots[idx] = (alpha, 0)
+                self.simple_roots[idx] = (datum.simple_roots[i], 0)
                 self.elements[idx] = from_finite(datum, datum.simple_reflections[i])
             off += 1 + len(rng)
         self.indices = tuple(sorted(self.simple_roots))

@@ -13,13 +13,13 @@ one printer of terms.  Every sum of terms, here and in satake, is `sum_terms`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from . import affine_weyl as aw
-from .affine_weyl import (INTERVAL_CAP, AffineWeylElement, DoubleCosetIndex, Facet,
-                          demazure_decomposition, demazure_product,
-                          double_coset_rep, element_to_string, enumerate_lower_interval)
+from .affine_weyl import (INTERVAL_CAP, DoubleCosetIndex, Facet, demazure_decomposition,
+                          demazure_product, double_coset_rep, element_to_string,
+                          enumerate_lower_interval)
 from .root_datum import over_cap
 
 
@@ -189,22 +189,17 @@ def phi_basis_element(idx: DoubleCosetIndex, prime: int) -> HeckeElement:
     return HeckeElement(idx.facet, prime, "phi", {idx: 1})
 
 
-class ConvolutionWitness(NamedTuple):
+class ConvolutionWitness(namedtuple(
+        "ConvolutionWitness", "facet w1 w2 tau1 tau2 word1 word2 folded result")):
     """Replayable record of one phi-class convolution: an immutable named
-    tuple, so it compares and hashes like a tuple.  The fields are the
-    interned elements (the class reps w1, w2 and result, the Omega parts tau1,
-    tau2 and the fold), so replay compares by identity; `to_json` gives their
-    strings."""
+    tuple, so it compares and hashes like a tuple.  Its fields are the facet,
+    the class reps w1 and w2, the Omega parts tau1 and tau2, the words word1
+    (of w1, tau1-conjugated: Omega part pulled left) and word2 (of w2), their
+    fold `folded` and the rep `result` of the class of tau1 * folded * tau2.
+    The elements are the interned ones, so replay compares by identity;
+    `to_json` gives their strings."""
 
-    facet: Facet
-    w1: AffineWeylElement
-    w2: AffineWeylElement
-    tau1: AffineWeylElement
-    tau2: AffineWeylElement
-    word1: tuple[int, ...]  # tau1-conjugated word of w1 (Omega part pulled left)
-    word2: tuple[int, ...]
-    folded: AffineWeylElement
-    result: AffineWeylElement
+    __slots__ = ()
 
     def replay(self) -> DoubleCosetIndex:
         """Re-fold the words and re-reduce; HeckeError if either disagrees

@@ -28,7 +28,6 @@ raises CapExceeded before it is formed, so a packed coefficient never wraps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from threading import Lock
 
 from . import affine_weyl as aw
@@ -253,33 +252,22 @@ def brute_bruhat(u: AffineWeylElement, w: AffineWeylElement, cap: int = 16) -> b
 # -- alcove-walk length ----------------------------------------------------------------
 
 
-def _base_alcove_point(datum: RootDatum):
-    """An exact interior point of the base alcove 0 < <alpha, x> < 1."""
-    h = max(sum(theta) for theta, _ in datum.highest_roots)
-    eps = Fraction(1, h + 1)
-    return tuple(eps if i < datum.n else Fraction(0) for i in range(datum.dim))
-
-
 def brute_length(w: AffineWeylElement) -> int:
     """Number of affine hyperplanes <alpha, .> = k (alpha positive, k an
-    integer) separating the base alcove from its image under w."""
+    integer) separating the base alcove from its image under w = t_lambda u.
+    It is read on integers at (h + 1) b = rho_check, for the point b of the
+    base alcove 0 < <alpha, x> < 1 and h the largest height of a highest root:
+    alpha pairs to its height lo there, and to hi at (h + 1) w.b = (h + 1)
+    lambda + u(rho_check).  Neither point is on a hyperplane, so the integers
+    strictly between lo / (h + 1) and hi / (h + 1) number the gap of their floors."""
     datum = w.datum
-    b = _base_alcove_point(datum)
-    ub = w.finite.act(b)
-    wb = tuple(Fraction(t) + x for t, x in zip(w.translation, ub))
+    h1 = max(sum(theta) for theta, _ in datum.highest_roots) + 1
+    wb = tuple(h1 * t + x for t, x in zip(w.translation, w.finite.act(datum.rho_check)))
     count = 0
     for rt in datum.positive_roots:
-        lo = sum(rt[i] * b[i] for i in range(datum.n))
-        hi = sum(rt[i] * wb[i] for i in range(datum.n))
-        if lo > hi:
-            lo, hi = hi, lo
-        # integers strictly between lo and hi; both endpoints are non-integral
-        count += _floor(hi) - _floor(lo)
+        lo, hi = sum(rt), datum.pair(rt, wb)
+        count += abs(hi // h1 - lo // h1)
     return count
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # -- cross-validation suite --------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Finite root systems, coweight lattices and finite Weyl groups.
 
-All arithmetic is exact.  Roots are stored as integer vectors in the basis
-of simple roots; coweights as integer vectors in "ambient" coordinates,
-which are fundamental-coweight coordinates on the semisimple part followed
-by central-torus coordinates.  In ambient coordinates the pairing of the
-i-th simple root with a coweight x is simply x[i], so everything downstream
-reduces to small integer dot products.
+All arithmetic is exact and on integers alone.  Roots are stored as integer
+vectors in the basis of simple roots; coweights as integer vectors in
+"ambient" coordinates, which are fundamental-coweight coordinates on the
+semisimple part followed by central-torus coordinates.  In ambient
+coordinates the pairing of the i-th simple root with a coweight x is simply
+x[i], so everything downstream reduces to small integer dot products.
 
 A finite Weyl element w is read off the point w.rho_check, rho_check =
 (1, ..., 1, 0, ..., 0) pairing to 1 with every simple root (it need not lie
 in X): <w^-1 alpha, rho_check> = <alpha, w.rho_check> (Humphreys, Reflection
-Groups and Coxeter Groups, §1.12).  No matrix is inverted; the one exact
-elimination, `_coordinate_functionals`, sets up the lattice X.
+Groups and Coxeter Groups, §1.12).  No matrix is inverted; the one
+elimination, `_coordinate_functionals`, is fraction-free and sets up the
+lattice X.
 
 Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
@@ -25,8 +26,7 @@ coweights and the Satake walk) all come from one breadth-first search,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 import itertools
 import json
 import math
@@ -115,24 +115,28 @@ def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
     return a
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    """Concrete presentation of a split reductive group: Dynkin components
-    plus a coweight-lattice choice ('sc', 'ad', or an explicit basis)."""
+class CartanDatum(namedtuple("CartanDatum", "components lattice")):
+    """Concrete presentation of a split reductive group, an immutable named
+    tuple: the Dynkin `components`, (letter, rank) pairs, and the coweight
+    `lattice` choice, 'sc', 'ad' or a tuple of integer basis rows."""
 
-    components: tuple[tuple[str, int], ...]
-    lattice: object  # 'sc' | 'ad' | tuple of integer basis rows
+    __slots__ = ()
 
-    def __post_init__(self):
-        for letter, rank in self.components:
+    def __new__(cls, components, lattice):
+        for letter, rank in components:
             if letter not in VALID_RANKS or rank not in VALID_RANKS[letter]:
                 raise RootDatumError(f"invalid Dynkin type {letter}{rank}")
-        if self.lattice not in ("sc", "ad"):
-            rows = self.lattice
+        if lattice not in ("sc", "ad"):
+            rows = lattice
             if not rows or any(len(r) != len(rows[0]) for r in rows):
                 raise RootDatumError("lattice basis must be a rectangular matrix")
             if any(not isinstance(e, int) for r in rows for e in r):
                 raise RootDatumError("lattice basis must have integer entries")
+        return super().__new__(cls, components, lattice)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace runs the checks too
+        return cls(*iterable)
 
 
 class FiniteWeylElement:
@@ -219,24 +223,26 @@ def _mat_mul(a, b):
 def _coordinate_functionals(basis):
     """(den, cols) such that the coordinates of v in the basis are
     <v, cols[j]> / den, integral exactly when v lies in the lattice the basis
-    spans; None when the basis is singular.  Gauss-Jordan over the rationals."""
+    spans; None when the basis is singular.  Fraction-free Gauss-Jordan on
+    [basis | I] (Bareiss, Math. Comp. 22, 1968): each cleared row is divided
+    by the gcd of its entries, so row i ends as [d_i e_i | r_i] with r_i / d_i,
+    row i of the inverse, in lowest terms as a row; den is the lcm of the d_i."""
     n = len(basis)
-    aug = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-           for i in range(n)]
+    rows = [list(basis[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    den = math.lcm(*(v.denominator for row in inv for v in row))
-    return den, tuple(tuple(int(row[j] * den) for row in inv) for j in range(n))
+            if r != col and (f := rows[r][col]):
+                row = [prow[col] * e - f * g for e, g in zip(rows[r], prow)]
+                g = math.gcd(*row)
+                rows[r] = [e // g for e in row]
+    den = math.lcm(*(rows[i][i] for i in range(n)))
+    return den, tuple(tuple(rows[i][n + j] * (den // rows[i][i]) for i in range(n))
+                      for j in range(n))
 
 
 class RootDatum:
@@ -320,10 +326,12 @@ class RootDatum:
         self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
         ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         self.weyl_identity = self._intern_weyl(ident)
-        simple_roots = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        self.simple_reflections = tuple(map(self.reflection, simple_roots, self.simple_coroots))
+        self.simple_roots = tuple(tuple(int(i == j) for j in range(self.n))
+                                  for i in range(self.n))
+        self.simple_reflections = tuple(map(self.reflection, self.simple_roots,
+                                            self.simple_coroots))
 
-        self._generate_roots(simple_roots)
+        self._generate_roots()
         self.spec_string = spec_string or self._default_spec_string()
 
         self.affine_system = None
@@ -341,7 +349,7 @@ class RootDatum:
             el = self._weyl_cache.setdefault(matrix, FiniteWeylElement(self, matrix))
         return el
 
-    def _generate_roots(self, simple_roots):
+    def _generate_roots(self):
         def reflect(root_and_coroot):
             rt, crt = root_and_coroot
             for i in range(self.n):
@@ -349,7 +357,7 @@ class RootDatum:
                 yield (tuple(rt[j] - m * (j == i) for j in range(self.n)),
                        self.simple_reflections[i].act(crt))
 
-        pairs = dict(closure(zip(simple_roots, self.simple_coroots), reflect))
+        pairs = dict(closure(zip(self.simple_roots, self.simple_coroots), reflect))
         pos = sorted(rt for rt in pairs if all(x >= 0 for x in rt))
         if len(pairs) != 2 * len(pos):
             raise RootDatumError("root closure is not symmetric")

@@ -1,8 +1,10 @@
 """Reference helpers that only the tests use, kept out of the library."""
 
+from fractions import Fraction
 from functools import cache
 import gc
 import itertools
+import math
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke.affine_weyl import AffineWeylElement, Facet
@@ -66,6 +68,44 @@ def x_coords(d, coweight):
 def coweight_from_x_coords(d, coords):
     """The coweight with the given lattice coordinates, by the index sums."""
     return tuple(sum(c * b[i] for c, b in zip(coords, d.x_basis)) for i in range(d.dim))
+
+
+def coordinate_functionals(basis):
+    """`root_datum._coordinate_functionals` by Gauss-Jordan over the rationals:
+    (den, cols) with den the lcm of the denominators of the inverse and
+    cols[j] its j-th column times den; None when the basis is singular."""
+    n = len(basis)
+    aug = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [e * inv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    den = math.lcm(*(v.denominator for row in inv for v in row))
+    return den, tuple(tuple(int(row[j] * den) for row in inv) for j in range(n))
+
+
+def brute_length(w: AffineWeylElement) -> int:
+    """`oracle.brute_length` at the base-alcove point b itself, in Fractions:
+    b pairs to height / (h + 1) with every positive root, and the count adds
+    the integers strictly between <alpha, b> and <alpha, w.b>."""
+    d = w.datum
+    h = max(sum(theta) for theta, _ in d.highest_roots)
+    b = tuple(Fraction(1, h + 1) if i < d.n else Fraction(0) for i in range(d.dim))
+    wb = tuple(t + x for t, x in zip(w.translation, w.finite.act(b)))
+    count = 0
+    for rt in d.positive_roots:
+        lo, hi = sorted((pair(d, rt, b), pair(d, rt, wb)))
+        count += math.floor(hi) - math.floor(lo)  # neither end is an integer
+    return count
 
 
 def in_w_m(levi: LeviDatum, w: AffineWeylElement) -> bool:

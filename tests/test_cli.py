@@ -25,6 +25,19 @@ def load_schema(name):
         return json.load(fh)
 
 
+def test_the_import_loads_no_heavy_standard_module():
+    # Every fresh CLI process pays for what the import loads, and the library's
+    # exact arithmetic needs integers alone.  A subprocess, since pytest itself
+    # loads these modules; -S keeps site customisations out.
+    heavy = ("dataclasses", "fractions", "decimal", "inspect", "typing")
+    src = os.path.dirname(os.path.dirname(aw.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, modp_hecke, modp_hecke.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_weyl_demazure():
     code, out, _ = run_cli("weyl", "demazure", "A1", "--word", "0,1,1")
     assert code == 0

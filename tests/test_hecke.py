@@ -41,6 +41,14 @@ def test_unknown_basis_is_rejected():
         hk.HeckeElement(f, 3, "kl", {cls(d, f, "e"): 1})
 
 
+def test_a_class_of_another_facet_is_rejected():
+    # Same datum, same rep, but the class is the hyperspecial facet's
+    d = preset("A1")
+    f = aw.iwahori(d)
+    with pytest.raises(hk.HeckeError, match="coefficient indexed by a foreign facet"):
+        hk.HeckeElement(f, 3, "phi", {cls(d, aw.hyperspecial(d), "e"): 1})
+
+
 def test_hecke_repr():
     # the sorted canonical strings of the classes, as the hecke_mixed digest reads them
     d = preset("A2")
@@ -210,6 +218,8 @@ def test_witness_is_an_immutable_hashable_record():
     _, wit = hk.convolve_phi_classes(a, b)
     _, again = hk.convolve_phi_classes(a, b)
     assert wit == again and hash(wit) == hash(again)
+    assert wit._fields == ("facet", "w1", "w2", "tau1", "tau2", "word1", "word2",
+                           "folded", "result")
     for field in ("folded", "word1", "facet"):
         with pytest.raises(AttributeError):
             setattr(wit, field, getattr(again, field))

@@ -5,8 +5,8 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
-from modp_hecke.root_datum import CartanDatum, RootDatum, preset
-from reference import alternating_data, t_basis
+from modp_hecke.root_datum import CartanDatum, RootDatum, from_json, preset
+from reference import alternating_data, brute_length, t_basis
 
 
 def test_quadratic_relation():
@@ -115,6 +115,41 @@ def test_brute_length_examples():
     assert orc.brute_length(aw.identity(d)) == 0
     assert orc.brute_length(aw.translation(d, (2,))) == 2
     assert orc.brute_length(aw.parse_element(d, "w[0,1,0]")) == 3
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("A1", 8), ("A2:ad", 5), ("C2", 6), ("G2", 6), ("B3", 4), ("A1xA2:ad", 4),
+    ({"type": "A1", "rank": 1, "lattice_basis": [[1, 1], [1, -1]]}, 6)],
+    ids=("A1", "A2:ad", "C2", "G2", "B3", "A1xA2:ad", "A1-explicit-central"))
+def test_brute_length_matches_the_fraction_count(spec, radius):
+    # The integer count at (h + 1) b = rho_check against the count at the
+    # base-alcove point b itself, in Fractions
+    d = from_json(spec) if isinstance(spec, dict) else preset(spec)
+    ball = aw.length_ball(d, radius)
+    assert max(map(aw.length, ball)) == radius
+    for w in ball:
+        assert orc.brute_length(w) == brute_length(w), w
+
+
+def test_check_length_names_a_planted_failure(monkeypatch):
+    # A planted count one too high above length 4 fails first on t[-2]*s1,
+    # the first element of length 5 in the ball's order
+    real = orc.brute_length
+    monkeypatch.setattr(orc, "brute_length", lambda w: (n := real(w)) + (n > 4))
+    row = orc.check_length(preset("A1"), 6)
+    assert row == {"datum": "A1:sc", "ok": False, "failed": "<t[-2]*s1>"}
+
+
+def test_check_bruhat_names_a_planted_failure(monkeypatch):
+    # A planted subword test negated on the one pair (s1, s0*s1), printed
+    # (s1, t[1]), fails there
+    d = preset("A1")
+    s1, s01 = aw.parse_element(d, "s1"), aw.parse_element(d, "s0*s1")
+    real = orc.brute_bruhat
+    monkeypatch.setattr(orc, "brute_bruhat",
+                        lambda u, w, cap: real(u, w, cap) != ((u, w) == (s1, s01)))
+    row = orc.check_bruhat(d, 3)
+    assert row == {"datum": "A1:sc", "ok": False, "failed": ("<s1>", "<t[1]>")}
 
 
 def test_check_convolution_on_adjoint_data():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
-from reference import alternating_data, mat_mul
+from reference import alternating_data, coordinate_functionals, mat_mul
 
 
 def w0_elements(d):
@@ -173,13 +174,76 @@ def test_no_exact_elimination_after_the_datum_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact elimination ran after the datum was built")
 
-    monkeypatch.setattr(rd, "Fraction", refuse)
+    for module in (rd, sat):  # both import sites of the one elimination
+        monkeypatch.setattr(module, "_coordinate_functionals", refuse)
     e, s0 = (aw.double_coset_rep(aw.parse_element(d, t), f) for t in ("e", "s0"))
     image = sat.satake_phi(e, sat.minimal_levi(d), f, 2)
     assert image.to_json()["terms"] == [{"rep": "e", "coeff": 1}]
     prod, witness = hk.convolve_phi_classes(s0, e)
     assert witness.replay() is prod
     assert aw.element_to_string(prod.rep) == "t[-2,-3,-4,-6,-5,-4,-3,-2]"
+
+
+# Every preset the tests build, and every explicit lattice basis they read.
+PRESETS = ("A1", "A1:ad", "A2", "A2:ad", "A3", "A3:ad", "A6", "B2", "B2:ad", "B3", "C2",
+           "C3", "C3:ad", "D4", "D4:ad", "D5", "E6", "E6:ad", "E7", "E8", "F4", "G2",
+           "A1xA1", "A1xA2:ad", "A4xA6xA7xA8")
+EXPLICIT_BASES = ([[1]], [[2]], [[3]], [[4]], [[0]], [[1, 0], [0, 1]], [[1, 1], [1, -1]],
+                  [[1, 1000], [1, -1000]], [[1, 10000], [1, -10000]], [[1, 100], [0, 1]],
+                  [[1, 0, 0], [0, 1, 0], [1, 2, 3]], [[1, 0, 0], [0, 1, 0], [1, 2, 3000]])
+
+
+def _seeded_matrices():
+    """Square integer matrices of sizes 1 to 6: dense small entries, sparse
+    ones, large ones, and a singular one in five with a row a multiple of
+    another."""
+    rng = random.Random(41)
+    for size in range(1, 7):
+        for k in range(300):
+            entries = ((-3, -2, -1, 0, 1, 2, 3), (0, 0, 0, 1, -1, 2),
+                       tuple(range(-1000, 1001, 7)))[k % 3]
+            m = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
+            if k % 5 == 4:
+                i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+                m[i] = [rng.choice((-2, 0, 1, 3)) * e for e in m[j]]
+            yield m
+
+
+def test_coordinate_functionals_match_the_fraction_elimination():
+    # The fraction-free elimination against Gauss-Jordan over the rationals,
+    # singular bases included: on every preset's lattice basis, on each
+    # explicit basis and every square block enumerate_antidominant may pivot
+    # on (the first n columns of n of its rows), and on seeded matrices.
+    bases = [rd.preset(spec).x_basis for spec in PRESETS]
+    for rows in EXPLICIT_BASES:
+        bases += [[rows[j][:n] for j in p] for n in range(1, len(rows) + 1)
+                  for p in itertools.combinations(range(len(rows)), n)]
+    bases += _seeded_matrices()
+    singular = 0
+    for basis in bases:
+        expected = coordinate_functionals(basis)
+        assert rd._coordinate_functionals(basis) == expected, basis
+        singular += expected is None
+    assert singular > 300
+
+
+def test_cartan_datum_is_an_immutable_value():
+    a, b = rd.CartanDatum((("A", 2),), "sc"), rd.CartanDatum((("A", 2),), "sc")
+    assert a == b and hash(a) == hash(b) == hash(((("A", 2),), "sc"))
+    assert a != rd.CartanDatum((("A", 2),), "ad")
+    assert repr(a) == "CartanDatum(components=(('A', 2),), lattice='sc')"
+    with pytest.raises(AttributeError):
+        a.lattice = "ad"
+    assert a._replace(lattice="ad") == rd.CartanDatum((("A", 2),), "ad")
+    with pytest.raises(rd.RootDatumError, match="must have integer entries"):
+        a._replace(lattice=((1.5, 0), (0, 1)))
+    for components, lattice, message in (
+            ((("A", 2), ("E", 5)), [[1.5]], "invalid Dynkin type E5"),
+            ((("A", 1),), [], "must be a rectangular matrix"),
+            ((("A", 1),), [[1, 0], [0]], "must be a rectangular matrix"),
+            ((("A", 1),), [[1.0]], "must have integer entries")):
+        with pytest.raises(rd.RootDatumError, match=message):
+            rd.CartanDatum(components, lattice)
 
 
 def is_antidominant(d, z):
