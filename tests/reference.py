@@ -3,14 +3,17 @@
 from fractions import Fraction
 from functools import cache
 import gc
+import hashlib
 import itertools
+import json
 import math
 
 from modp_hecke import affine_weyl as aw
+from modp_hecke import hecke as hk
 from modp_hecke.affine_weyl import AffineWeylElement, Facet
 from modp_hecke.oracle import GenericHeckeElement
-from modp_hecke.root_datum import RootDatumError, closure, from_json
-from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi
+from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
+from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi, satake_phi
 
 
 # The library's integer kernels written as plain index sums, for the tests
@@ -174,3 +177,50 @@ def alternating_data(rounds: int):
                 yield k, from_json(doc)
     finally:
         gc.unfreeze()
+
+
+# -- the atlas: one digest of both main results per (datum, finite facet) --------
+
+# (preset spec, radius of the length ball) of each datum in `tests/atlas.json`.
+ATLAS_DATA = (("A1:sc", 6), ("A1:ad", 6), ("A2:sc", 4), ("A2:ad", 4), ("C2:sc", 4),
+              ("G2:sc", 4), ("A1xA1:sc", 4), ("A3:sc", 3), ("B3:sc", 3), ("C3:sc", 3))
+
+
+def atlas_rows(f: Facet, radius: int) -> list:
+    """The canonical outputs at facet f over the classes of the length ball of
+    the given radius, sorted by rep string: per class its rep, point count,
+    indicator expansion at p = 2 and `satake_phi` terms at p = 2 for every
+    standard Levi, then one row of the product class of every ordered pair
+    of those classes of length <= 2."""
+    d = f.datum
+    classes = sorted({aw.double_coset_rep(w, f) for w in aw.length_ball(d, radius)},
+                     key=lambda c: str(c.rep))
+    levis = [levi_datum(d, j_m) for r in range(d.n + 1)
+             for j_m in itertools.combinations(range(d.n), r)]
+    rows = [{"rep": str(idx.rep),
+             "point_count": list(hk.point_count_polynomial(idx)),
+             "indicator": hk.phi_basis_element(idx, 2).convert("indicator").to_json(),
+             "satake": [satake_phi(idx, levi, f, 2).to_json()["terms"] for levi in levis]}
+            for idx in classes]
+    short = [c for c in classes if c.length <= 2]
+    rows.append({"products": [[str(a.rep), str(b.rep), str(hk.convolve_phi_classes(a, b)[0].rep)]
+                              for a in short for b in short]})
+    return rows
+
+
+def atlas_digests(spec: str, radius: int) -> dict:
+    """{facet indices as a list string: the first 16 hex digits of the SHA-256
+    of `atlas_rows` in sorted-key JSON}, over every finite facet of a fresh
+    datum of the preset spec, so no memo of an earlier computation is read."""
+    d = RootDatum(preset(spec).cartan_datum)
+    return {str(list(f.indices)): hashlib.sha256(
+                json.dumps(atlas_rows(f, radius), sort_keys=True).encode()).hexdigest()[:16]
+            for f in finite_facets(d)}
+
+
+def write_atlas(path: str):
+    """Regenerate the atlas file: {spec: {"radius": r, "digests": atlas_digests}}."""
+    doc = {spec: {"radius": r, "digests": atlas_digests(spec, r)} for spec, r in ATLAS_DATA}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
