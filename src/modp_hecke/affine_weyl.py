@@ -44,8 +44,8 @@ from .root_datum import (CapExceeded, Coweight, FiniteWeylElement, Root, RootDat
 AffineRoot = tuple[Root, int]
 
 
-# Default limit on the size of a lower Bruhat interval, on the classes below
-# a class (`enumerate_lower_interval`) and on the cells of a point count.
+# Default limit on the classes below a class (`enumerate_lower_interval`), on
+# the cells of a point count and on the cosets of a Satake walk.
 INTERVAL_CAP = 20000
 
 
@@ -135,31 +135,26 @@ class AffineSimpleSystem:
     Each irreducible component occupies a contiguous block of indices: the
     block starts with the affine node, followed by the component's finite
     simple reflections.  For a single component this is the usual numbering
-    s_0 (affine), s_1 .. s_r (finite).
+    s_0 (affine), s_1 .. s_r (finite).  `index_of_finite` maps each finite
+    simple-root index to its node.  Each simple reflection is `reflection` of
+    its affine simple root: (-theta, 1) gives s_0 = t_{theta^vee} s_theta, and
+    (alpha_i, 0) gives s_i.
     """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.index_of_finite = {}
         self.simple_roots: dict[int, AffineRoot] = {}
-        self.elements: dict[int, AffineWeylElement] = {}
-        off = 0
         self.affine_indices = []
-        self.finite_indices = []
-        for comp, rng in enumerate(datum.component_ranges):
-            theta, theta_vee = datum.highest_roots[comp]
-            idx0 = off
-            self.affine_indices.append(idx0)
-            self.simple_roots[idx0] = (tuple(-c for c in theta), 1)
-            self.elements[idx0] = AffineWeylElement(
-                datum, theta_vee, datum.reflection(theta, theta_vee))
-            for pos, i in enumerate(rng):
-                idx = off + 1 + pos
-                self.finite_indices.append(idx)
+        off = 0
+        for rng, (theta, _) in zip(datum.component_ranges, datum.highest_roots):
+            self.affine_indices.append(off)
+            self.simple_roots[off] = (tuple(-c for c in theta), 1)
+            for idx, i in enumerate(rng, off + 1):
                 self.index_of_finite[i] = idx
                 self.simple_roots[idx] = (datum.simple_roots[i], 0)
-                self.elements[idx] = from_finite(datum, datum.simple_reflections[i])
             off += 1 + len(rng)
+        self.elements = {i: reflection(datum, r) for i, r in self.simple_roots.items()}
         self.indices = tuple(sorted(self.simple_roots))
         self._omega_conj_cache: dict[tuple, int] = {}
         self._element_index = {el: i for i, el in self.elements.items()}
@@ -168,13 +163,6 @@ class AffineSimpleSystem:
         if i not in self.elements:
             raise RootDatumError(f"invalid affine simple index {i}")
         return self.elements[i]
-
-    def finite_root_index(self, i: int):
-        """Finite simple-root index for a finite node, None for affine nodes."""
-        beta, k = self.simple_roots[i]
-        if k != 0:
-            return None
-        return beta.index(1)
 
 
 def simple_system(datum: RootDatum) -> AffineSimpleSystem:
@@ -204,14 +192,6 @@ def left_descents(w: AffineWeylElement):
     lw = length(w)
     for i in sys.indices:
         if length(sys.elements[i] * w) < lw:
-            yield i
-
-
-def right_descents(w: AffineWeylElement):
-    sys = simple_system(w.datum)
-    lw = length(w)
-    for i in sys.indices:
-        if length(w * sys.elements[i]) < lw:
             yield i
 
 
@@ -306,10 +286,10 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
     sys = simple_system(w.datum)
     passed = []  # (element, s) from w downwards
     while (val := w._lower) is None:
-        if length(w) == 0:
+        if (lw := length(w)) == 0:
             val = w._lower = frozenset([w])
             break
-        s = sys.elements[next(iter(right_descents(w)))]
+        s = next(s for s in map(sys.elements.get, sys.indices) if length(w * s) < lw)
         passed.append((w, s))
         w = w * s
     _check_interval_cap(val, cap)
@@ -453,7 +433,7 @@ def iwahori(datum: RootDatum) -> Facet:
 
 def hyperspecial(datum: RootDatum) -> Facet:
     """The facet of all finite simple reflections (the base vertex)."""
-    return facet(datum, simple_system(datum).finite_indices)
+    return facet(datum, simple_system(datum).index_of_finite.values())
 
 
 def element_sort_key(w: AffineWeylElement):

@@ -28,10 +28,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
 EXIT_IO = 5
-# The first matching type gives the exit code: SatakeError is a ValueError,
-# so it comes before ValueError (RootDatumError and HeckeError among them).
-EXIT_CODES = {CapExceeded: EXIT_CAP, SatakeError: EXIT_PRECONDITION,
-              ValueError: EXIT_PARSE, OSError: EXIT_IO}
 
 
 def _parse_indices(text: str) -> tuple:
@@ -44,13 +40,12 @@ def _parse_indices(text: str) -> tuple:
 def _levi_root_indices(datum, text: str) -> tuple:
     """--levi uses the same index space as --facet (affine simple system);
     the indices must name finite nodes, translated here to root indices."""
-    sys = aw.simple_system(datum)
+    root_index = {node: i for i, node in aw.simple_system(datum).index_of_finite.items()}
     out = []
     for i in _parse_indices(text or ""):
-        root_index = sys.finite_root_index(i) if i in sys.simple_roots else None
-        if root_index is None:
+        if i not in root_index:
             raise SatakeError(f"--levi index {i} is not a finite simple node")
-        out.append(root_index)
+        out.append(root_index[i])
     return tuple(out)
 
 
@@ -183,6 +178,13 @@ def cmd_oracle(args) -> int:
         print(f"{r['datum']:>8}  {name:<12} {status}  {json.dumps(r, sort_keys=True)}")
     print("oracle check:", "all pass" if ok else "FAILURES")
     return EXIT_OK if ok else 1
+
+
+COMMANDS = {"weyl": cmd_weyl, "hecke": cmd_hecke, "satake": cmd_satake, "oracle": cmd_oracle}
+# The first matching type gives the exit code: SatakeError is a ValueError,
+# so it comes before ValueError (RootDatumError and HeckeError among them).
+EXIT_CODES = {CapExceeded: EXIT_CAP, SatakeError: EXIT_PRECONDITION,
+              ValueError: EXIT_PARSE, OSError: EXIT_IO}
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -329,15 +331,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         _apply_config(parser, args, argv)
-        if args.cmd == "weyl":
-            return cmd_weyl(args)
-        if args.cmd == "hecke":
-            return cmd_hecke(args)
-        if args.cmd == "satake":
-            return cmd_satake(args)
-        if args.cmd == "oracle":
-            return cmd_oracle(args)
-        return EXIT_PARSE
+        return COMMANDS[args.cmd](args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

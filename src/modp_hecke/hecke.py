@@ -268,8 +268,6 @@ def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP
 
 def poly_string(coeffs) -> str:
     """Human form of a coefficient tuple, e.g. (1, 1) -> '1 + q'."""
-    if not coeffs:
-        return "0"
     parts = []
     for i, c in enumerate(coeffs):
         if c == 0:
@@ -279,4 +277,4 @@ def poly_string(coeffs) -> str:
         else:
             qpow = "q" if i == 1 else f"q^{i}"
             parts.append(qpow if c == 1 else f"{c}*{qpow}")
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(parts) or "0"

@@ -34,7 +34,7 @@ from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, DoubleCosetIndex, Facet,
                           element_to_string, length, lower_set, simple_system)
 from .hecke import HeckeElement, convolve_phi_classes, phi_basis_element
-from .root_datum import RootDatum, RootDatumError
+from .root_datum import RootDatum, RootDatumError, preset
 
 # A coefficient c_0 + c_1 q + ... is stored as the int c_0 + c_1 B + ..., its
 # value at q = B (Kronecker substitution).  The digits are read back balanced,
@@ -324,8 +324,6 @@ def check_length(datum: RootDatum, length_cap: int = 6) -> dict:
 def run_checks(specs=("A1", "A2"), conv_cap: int = 3, bruhat_cap: int = 4,
                length_cap: int = 6):
     """The full cross-validation matrix; one result row per (datum, oracle)."""
-    from .root_datum import preset
-
     rows = []
     for spec in specs:
         datum = preset(spec)

@@ -293,30 +293,26 @@ class RootDatum:
             off += rank
         self.cartan = tuple(tuple(r) for r in a)
 
-        if cartan.lattice == "sc":
-            self.dim = self.n
-            basis = [tuple(self.cartan[i][j] for i in range(self.n))
-                     for j in range(self.n)]  # simple coroots
-        elif cartan.lattice == "ad":
-            self.dim = self.n
-            basis = [tuple(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        lattice = cartan.lattice
+        self.lattice_label = lattice if lattice in ("sc", "ad") else "explicit"
+        self.dim = len(lattice[0]) if self.lattice_label == "explicit" else self.n
+        self.simple_coroots = tuple(
+            tuple(self.cartan[i][j] for i in range(self.n)) + (0,) * (self.dim - self.n)
+            for j in range(self.n))
+        if lattice == "sc":
+            self.x_basis = self.simple_coroots
+        elif lattice == "ad":
+            self.x_basis = tuple(tuple(int(i == j) for i in range(self.n))
+                                 for j in range(self.n))
         else:
-            rows = tuple(tuple(r) for r in cartan.lattice)
-            self.dim = len(rows[0])
-            if self.dim < self.n or len(rows) != self.dim:
+            self.x_basis = tuple(tuple(r) for r in lattice)
+            if self.dim < self.n or len(self.x_basis) != self.dim:
                 raise RootDatumError("lattice basis must be square of size >= rank")
-            basis = list(rows)
-        self.x_basis = tuple(basis)
         functionals = _coordinate_functionals(self.x_basis)
         if functionals is None:
             raise RootDatumError("lattice basis is singular")
         self.x_inverse_den, self.x_inverse_cols = functionals
-        self.lattice_label = cartan.lattice if cartan.lattice in ("sc", "ad") else "explicit"
         self.rho_check = (1,) * self.n + (0,) * (self.dim - self.n)
-
-        self.simple_coroots = tuple(
-            tuple(self.cartan[i][j] for i in range(self.n)) + (0,) * (self.dim - self.n)
-            for j in range(self.n))
         for j, crt in enumerate(self.simple_coroots):
             if self.x_coords(crt) is None:
                 raise RootDatumError(

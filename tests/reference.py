@@ -111,6 +111,32 @@ def brute_length(w: AffineWeylElement) -> int:
     return count
 
 
+def cls(datum, facet: Facet, text: str):
+    """The class at facet of the element the string names."""
+    return aw.double_coset_rep(aw.parse_element(datum, text), facet)
+
+
+def all_reduced_words(w: AffineWeylElement) -> list:
+    """Every reduced word of w's W_af part, as index tuples: each left
+    descent s of w followed by every reduced word of s w."""
+    word, _ = aw.reduced_word(w)
+    if not word:
+        return [()]
+    sys = aw.simple_system(w.datum)
+    return [(i,) + rest for i in aw.left_descents(w)
+            for rest in all_reduced_words(sys.simple(i) * w)]
+
+
+def w0_elements(d) -> set:
+    """The finite Weyl group, by closure under the simple reflections."""
+    return closure([d.weyl_identity], lambda w: (s * w for s in d.simple_reflections))
+
+
+def is_antidominant(d, z) -> bool:
+    """<alpha, z> <= 0 for every positive root alpha."""
+    return all(d.pair(rt, z) <= 0 for rt in d.positive_roots)
+
+
 def in_w_m(levi: LeviDatum, w: AffineWeylElement) -> bool:
     """Membership in W_M = X x| W0(M): the finite part of w fixes lam."""
     return w.finite.act(levi.lam) == levi.lam

@@ -12,7 +12,7 @@ from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import preset
-from reference import proper_levis
+from reference import all_reduced_words, proper_levis
 
 SPECIAL_GROUPS = ("A1:sc", "A1:ad", "A2:sc", "C2:sc")
 
@@ -80,15 +80,6 @@ def test_criterion_3_convolution_oracle_equivalence():
                         assert expanded == hk.phi_basis_element(got, p), (spec, w1, w2, p)
 
 
-def _all_reduced_words(w):
-    word, _ = aw.reduced_word(w)
-    if not word:
-        return [()]
-    sys = aw.simple_system(w.datum)
-    return [(i,) + rest for i in aw.left_descents(w)
-            for rest in _all_reduced_words(sys.simple(i) * w)]
-
-
 def test_criterion_4_demazure_word_independence():
     # The fold runs right to left, so fold(R1 ++ R2) = fold of R1 onto
     # fold(R2); checking (a) every reduced word folds to its element and
@@ -100,7 +91,7 @@ def test_criterion_4_demazure_word_independence():
             ball = aw.length_ball(d, 5)
             words = {}
             for w in ball:
-                words[w] = _all_reduced_words(w)
+                words[w] = all_reduced_words(w)
                 for r in words[w]:
                     assert aw.demazure_product(d, r) == w, (spec, r)
             for w1 in ball:

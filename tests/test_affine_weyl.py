@@ -7,8 +7,8 @@ import pytest
 from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
-from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
-from reference import finite_facets, in_w_m, wf_elements
+from modp_hecke.root_datum import RootDatum, RootDatumError, from_json, preset
+from reference import all_reduced_words, finite_facets, in_w_m, w0_elements, wf_elements
 
 
 def els(datum, *strings):
@@ -93,8 +93,8 @@ def test_reduced_word_of_omega_element():
 def _omega_by_right_descents(d, z):
     cur = aw.translation(d, z)
     sys = aw.simple_system(d)
-    while aw.length(cur) > 0:
-        cur = cur * sys.elements[next(aw.right_descents(cur))]
+    while (lc := aw.length(cur)) > 0:
+        cur = next(x for x in (cur * sys.elements[i] for i in sys.indices) if aw.length(x) < lc)
     return cur
 
 
@@ -216,8 +216,8 @@ def test_demazure_word_independence_exhaustive():
             tau1 = _tau(w1)
             for w2 in aw.length_ball(d, ball):
                 expected = aw.demazure_mult(w1, w2)
-                for r1 in _reduced_words(w1):
-                    for r2 in _reduced_words(w2):
+                for r1 in all_reduced_words(w1):
+                    for r2 in all_reduced_words(w2):
                         r2c = tuple(aw.omega_conjugate(tau1, i) for i in r2)
                         assert aw.demazure_product(d, r1 + r2c) * tau1 * _tau(w2) \
                             == expected, (spec, r1, r2)
@@ -225,18 +225,6 @@ def test_demazure_word_independence_exhaustive():
 
 def _tau(w):
     return aw.reduced_word(w)[1]
-
-
-def _reduced_words(w):
-    word, _ = aw.reduced_word(w)
-    if not word:
-        return [()]
-    sys = aw.simple_system(w.datum)
-    out = []
-    for i in aw.left_descents(w):
-        for rest in _reduced_words(sys.simple(i) * w):
-            out.append((i,) + rest)
-    return out
 
 
 def test_demazure_associativity():
@@ -479,11 +467,6 @@ def test_each_facet_memoizes_its_own_classes():
             idx = aw.double_coset_rep(w, facets[i])
             assert idx.facet is facets[i]
             assert idx.rep is expected[i]
-
-
-def w0_elements(d):
-    """The finite Weyl group, by closure under the simple reflections."""
-    return closure([d.weyl_identity], lambda w: (s * w for s in d.simple_reflections))
 
 
 def w0m_size(d, j_m):

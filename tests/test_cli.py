@@ -9,7 +9,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke
+from modp_hecke import satake as sat
 from modp_hecke.cli import EXIT_PARSE, main
+from modp_hecke.root_datum import preset
 
 SCHEMA_DIR = os.path.join(os.path.dirname(aw.__file__), "schemas")
 
@@ -291,6 +293,14 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["oracle", "check", "A1", "--length-cap", "-1"], "argument --length-cap: invalid"),
     (["--config", 'CONFIG:{"cap": -1}', "hecke", "basis", "A1", "--w", "t[1]"],
      "-1 is not valid for 'cap'"),
+    (["weyl", "length", '{"type":"A1","lattice_basis":[[0]]}', "--elt", "e"],
+     "lattice basis is singular"),
+    (["weyl", "length", '{"type":"A2","lattice_basis":[[1,0,0],[0,1,0]]}', "--elt", "e"],
+     "must be square of size >= rank"),
+    (["weyl", "length", '{"type":"A2","lattice_basis":[[2,0],[0,2]]}', "--elt", "e"],
+     "does not contain the simple coroot alpha_1^vee"),
+    (["weyl", "demazure", "A1", "--word", "0,9"], "invalid affine simple index 9"),
+    (["weyl", "length", "A1", "--elt", "s9"], "invalid affine simple index 9"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "float-basis-entry", "bool-basis-entry", "string-basis-entry", "float-rank",
         "infinite-basis-entry",
@@ -299,7 +309,9 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
         "prime-above-the-test-bound", "prime-above-float-range",
         "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string",
         "negative-cap", "negative-length-cap-of-lambda-minus", "negative-conv-cap",
-        "negative-bruhat-cap", "negative-length-cap", "config-negative-cap"])
+        "negative-bruhat-cap", "negative-length-cap", "config-negative-cap",
+        "singular-basis", "basis-not-square", "basis-without-a-coroot",
+        "demazure-word-index-off-the-diagram", "element-index-off-the-diagram"])
 def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
     # "CONFIG" names a config file holding "[1]" (valid JSON, but not an
     # object); "CONFIG:<json>" names one holding <json>.
@@ -329,6 +341,20 @@ def test_levi_index_convention_matches_facet():
     code2, _, err = run_cli("satake", "A2", "--facet", "1,2", "--levi", "0",
                             "--p", "2", "--w", "t[-1,-1]")
     assert code2 == 4 and "finite" in err
+    # A1xA2: index_of_finite is {0: 1, 1: 3, 2: 4}, so node 2 is the second
+    # component's affine node and node 4 is the library's root index 2
+    code3, _, err = run_cli("satake", "A1xA2", "--facet", "1,3,4", "--levi", "2",
+                            "--p", "2", "--w", "e")
+    assert (code3, err) == (4, "error: --levi index 2 is not a finite simple node\n")
+    code4, out, _ = run_cli("satake", "A1xA2", "--facet", "1,3,4", "--levi", "4",
+                            "--p", "2", "--w", "t[0,-1,-1]", "--json")
+    d = preset("A1xA2")
+    f, levi = aw.facet(d, (1, 3, 4)), sat.levi_datum(d, (2,))
+    idx = aw.double_coset_rep(aw.parse_element(d, "t[0,-1,-1]"), f)
+    assert code4 == 0 and json.loads(out) == {
+        "closed_component": str(sat.closed_attractor_component(idx, levi, f)),
+        "has_levi_point": True,
+        "image": sat.satake_phi(idx, levi, f, 2).to_json()["terms"]}
 
 
 def test_determinism():

@@ -9,11 +9,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import CapExceeded, CartanDatum, RootDatum, preset
-from reference import alternating_data, finite_facets, wf_elements
-
-
-def cls(datum, facet, text):
-    return aw.double_coset_rep(aw.parse_element(datum, text), facet)
+from reference import alternating_data, cls, finite_facets, wf_elements
 
 
 def test_prime_validation():

@@ -6,7 +6,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke.root_datum import CartanDatum, RootDatum, from_json, preset
-from reference import alternating_data, brute_length, t_basis
+from reference import alternating_data, brute_length, cls, t_basis
 
 
 def test_quadratic_relation():
@@ -58,6 +58,18 @@ def test_specialize_q0_mod_p():
     assert out.coeffs == {aw.DoubleCosetIndex(f, s1): 2}
     b = orc.GenericHeckeElement(d, {aw.identity(d): orc.pack((0, 1))})
     assert orc.specialize_q0_mod_p(b, 5, f).is_zero()
+
+
+@pytest.mark.parametrize("p", orc.PRIMES)
+def test_generic_to_phi_carries_a_remainder_down(p):
+    # 1_{s1} = phi[s1] - phi[e], so the back-substitution leaves p - 1 at e:
+    # a product of one phi class never reaches that branch.
+    d = preset("A1")
+    f = aw.iwahori(d)
+    a = t_basis(aw.parse_element(d, "s1"))
+    expected = hk.HeckeElement(f, p, "phi", {cls(d, f, "s1"): 1, cls(d, f, "e"): p - 1})
+    assert orc.generic_to_phi(a, f, p) == expected
+    assert orc.specialize_q0_mod_p(a, p, f).convert("phi") == expected
 
 
 def test_pack_round_trip_and_repr():

@@ -7,12 +7,8 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
-from reference import alternating_data, coordinate_functionals, mat_mul
-
-
-def w0_elements(d):
-    """The finite Weyl group, by closure under the simple reflections."""
-    return rd.closure([d.weyl_identity], lambda w: (s * w for s in d.simple_reflections))
+from reference import (alternating_data, coordinate_functionals, is_antidominant, mat_mul,
+                       w0_elements)
 
 
 def test_a1_sc_structure():
@@ -244,10 +240,6 @@ def test_cartan_datum_is_an_immutable_value():
             ((("A", 1),), [[1.0]], "must have integer entries")):
         with pytest.raises(rd.RootDatumError, match=message):
             rd.CartanDatum(components, lattice)
-
-
-def is_antidominant(d, z):
-    return all(d.pair(rt, z) <= 0 for rt in d.positive_roots)
 
 
 def antidominant_representative(d, z):

@@ -8,21 +8,14 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
-from reference import aff_act, in_w_m, proper_levis, wf_elements
-
-
-def cls(datum, facet, text):
-    return aw.double_coset_rep(aw.parse_element(datum, text), facet)
+from reference import (aff_act, all_reduced_words, cls, in_w_m, is_antidominant,
+                       proper_levis, wf_elements)
 
 
 def facet_classes(datum, facet, cap):
     return sorted({aw.double_coset_rep(w, facet) for w in aw.length_ball(datum, cap)
                    if aw.double_coset_rep(w, facet).length <= cap},
                   key=lambda c: aw.element_sort_key(c.rep))
-
-
-def is_antidominant(datum, z):
-    return all(datum.pair(rt, z) <= 0 for rt in datum.positive_roots)
 
 
 @pytest.mark.parametrize("spec", ["A6", "E6"])
@@ -198,7 +191,7 @@ def test_special_case_collapse():
 def test_closed_chains_unique_and_match():
     for spec in ("A1", "A2"):
         d = preset(spec)
-        for fidx in ((), tuple(aw.simple_system(d).finite_indices)):
+        for fidx in ((), tuple(aw.simple_system(d).index_of_finite.values())):
             f = aw.facet(d, fidx)
             for lev in proper_levis(d):
                 for idx in facet_classes(d, f, 4):
@@ -212,18 +205,10 @@ def test_closed_attractor_word_independent():
     f = aw.iwahori(d)
     lev = sat.minimal_levi(d)
     sys = aw.simple_system(d)
-
-    def words(w):
-        word, _ = aw.reduced_word(w)
-        if not word:
-            return [()]
-        return [(i,) + rest for i in aw.left_descents(w)
-                for rest in words(sys.simple(i) * w)]
-
     for idx in facet_classes(d, f, 4):
         expected = sat.closed_attractor_component(idx, lev, f)
         _, tau = aw.reduced_word(idx.rep)
-        for word in words(idx.rep):
+        for word in all_reduced_words(idx.rep):
             x = aw.identity(d)
             for i in word:
                 aroot = aff_act(x, sys.simple_roots[i])
