@@ -9,7 +9,7 @@ together with independent brute-force oracles for every layer.
 from .root_datum import (CartanDatum, FiniteWeylElement, RootDatum,
                          RootDatumError, from_json, preset)
 from .affine_weyl import (AffineWeylElement, CapExceeded, DoubleCosetIndex,
-                          Facet, bruhat_leq, demazure_mult, demazure_product,
+                          Facet, bruhat_leq, demazure_product,
                           double_coset_rep, element_to_string,
                           enumerate_lower_interval, facet, hyperspecial,
                           identity, iwahori, length,

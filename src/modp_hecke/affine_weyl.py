@@ -113,10 +113,6 @@ def translation(datum: RootDatum, coweight: Coweight) -> AffineWeylElement:
     return AffineWeylElement(datum, tuple(coweight), datum.weyl_identity)
 
 
-def from_finite(datum: RootDatum, u: FiniteWeylElement) -> AffineWeylElement:
-    return AffineWeylElement(datum, datum.zero_coweight(), u)
-
-
 def reflection(datum: RootDatum, aroot: AffineRoot) -> AffineWeylElement:
     """Reflection in the affine hyperplane <beta, x> + k = 0, i.e.
     t_{-k beta^vee} s_beta."""
@@ -147,7 +143,7 @@ class AffineSimpleSystem:
         self.simple_roots: dict[int, AffineRoot] = {}
         self.affine_indices = []
         off = 0
-        for rng, (theta, _) in zip(datum.component_ranges, datum.highest_roots):
+        for rng, theta in zip(datum.component_ranges, datum.highest_roots):
             self.affine_indices.append(off)
             self.simple_roots[off] = (tuple(-c for c in theta), 1)
             for idx, i in enumerate(rng, off + 1):
@@ -358,12 +354,6 @@ def demazure_decomposition(a: AffineWeylElement, b: AffineWeylElement):
     return tau_a, word_a, word_b, x, tau_b
 
 
-def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
-    """0-Hecke monoid product a * b."""
-    tau_a, _, _, folded, tau_b = demazure_decomposition(a, b)
-    return tau_a * folded * tau_b
-
-
 # -- facets and coset representatives -------------------------------------------------
 
 
@@ -415,8 +405,8 @@ class Facet:
         vertices of the base alcove (Iwahori and Matsumoto, Publ. Math. IHES
         25, 1965; Bourbaki, Lie Groups and Lie Algebras, Ch. VI §2)."""
         sys = simple_system(self.datum)
-        for a, rng, (theta, _) in zip(sys.affine_indices, self.datum.component_ranges,
-                                      self.datum.highest_roots):
+        for a, rng, theta in zip(sys.affine_indices, self.datum.component_ranges,
+                                 self.datum.highest_roots):
             marks = (1,) + tuple(theta[i] for i in rng)
             if [m for k, m in enumerate(marks) if a + k not in self.indices] != [1]:
                 return False

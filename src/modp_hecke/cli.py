@@ -31,18 +31,22 @@ EXIT_IO = 5
 
 
 def _parse_indices(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(","))
+    """A comma-separated index list, spaces dropped, '' for none; each index
+    is an integer of the element grammar (`affine_weyl._INTEGERS`)."""
+    body = text.strip().replace(" ", "")
+    if not aw._INTEGERS.fullmatch(body):
+        raise ValueError(f"cannot parse index list {text!r}")
+    return tuple(int(v) for v in body.split(",")) if body else ()
 
 
 def _levi_root_indices(datum, text: str) -> tuple:
     """--levi uses the same index space as --facet (affine simple system);
     the indices must name finite nodes, translated here to root indices."""
-    root_index = {node: i for i, node in aw.simple_system(datum).index_of_finite.items()}
+    system = aw.simple_system(datum)
+    root_index = {node: i for i, node in system.index_of_finite.items()}
     out = []
     for i in _parse_indices(text or ""):
+        system.simple(i)  # an index off the diagram is a parse error
         if i not in root_index:
             raise SatakeError(f"--levi index {i} is not a finite simple node")
         out.append(root_index[i])

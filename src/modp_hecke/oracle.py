@@ -193,15 +193,6 @@ def q0_mod_p(a: GenericHeckeElement, p: int) -> dict:
     return out
 
 
-def specialize_q0_mod_p(a: GenericHeckeElement, p: int, facet: Facet) -> HeckeElement:
-    """Evaluate q -> 0, reduce mod p, reindex by double cosets (Iwahori only:
-    each element is its own double coset)."""
-    if not facet.is_iwahori:
-        raise RootDatumError("the generic oracle is Iwahori-only")
-    return HeckeElement(facet, p, "indicator",
-                        {DoubleCosetIndex(facet, w): c for w, c in q0_mod_p(a, p).items()})
-
-
 def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
     """phi_w as the Bruhat-interval sum of T-basis elements (Iwahori)."""
     if not idx.facet.is_iwahori:
@@ -261,7 +252,7 @@ def brute_length(w: AffineWeylElement) -> int:
     lambda + u(rho_check).  Neither point is on a hyperplane, so the integers
     strictly between lo / (h + 1) and hi / (h + 1) number the gap of their floors."""
     datum = w.datum
-    h1 = max(sum(theta) for theta, _ in datum.highest_roots) + 1
+    h1 = max(map(sum, datum.highest_roots)) + 1
     wb = tuple(h1 * t + x for t, x in zip(w.translation, w.finite.act(datum.rho_check)))
     count = 0
     for rt in datum.positive_roots:

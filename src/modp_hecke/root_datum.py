@@ -18,10 +18,10 @@ Every memo of the package lives on the RootDatum it belongs to: finite and
 affine Weyl elements are interned per datum and carry their own memos, and
 the datum holds the tables keyed by more than one element.  Nothing is
 cached at module level except the preset data.
-The sets the package enumerates (the roots, the length balls of W, the
-classes below a class, the cosets of a point count, the anti-dominant
-coweights and the Satake walk) all come from one breadth-first search,
-`closure`.
+The roots, the length balls of W, the anti-dominant coweights and the
+Satake walk all come from one breadth-first search, `closure`; the classes
+below a class and the cells of a point count come from
+`affine_weyl._lower_quotient`, a lifting walk.
 """
 
 from __future__ import annotations
@@ -328,7 +328,8 @@ class RootDatum:
                                             self.simple_coroots))
 
         self._generate_roots()
-        self.spec_string = spec_string or self._default_spec_string()
+        self.spec_string = spec_string or "x".join(
+            f"{letter}{rank}" for letter, rank in self.components) + ":" + self.lattice_label
 
         self.affine_system = None
         self.facets: dict = {}
@@ -358,19 +359,9 @@ class RootDatum:
         if len(pairs) != 2 * len(pos):
             raise RootDatumError("root closure is not symmetric")
         self.positive_roots = tuple(pos)
-        self.positive_coroots = tuple(pairs[rt] for rt in pos)
-        self.coroot_of = dict(zip(self.positive_roots, self.positive_coroots))
-
-        self.highest_roots = []
-        for rng in self.component_ranges:
-            block = [rt for rt in pos if any(rt[i] for i in rng)]
-            theta = max(block, key=lambda rt: sum(rt))
-            self.highest_roots.append((theta, pairs[theta]))
-        self.highest_roots = tuple(self.highest_roots)
-
-    def _default_spec_string(self):
-        typ = "x".join(f"{letter}{rank}" for letter, rank in self.components)
-        return f"{typ}:{self.lattice_label}"
+        self.coroot_of = pairs
+        self.highest_roots = tuple(max((rt for rt in pos if any(rt[i] for i in rng)), key=sum)
+                                   for rng in self.component_ranges)
 
     # -- basic arithmetic --------------------------------------------------------
 
@@ -380,10 +371,7 @@ class RootDatum:
         return sum(map(mul, root, coweight))
 
     def coroot(self, root: Root) -> Coweight:
-        if root in self.coroot_of:
-            return self.coroot_of[root]
-        neg = tuple(-x for x in root)
-        return tuple(-x for x in self.coroot_of[neg])
+        return self.coroot_of[root]
 
     def reflection(self, root: Root, coroot: Coweight) -> FiniteWeylElement:
         """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, interned
@@ -443,7 +431,7 @@ class RootDatum:
         classes are the sums of one such choice per component that lie in X.
         """
         choices = [[None] + [i for i in rng if theta[i] == 1]
-                   for rng, (theta, _) in zip(self.component_ranges, self.highest_roots)]
+                   for rng, theta in zip(self.component_ranges, self.highest_roots)]
         sums = (tuple(int(i in picks) for i in range(self.dim))
                 for picks in itertools.product(*choices))
         return tuple(z for z in sums if self.in_lattice(z))

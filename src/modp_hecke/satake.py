@@ -30,7 +30,6 @@ component of an anti-dominant translation t_z is the component of t_z itself
 from __future__ import annotations
 
 import itertools
-import math
 from operator import add, le, mul, neg
 
 from . import affine_weyl as aw
@@ -72,14 +71,15 @@ class LeviDatum:
             highest = [rt for rt in levi.phi_m
                        if not any(o != rt and all(map(le, rt, o)) for o in levi.phi_m)]
             levi.af_reflections = tuple(
-                [aw.from_finite(datum, datum.simple_reflections[i]) for i in key]
-                + [aw.reflection(datum, (tuple(map(neg, rt)), 1)) for rt in highest])
+                aw.reflection(datum, aroot) for aroot in
+                [(datum.simple_roots[i], 0) for i in key]
+                + [(tuple(map(neg, rt)), 1) for rt in highest])
             # lam = m * chi, chi the sum of fundamental coweights outside J_M and
-            # m least such that den divides m <chi, col> for each lattice functional.
+            # m least with m * chi in X; m * chi lies in Q^vee, inside X, by
+            # m = |P^vee / Q^vee|, so the search is short.
             chi = [int(i not in key) for i in range(datum.n)] + [0] * (datum.dim - datum.n)
-            den, cols = datum.x_inverse_den, datum.x_inverse_cols
-            m = den // math.gcd(den, *(sum(map(mul, chi, col)) for col in cols))
-            levi.lam = tuple(m * c for c in chi)
+            levi.lam = next(lam for m in itertools.count(1)
+                            if datum.in_lattice(lam := tuple(m * c for c in chi)))
             levi._hash, levi._wmf = hash(key), {}
             levi = datum.levis.setdefault(key, levi)
         return levi

@@ -11,7 +11,7 @@ import math
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke.affine_weyl import AffineWeylElement, Facet
-from modp_hecke.oracle import GenericHeckeElement
+from modp_hecke.oracle import GenericHeckeElement, q0_mod_p
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
 from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi, satake_phi
 
@@ -101,7 +101,7 @@ def brute_length(w: AffineWeylElement) -> int:
     b pairs to height / (h + 1) with every positive root, and the count adds
     the integers strictly between <alpha, b> and <alpha, w.b>."""
     d = w.datum
-    h = max(sum(theta) for theta, _ in d.highest_roots)
+    h = max(map(sum, d.highest_roots))
     b = tuple(Fraction(1, h + 1) if i < d.n else Fraction(0) for i in range(d.dim))
     wb = tuple(t + x for t, x in zip(w.translation, w.finite.act(b)))
     count = 0
@@ -109,6 +109,38 @@ def brute_length(w: AffineWeylElement) -> int:
         lo, hi = sorted((pair(d, rt, b), pair(d, rt, wb)))
         count += math.floor(hi) - math.floor(lo)  # neither end is an integer
     return count
+
+
+def poly_mul(a, b) -> tuple:
+    """The product of two coefficient tuples (low to high), trailing zeros
+    dropped."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def from_finite(datum: RootDatum, u) -> AffineWeylElement:
+    """The finite Weyl element u as the affine element t_0 u."""
+    return AffineWeylElement(datum, datum.zero_coweight(), u)
+
+
+def demazure_mult(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
+    """0-Hecke monoid product a * b."""
+    tau_a, _, _, folded, tau_b = aw.demazure_decomposition(a, b)
+    return tau_a * folded * tau_b
+
+
+def specialize_q0_mod_p(a: GenericHeckeElement, p: int, facet: Facet) -> hk.HeckeElement:
+    """Evaluate q -> 0, reduce mod p, reindex by double cosets (Iwahori only:
+    each element is its own double coset)."""
+    if not facet.is_iwahori:
+        raise RootDatumError("the generic oracle is Iwahori-only")
+    return hk.HeckeElement(facet, p, "indicator",
+                           {aw.DoubleCosetIndex(facet, w): c for w, c in q0_mod_p(a, p).items()})
 
 
 def cls(datum, facet: Facet, text: str):

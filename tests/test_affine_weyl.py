@@ -8,7 +8,8 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import oracle
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import RootDatum, RootDatumError, from_json, preset
-from reference import all_reduced_words, finite_facets, in_w_m, w0_elements, wf_elements
+from reference import (all_reduced_words, demazure_mult, finite_facets, from_finite,
+                       in_w_m, w0_elements, wf_elements)
 
 
 def els(datum, *strings):
@@ -48,8 +49,8 @@ def test_affine_node_translation_part():
         d = preset(spec)
         sys = aw.simple_system(d)
         s0 = sys.simple(sys.affine_indices[0])
-        theta, theta_vee = d.highest_roots[0]
-        assert s0.translation == theta_vee
+        theta = d.highest_roots[0]
+        assert s0.translation == d.coroot(theta)
         assert s0.finite == d.reflection(theta, d.coroot(theta))
 
 
@@ -215,7 +216,7 @@ def test_demazure_word_independence_exhaustive():
         for w1 in aw.length_ball(d, ball):
             tau1 = _tau(w1)
             for w2 in aw.length_ball(d, ball):
-                expected = aw.demazure_mult(w1, w2)
+                expected = demazure_mult(w1, w2)
                 for r1 in all_reduced_words(w1):
                     for r2 in all_reduced_words(w2):
                         r2c = tuple(aw.omega_conjugate(tau1, i) for i in r2)
@@ -233,8 +234,8 @@ def test_demazure_associativity():
     ball = aw.length_ball(d, 3)
     for _ in range(80):
         a, b, c = (rng.choice(ball) for _ in range(3))
-        assert aw.demazure_mult(aw.demazure_mult(a, b), c) \
-            == aw.demazure_mult(a, aw.demazure_mult(b, c))
+        assert demazure_mult(demazure_mult(a, b), c) \
+            == demazure_mult(a, demazure_mult(b, c))
 
 
 def test_min_coset_rep():
@@ -472,7 +473,7 @@ def test_each_facet_memoizes_its_own_classes():
 def w0m_size(d, j_m):
     """|W0(M)|, as the number of elements of W0 in W_M."""
     levi = sat.levi_datum(d, j_m)
-    return sum(in_w_m(levi, aw.from_finite(d, u)) for u in w0_elements(d))
+    return sum(in_w_m(levi, from_finite(d, u)) for u in w0_elements(d))
 
 
 def test_is_special_facet():
@@ -545,6 +546,18 @@ def test_double_coset_rep_does_not_enumerate_w_f(spec, closure_results):
     aw.double_coset_rep(aw.parse_element(d, "t[-1" + ",0" * (d.dim - 1) + "]"), f)
     assert time.perf_counter() - start < 5.0
     assert max(map(len, closure_results), default=0) < {"A6": 5040, "E6": 51840}[spec]
+
+
+def test_cold_class_work_counts_at_e7():
+    # Deterministic work of one cold class map: s0 at the E7 hyperspecial
+    # facet on a fresh datum, the elements interned and the affine
+    # product-memo entries, parsing included.  A change that does more work
+    # fails here; one that does less updates the pin.
+    d = RootDatum(preset("E7").cartan_datum)
+    idx = aw.double_coset_rep(aw.parse_element(d, "s0"), aw.hyperspecial(d))
+    assert aw.element_to_string(idx.rep) == "t[-2,-2,-3,-4,-3,-2,-1]"
+    assert (len(d._affine_cache),
+            sum(len(w._products) for w in d._affine_cache.values())) == (329, 369)
 
 
 def _explicit_a1(basis):

@@ -301,6 +301,16 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
      "does not contain the simple coroot alpha_1^vee"),
     (["weyl", "demazure", "A1", "--word", "0,9"], "invalid affine simple index 9"),
     (["weyl", "length", "A1", "--elt", "s9"], "invalid affine simple index 9"),
+    (["weyl", "demazure", "A1", "--word", "+0,1"], "cannot parse index list '+0,1'"),
+    (["weyl", "demazure", "A1", "--word", "0,,1"], "cannot parse index list '0,,1'"),
+    (["hecke", "pointcount", "A2", "--facet", "+1", "--w", "s1"],
+     "cannot parse index list '+1'"),
+    (["hecke", "pointcount", "A2", "--facet", "\u0661", "--w", "s1"],
+     "cannot parse index list"),
+    (["satake", "A2", "--facet", "1,2", "--levi", "-1", "--p", "2", "--w", "e"],
+     "invalid affine simple index -1"),
+    (["satake", "A2", "--facet", "1,2", "--levi", "9", "--p", "2", "--w", "e"],
+     "invalid affine simple index 9"),
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "float-basis-entry", "bool-basis-entry", "string-basis-entry", "float-rank",
         "infinite-basis-entry",
@@ -311,7 +321,9 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
         "negative-cap", "negative-length-cap-of-lambda-minus", "negative-conv-cap",
         "negative-bruhat-cap", "negative-length-cap", "config-negative-cap",
         "singular-basis", "basis-not-square", "basis-without-a-coroot",
-        "demazure-word-index-off-the-diagram", "element-index-off-the-diagram"])
+        "demazure-word-index-off-the-diagram", "element-index-off-the-diagram",
+        "word-index-with-a-plus", "empty-word-index", "facet-index-with-a-plus",
+        "arabic-indic-facet-index", "negative-levi-index", "levi-index-off-the-diagram"])
 def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
     # "CONFIG" names a config file holding "[1]" (valid JSON, but not an
     # object); "CONFIG:<json>" names one holding <json>.

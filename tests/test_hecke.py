@@ -9,7 +9,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import CapExceeded, CartanDatum, RootDatum, preset
-from reference import alternating_data, cls, finite_facets, wf_elements
+from reference import alternating_data, cls, finite_facets, poly_mul, wf_elements
 
 
 def test_prime_validation():
@@ -481,6 +481,33 @@ def test_point_count_matches_the_w_interval(spec, radius):
     for f in finite_facets(d):
         for idx in {aw.double_coset_rep(w, f) for w in ball}:
             assert hk.point_count_polynomial(idx) == _point_count_by_interval(idx), idx
+
+
+def _length_poly(elements):
+    coeffs = [0] * (max(map(aw.length, elements)) + 1)
+    for v in elements:
+        coeffs[aw.length(v)] += 1
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("A1", 4), ("A1:ad", 4), ("A2", 4), ("A2:ad", 4), ("C2", 4), ("G2", 4),
+    ("A3", 3), ("B3", 3)])
+def test_point_count_times_the_facet_polynomial_is_the_flag_count(spec, radius):
+    # The Schubert scheme of a class, fibred by the W_f-cells of the facet's
+    # flag variety, is the closed Schubert variety of w_max, the longest
+    # element of W_f rep W_f, in the affine flag variety: point count times
+    # P_f(q) = sum_{v <= w_max} q^l(v), P_f the length polynomial of W_f.
+    # The interval is `lower_set`, not the lifting walk.
+    d = RootDatum(preset(spec).cartan_datum)
+    ball = aw.length_ball(d, radius)
+    for f in finite_facets(d):
+        wf = wf_elements(f)
+        p_f = _length_poly(wf)
+        for idx in {aw.double_coset_rep(w, f) for w in ball}:
+            w_max = max({a * idx.rep * b for a in wf for b in wf}, key=aw.length)
+            assert poly_mul(hk.point_count_polynomial(idx), p_f) == \
+                _length_poly(aw.lower_set(w_max)), idx
 
 
 def test_point_count_cap_bounds_the_cells():

@@ -13,6 +13,7 @@ from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
+from reference import from_finite
 
 
 def test_a_constructed_element_is_the_interned_one():
@@ -20,7 +21,7 @@ def test_a_constructed_element_is_the_interned_one():
     s1, s2 = d.simple_reflections
     direct = aw.AffineWeylElement(d, d.coweight_from_x_coords((-1, 0)), s1 * s2)
     assert direct is aw.parse_element(d, "t[-1,0]*s1*s2")
-    assert direct is aw.translation(d, direct.translation) * aw.from_finite(d, s1 * s2)
+    assert direct is aw.translation(d, direct.translation) * from_finite(d, s1 * s2)
     assert aw.AffineWeylElement(d, d.zero_coweight(), d.weyl_identity) is aw.identity(d)
     for cls in (aw.AffineWeylElement, rd.FiniteWeylElement, aw.Facet, aw.DoubleCosetIndex,
                 sat.LeviDatum):

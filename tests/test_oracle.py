@@ -6,7 +6,7 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke.root_datum import CartanDatum, RootDatum, from_json, preset
-from reference import alternating_data, brute_length, cls, t_basis
+from reference import alternating_data, brute_length, cls, specialize_q0_mod_p, t_basis
 
 
 def test_quadratic_relation():
@@ -54,10 +54,10 @@ def test_specialize_q0_mod_p():
     f = aw.iwahori(d)
     s1 = aw.parse_element(d, "s1")
     a = orc.GenericHeckeElement(d, {s1: orc.pack((-1, 1)), aw.identity(d): orc.pack((0, 1))})
-    out = orc.specialize_q0_mod_p(a, 3, f)
+    out = specialize_q0_mod_p(a, 3, f)
     assert out.coeffs == {aw.DoubleCosetIndex(f, s1): 2}
     b = orc.GenericHeckeElement(d, {aw.identity(d): orc.pack((0, 1))})
-    assert orc.specialize_q0_mod_p(b, 5, f).is_zero()
+    assert specialize_q0_mod_p(b, 5, f).is_zero()
 
 
 @pytest.mark.parametrize("p", orc.PRIMES)
@@ -69,7 +69,7 @@ def test_generic_to_phi_carries_a_remainder_down(p):
     a = t_basis(aw.parse_element(d, "s1"))
     expected = hk.HeckeElement(f, p, "phi", {cls(d, f, "s1"): 1, cls(d, f, "e"): p - 1})
     assert orc.generic_to_phi(a, f, p) == expected
-    assert orc.specialize_q0_mod_p(a, p, f).convert("phi") == expected
+    assert specialize_q0_mod_p(a, p, f).convert("phi") == expected
 
 
 def test_pack_round_trip_and_repr():
