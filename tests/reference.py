@@ -239,9 +239,28 @@ def alternating_data(rounds: int):
 
 # -- the atlas: one digest of both main results per (datum, finite facet) --------
 
-# (preset spec, radius of the length ball) of each datum in `tests/atlas.json`.
+# Datum JSON documents of explicit lattices, neither `sc` nor `ad`: A3 with
+# X/Q^vee = Z/2, A1xA1 with the diagonal lattice, and A1 and A2 each with a
+# central torus.
+EXPLICIT_LATTICES = (
+    '{"type":"A3","lattice_basis":[[2,-1,0],[-1,2,-1],[0,1,0]]}',
+    '{"type":"A1xA1","lattice_basis":[[2,0],[1,1]]}',
+    '{"type":"A1","lattice_basis":[[1,1],[1,-1]]}',
+    '{"type":"A2","lattice_basis":[[2,-1,0],[-1,2,0],[0,0,1]]}')
+
+# (preset spec or datum JSON document, radius of the length ball) of each
+# datum in `tests/atlas.json`.
 ATLAS_DATA = (("A1:sc", 6), ("A1:ad", 6), ("A2:sc", 4), ("A2:ad", 4), ("C2:sc", 4),
-              ("G2:sc", 4), ("A1xA1:sc", 4), ("A3:sc", 3), ("B3:sc", 3), ("C3:sc", 3))
+              ("G2:sc", 4), ("A1xA1:sc", 4), ("A3:sc", 3), ("B3:sc", 3), ("C3:sc", 3),
+              *((doc, 3) for doc in EXPLICIT_LATTICES))
+
+
+def fresh_datum(spec: str) -> RootDatum:
+    """A new datum, with empty memos, of a preset spec or of a datum JSON
+    document (one starting with '{'), as the command line reads them."""
+    if spec.startswith("{"):
+        return from_json(spec)
+    return RootDatum(preset(spec).cartan_datum)
 
 
 def atlas_rows(f: Facet, radius: int) -> list:
@@ -269,8 +288,8 @@ def atlas_rows(f: Facet, radius: int) -> list:
 def atlas_digests(spec: str, radius: int) -> dict:
     """{facet indices as a list string: the first 16 hex digits of the SHA-256
     of `atlas_rows` in sorted-key JSON}, over every finite facet of a fresh
-    datum of the preset spec, so no memo of an earlier computation is read."""
-    d = RootDatum(preset(spec).cartan_datum)
+    datum (`fresh_datum`), so no memo of an earlier computation is read."""
+    d = fresh_datum(spec)
     return {str(list(f.indices)): hashlib.sha256(
                 json.dumps(atlas_rows(f, radius), sort_keys=True).encode()).hexdigest()[:16]
             for f in finite_facets(d)}

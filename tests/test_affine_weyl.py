@@ -548,16 +548,35 @@ def test_double_coset_rep_does_not_enumerate_w_f(spec, closure_results):
     assert max(map(len, closure_results), default=0) < {"A6": 5040, "E6": 51840}[spec]
 
 
+def _interned_and_products(d):
+    """((affine elements interned, affine product-memo entries), (finite
+    elements interned, finite product-memo entries)) of a datum."""
+    return ((len(d._affine_cache), sum(len(w._products) for w in d._affine_cache.values())),
+            (len(d._weyl_cache), sum(len(u._products) for u in d._weyl_cache.values())))
+
+
 def test_cold_class_work_counts_at_e7():
     # Deterministic work of one cold class map: s0 at the E7 hyperspecial
-    # facet on a fresh datum, the elements interned and the affine
-    # product-memo entries, parsing included.  A change that does more work
-    # fails here; one that does less updates the pin.
+    # facet on a fresh datum, the elements interned and the product-memo
+    # entries, affine and finite, parsing included.  A change that does more
+    # work fails here; one that does less updates the pin.
     d = RootDatum(preset("E7").cartan_datum)
     idx = aw.double_coset_rep(aw.parse_element(d, "s0"), aw.hyperspecial(d))
     assert aw.element_to_string(idx.rep) == "t[-2,-2,-3,-4,-3,-2,-1]"
-    assert (len(d._affine_cache),
-            sum(len(w._products) for w in d._affine_cache.values())) == (329, 369)
+    assert _interned_and_products(d) == ((329, 369), (321, 369))
+
+
+def test_cold_levi_g_walk_work_counts_at_e7():
+    # Deterministic work of one cold Satake walk with Levi = G: satake_phi of
+    # s0 at the E7 hyperspecial facet on a fresh datum, parsing included.
+    d = RootDatum(preset("E7").cartan_datum)
+    f = aw.hyperspecial(d)
+    idx = aw.double_coset_rep(aw.parse_element(d, "s0"), f)
+    image = sat.satake_phi(idx, sat.levi_datum(d, range(d.n)), f, 2)
+    assert [t["rep"] for t in image.to_json()["terms"]] == [
+        "e", "t[2,2,3,4,3,2,1]*s1*s3*s4*s2*s5*s4*s3*s1*s6*s5*s4*s2*s3*s4*s5*s6*s7*s6*s5*s4"
+             "*s2*s3*s1*s4*s3*s5*s4*s2*s6*s5*s4*s3*s1"]
+    assert _interned_and_products(d) == ((3595, 5244), (3515, 5181))
 
 
 def _explicit_a1(basis):

@@ -1,6 +1,8 @@
 """The atlas pins the canonical outputs of both main results, over every
-finite facet of ten small data, as one digest per (datum, facet): see
-`reference.atlas_rows` for what each digest covers.
+finite facet of fourteen small data, as one digest per (datum, facet): ten
+presets and four explicit lattices, keyed by their datum JSON documents
+(`reference.EXPLICIT_LATTICES`).  See `reference.atlas_rows` for what each
+digest covers.
 
 A digest changes only with a change that says which outputs change and why.
 A change to how the digests are made keeps every digest.  To regenerate the

@@ -9,7 +9,8 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import satake as sat
 from modp_hecke.root_datum import CapExceeded, CartanDatum, RootDatum, preset
-from reference import alternating_data, cls, finite_facets, poly_mul, wf_elements
+from reference import (EXPLICIT_LATTICES, alternating_data, cls, finite_facets, fresh_datum,
+                       poly_mul, wf_elements)
 
 
 def test_prime_validation():
@@ -492,14 +493,14 @@ def _length_poly(elements):
 
 @pytest.mark.parametrize("spec, radius", [
     ("A1", 4), ("A1:ad", 4), ("A2", 4), ("A2:ad", 4), ("C2", 4), ("G2", 4),
-    ("A3", 3), ("B3", 3)])
+    ("A3", 3), ("B3", 3), *((doc, 3) for doc in EXPLICIT_LATTICES)])
 def test_point_count_times_the_facet_polynomial_is_the_flag_count(spec, radius):
     # The Schubert scheme of a class, fibred by the W_f-cells of the facet's
     # flag variety, is the closed Schubert variety of w_max, the longest
     # element of W_f rep W_f, in the affine flag variety: point count times
     # P_f(q) = sum_{v <= w_max} q^l(v), P_f the length polynomial of W_f.
     # The interval is `lower_set`, not the lifting walk.
-    d = RootDatum(preset(spec).cartan_datum)
+    d = fresh_datum(spec)
     ball = aw.length_ball(d, radius)
     for f in finite_facets(d):
         wf = wf_elements(f)
