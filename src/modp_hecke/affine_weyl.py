@@ -53,10 +53,10 @@ class AffineWeylElement:
     """t_lambda * u with lambda a lattice coweight and u a finite Weyl element.
 
     Elements are interned per datum by (translation, finite), as finite ones
-    are by their matrix, so equality is identity and each element carries
-    its own memos of `length`, `reduced_word`, `lower_set`, `_cores` and
-    products (by right factor).  The hash is that of the pair, so set and dict
-    orders do not depend on addresses.  `str` is `element_to_string`.
+    are by their root permutation, so equality is identity and each element
+    carries its own memos of `length`, `reduced_word`, `lower_set`, `_cores`
+    and products (by right factor).  The hash is that of the pair, so set and
+    dict orders do not depend on addresses.  `str` is `element_to_string`.
     """
 
     __slots__ = ("datum", "translation", "finite", "_hash", "_length", "_word", "_lower",
@@ -117,9 +117,8 @@ def reflection(datum: RootDatum, aroot: AffineRoot) -> AffineWeylElement:
     """Reflection in the affine hyperplane <beta, x> + k = 0, i.e.
     t_{-k beta^vee} s_beta."""
     beta, k = aroot
-    crt = datum.coroot(beta)
-    lam = tuple(-k * c for c in crt)
-    return AffineWeylElement(datum, lam, datum.reflection(beta, crt))
+    lam = tuple(-k * c for c in datum.coroot(beta))
+    return AffineWeylElement(datum, lam, datum.reflection(beta))
 
 
 # -- affine simple system ------------------------------------------------------
@@ -174,11 +173,11 @@ def length(w: AffineWeylElement) -> int:
     count for the base alcove 0 < <alpha, x> < 1 (see oracle.brute_length)."""
     val = w._length
     if val is None:
-        lam = w.translation
-        val = 0
-        for rt, negated in zip(w.datum.positive_roots, w.finite.inverse_negates()):
+        pos = w.datum.positive_roots
+        lam, npos, val = w.translation, len(pos), 0
+        for rt, k in zip(pos, w.finite.inv_perm):
             m = sum(map(mul, rt, lam))  # <rt, lam>, as RootDatum.pair
-            val += abs(m - 1) if negated else abs(m)
+            val += abs(m - 1) if k >= npos else abs(m)  # k >= npos: u^-1 rt < 0
         w._length = val
     return val
 

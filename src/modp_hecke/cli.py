@@ -54,9 +54,11 @@ def _levi_root_indices(datum, text: str) -> tuple:
 
 
 def _load_datum(spec: str):
-    if spec.endswith(".json") or spec.startswith("{"):
-        doc = spec if spec.startswith("{") else open(spec).read()
-        return rd.from_json(doc)
+    if spec.startswith("{"):
+        return rd.from_json(spec)
+    if spec.endswith(".json"):
+        with open(spec) as fh:
+            return rd.from_json(fh.read())
     return rd.preset(spec)
 
 

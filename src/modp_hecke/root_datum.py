@@ -7,10 +7,12 @@ semisimple part followed by central-torus coordinates.  In ambient
 coordinates the pairing of the i-th simple root with a coweight x is simply
 x[i], so everything downstream reduces to small integer dot products.
 
-A finite Weyl element w is read off the point w.rho_check, rho_check =
-(1, ..., 1, 0, ..., 0) pairing to 1 with every simple root (it need not lie
-in X): <w^-1 alpha, rho_check> = <alpha, w.rho_check> (Humphreys, Reflection
-Groups and Coxeter Groups, §1.12).  No matrix is inverted; the one
+A finite Weyl element u is held as the permutation it induces on the 2N
+roots, positive roots first, as in CHEVIE (Geck, Hiss, Lubeck, Malle and
+Pfeiffer, AAECC 7, 1996): products compose permutations, and u^-1 negates
+the positive roots its inverse permutation sends past index N.  Its matrix
+is read off that inverse, and its canonical word off the point u.rho_check
+(Humphreys, Reflection Groups and Coxeter Groups, §1.12).  The one
 elimination, `_coordinate_functionals`, is fraction-free and sets up the
 lattice X.
 
@@ -140,29 +142,30 @@ class CartanDatum(namedtuple("CartanDatum", "components lattice")):
 
 
 class FiniteWeylElement:
-    """Element of the finite Weyl group, stored as its integer matrix acting
-    on ambient coweight coordinates (column-vector convention).
+    """Element u of the finite Weyl group, held as the permutation `perm` it
+    induces on the datum's `roots`, u(roots[k]) = roots[perm[k]], and its
+    inverse `inv_perm`, both fixed at construction.
 
-    Elements are interned per datum by their matrix, so equality is identity
-    and each carries its own lazy memos: products, root images, the positive
-    roots its inverse makes negative, and its canonical word.
-    The negated roots and the word are signs of pairings with w.rho_check,
-    and the inverse is the product of the reversed word.  Products and root
-    images multiply matrices only on a memo miss; `act` on coweights has no
-    memo and multiplies every time.
+    `matrix` is u on ambient coweight coordinates (column-vector convention):
+    row i < n is <alpha_i, u x> = <u^-1 alpha_i, x>, so u^-1 alpha_i padded
+    with zeros, and the central rows, which W fixes, are the identity's.
+    Elements are interned per datum by `perm`, so equality is identity, and
+    hash as their matrix.  Each keeps lazy memos of its products, inverse and
+    canonical word; `act` on coweights has no memo.
     """
 
-    __slots__ = ("datum", "matrix", "_hash", "_inv", "_products", "_root_images",
-                 "_inverse_negates", "_word")
+    __slots__ = ("datum", "perm", "inv_perm", "matrix", "_hash", "_inv", "_products", "_word")
 
-    def __init__(self, datum: "RootDatum", matrix: tuple[tuple[int, ...], ...]):
+    def __init__(self, datum: "RootDatum", perm: tuple[int, ...]):
         self.datum = datum
-        self.matrix = matrix
-        self._hash = hash(matrix)
+        self.perm = perm
+        self.inv_perm = inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        pad, roots, index = (0,) * (datum.dim - datum.n), datum.roots, datum.root_index
+        self.matrix = tuple([roots[inv[index[a]]] + pad for a in datum.simple_roots]) + tuple(
+            tuple(int(i == j) for j in range(datum.dim)) for i in range(datum.n, datum.dim))
+        self._hash = hash(self.matrix)
         self._inv = None
         self._products: dict[FiniteWeylElement, FiniteWeylElement] = {}
-        self._root_images: dict[Root, Root] = {}
-        self._inverse_negates = None
         self._word = None
 
     def __hash__(self):
@@ -173,16 +176,14 @@ class FiniteWeylElement:
         if prod is None:
             if self.datum is not other.datum:
                 raise RootDatumError("datum mismatch")
-            prod = self.datum._intern_weyl(_mat_mul(self.matrix, other.matrix))
+            prod = self.datum._intern_weyl(tuple(map(self.perm.__getitem__, other.perm)))
             self._products[other] = prod
         return prod
 
     def inverse(self) -> "FiniteWeylElement":
         if self._inv is None:
-            inv = self.datum.weyl_identity
-            for i in self.datum.finite_word(self):
-                inv = self.datum.simple_reflections[i] * inv
-            self._inv, inv._inv = inv, self
+            inv = self._inv = self.datum._intern_weyl(self.inv_perm)
+            inv._inv = self
         return self._inv
 
     def is_identity(self) -> bool:
@@ -193,31 +194,11 @@ class FiniteWeylElement:
 
     def act_root(self, root: Root) -> Root:
         """Dual action on roots (simple-root coordinates)."""
-        img = self._root_images.get(root)
-        if img is None:
-            # The root has n entries, so each column is read on its first n rows.
-            cols = zip(*self.inverse().matrix)
-            img = tuple([sum(map(mul, root, col)) for col in cols][:self.datum.n])
-            self._root_images[root] = img
-        return img
-
-    def inverse_negates(self) -> tuple[bool, ...]:
-        """One flag per positive root of the datum, in its order: True iff the
-        inverse of this element sends that root to a negative root."""
-        if self._inverse_negates is None:
-            datum = self.datum
-            y = self.act(datum.rho_check)
-            self._inverse_negates = tuple(datum.pair(rt, y) < 0
-                                          for rt in datum.positive_roots)
-        return self._inverse_negates
+        datum = self.datum
+        return datum.roots[self.perm[datum.root_index[root]]]
 
     def __repr__(self):
         return f"FiniteWeylElement{self.datum.finite_word(self)}"
-
-
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _coordinate_functionals(basis):
@@ -318,16 +299,13 @@ class RootDatum:
                 raise RootDatumError(
                     f"lattice does not contain the simple coroot alpha_{j + 1}^vee")
 
-        self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
-        self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
-        ident = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
-        self.weyl_identity = self._intern_weyl(ident)
         self.simple_roots = tuple(tuple(int(i == j) for j in range(self.n))
                                   for i in range(self.n))
-        self.simple_reflections = tuple(map(self.reflection, self.simple_roots,
-                                            self.simple_coroots))
-
         self._generate_roots()
+        self._weyl_cache: dict[tuple, FiniteWeylElement] = {}
+        self._affine_cache: dict = {}  # (translation, finite) -> AffineWeylElement
+        self.weyl_identity = self._intern_weyl(tuple(range(len(self.roots))))
+        self.simple_reflections = tuple(map(self.reflection, self.simple_roots))
         self.spec_string = spec_string or "x".join(
             f"{letter}{rank}" for letter, rank in self.components) + ":" + self.lattice_label
 
@@ -340,25 +318,29 @@ class RootDatum:
 
     # -- construction helpers --------------------------------------------------
 
-    def _intern_weyl(self, matrix) -> FiniteWeylElement:
-        el = self._weyl_cache.get(matrix)
+    def _intern_weyl(self, perm) -> FiniteWeylElement:
+        el = self._weyl_cache.get(perm)
         if el is None:
-            el = self._weyl_cache.setdefault(matrix, FiniteWeylElement(self, matrix))
+            el = self._weyl_cache.setdefault(perm, FiniteWeylElement(self, perm))
         return el
 
     def _generate_roots(self):
+        """`roots` (positive, then their negatives), `root_index`, `coroot_of`;
+        a coroot x reflects to s_i(x) = x - x[i] alpha_i^vee."""
         def reflect(root_and_coroot):
             rt, crt = root_and_coroot
-            for i in range(self.n):
-                m = self.pair(rt, self.simple_coroots[i])
+            for i, ci in enumerate(self.simple_coroots):
+                m = self.pair(rt, ci)
                 yield (tuple(rt[j] - m * (j == i) for j in range(self.n)),
-                       self.simple_reflections[i].act(crt))
+                       tuple(c - crt[i] * a for c, a in zip(crt, ci)))
 
         pairs = dict(closure(zip(self.simple_roots, self.simple_coroots), reflect))
         pos = sorted(rt for rt in pairs if all(x >= 0 for x in rt))
         if len(pairs) != 2 * len(pos):
             raise RootDatumError("root closure is not symmetric")
         self.positive_roots = tuple(pos)
+        self.roots = self.positive_roots + tuple(tuple(-x for x in rt) for rt in pos)
+        self.root_index = {rt: k for k, rt in enumerate(self.roots)}
         self.coroot_of = pairs
         self.highest_roots = tuple(max((rt for rt in pos if any(rt[i] for i in rng)), key=sum)
                                    for rng in self.component_ranges)
@@ -373,13 +355,16 @@ class RootDatum:
     def coroot(self, root: Root) -> Coweight:
         return self.coroot_of[root]
 
-    def reflection(self, root: Root, coroot: Coweight) -> FiniteWeylElement:
-        """Finite reflection s_alpha: x -> x - <alpha, x> alpha^vee, interned
-        by its matrix, for alpha in simple-root coordinates and its coroot.
-        It makes the simple reflections too, before `coroot` can answer."""
-        return self._intern_weyl(tuple(
-            tuple(int(r == c) - coroot[r] * (root[c] if c < self.n else 0)
-                  for c in range(self.dim)) for r in range(self.dim)))
+    def reflection(self, root: Root) -> FiniteWeylElement:
+        """Finite reflection s_alpha, for a root alpha in simple-root
+        coordinates, interned by its permutation of the roots: b goes to
+        b - <b, alpha^vee> alpha."""
+        crt = self.coroot_of[root]
+
+        def image(b):
+            m = self.pair(b, crt)
+            return self.root_index[tuple(bj - m * aj for bj, aj in zip(b, root))]
+        return self._intern_weyl(tuple(map(image, self.roots)))
 
     def x_coords(self, coweight: Coweight):
         """Coordinates in the chosen lattice basis, or None if outside X."""

@@ -26,6 +26,14 @@ def mat_mul(a, b):
                  for i in range(n))
 
 
+def reflection_matrix(d, root):
+    """The matrix of s_alpha on ambient coordinates, x -> x - <alpha, x> alpha^vee:
+    entry (r, c) is [r == c] - alpha^vee[r] alpha[c], with alpha[c] = 0 for c >= n."""
+    crt = d.coroot(root)
+    return tuple(tuple(int(r == c) - crt[r] * (root[c] if c < d.n else 0)
+                       for c in range(d.dim)) for r in range(d.dim))
+
+
 def pair(d, root, coweight) -> int:
     """<alpha, nu>: the sum over the n simple-root indices."""
     return sum(root[i] * coweight[i] for i in range(d.n))

@@ -51,7 +51,7 @@ def test_affine_node_translation_part():
         s0 = sys.simple(sys.affine_indices[0])
         theta = d.highest_roots[0]
         assert s0.translation == d.coroot(theta)
-        assert s0.finite == d.reflection(theta, d.coroot(theta))
+        assert s0.finite == d.reflection(theta)
 
 
 def test_length_closed_form_vs_alcove_oracle():

@@ -40,6 +40,15 @@ def test_the_import_loads_no_heavy_standard_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_a_datum_file_is_closed(tmp_path):
+    # -X dev shows ResourceWarning, which a datum file left open prints on stderr.
+    path = tmp_path / "a1.json"
+    path.write_text('{"type": "A1", "rank": 1, "lattice_basis": [[2]]}')
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "modp_hecke.cli", "weyl",
+                           "length", str(path), "--elt", "s0"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_weyl_demazure():
     code, out, _ = run_cli("weyl", "demazure", "A1", "--word", "0,1,1")
     assert code == 0

@@ -111,7 +111,7 @@ def test_integer_kernels_match_their_index_sums(case):
     x, y, rt, nu = case
     d = x.datum
     u, v = x.finite, y.finite
-    assert rd._mat_mul(u.matrix, v.matrix) == reference.mat_mul(u.matrix, v.matrix)
+    assert (u * v).matrix == reference.mat_mul(u.matrix, v.matrix)
     assert d.pair(rt, nu) == reference.pair(d, rt, nu)
     assert u.act_root(rt) == reference.act_root(u, rt)
     assert aw.length(x) == reference.length(x)

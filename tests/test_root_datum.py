@@ -8,7 +8,7 @@ from modp_hecke import hecke as hk
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
 from reference import (alternating_data, coordinate_functionals, from_finite,
-                       is_antidominant, mat_mul, w0_elements)
+                       is_antidominant, mat_mul, reflection_matrix, w0_elements)
 
 
 def test_a1_sc_structure():
@@ -130,7 +130,8 @@ def test_finite_length_matches_word_length():
 def test_finite_layer_matches_the_matrix_definitions(spec):
     # References read w^-1 on roots through w's own matrix, so they form no
     # inverse: the canonical word takes the smallest i whose root image under
-    # w^-1 is negative, and the negated roots are the dense root map.
+    # w^-1 is negative, and the roots w^-1 negates are those the inverse
+    # permutation sends past the positive roots.
     d = rd.RootDatum(rd.preset(spec).cartan_datum)
     n = d.n
 
@@ -153,8 +154,9 @@ def test_finite_layer_matches_the_matrix_definitions(spec):
     one = d.weyl_identity.matrix
     for w in w0_elements(d):
         assert d.finite_word(w) == word_reference(w)
-        assert w.inverse_negates() == tuple(negative(inverse_on_root(w, rt))
-                                            for rt in d.positive_roots)
+        npos = len(d.positive_roots)
+        assert tuple(k >= npos for k in w.inv_perm[:npos]) == tuple(
+            negative(inverse_on_root(w, rt)) for rt in d.positive_roots)
         assert mat_mul(w.matrix, w.inverse().matrix) == one
         assert w.inverse().inverse() is w
         for rt in d.positive_roots:
@@ -162,8 +164,9 @@ def test_finite_layer_matches_the_matrix_definitions(spec):
 
 
 def test_no_exact_elimination_after_the_datum_is_built(monkeypatch):
-    # Lengths, words and inverses of finite elements are read off w.rho_check,
-    # so the E8 Satake and Hecke paths run no elimination over the rationals.
+    # Finite elements, their inverses and the roots they negate are read off
+    # permutations of the roots, and their words off w.rho_check, so the E8
+    # Satake and Hecke paths run no elimination over the rationals.
     d = rd.RootDatum(rd.preset("E8").cartan_datum)
     f = aw.hyperspecial(d)
 
@@ -187,6 +190,37 @@ PRESETS = ("A1", "A1:ad", "A2", "A2:ad", "A3", "A3:ad", "A6", "B2", "B2:ad", "B3
 EXPLICIT_BASES = ([[1]], [[2]], [[3]], [[4]], [[0]], [[1, 0], [0, 1]], [[1, 1], [1, -1]],
                   [[1, 1000], [1, -1000]], [[1, 10000], [1, -10000]], [[1, 100], [0, 1]],
                   [[1, 0, 0], [0, 1, 0], [1, 2, 3]], [[1, 0, 0], [0, 1, 0], [1, 2, 3000]])
+
+
+def _explicit_data():
+    """Every datum an explicit basis carries with a type of rank at most its
+    size; a basis that misses a simple coroot of the type is refused."""
+    out = []
+    for rows in EXPLICIT_BASES:
+        for typ in ("A1", "A1xA1", "A2", "B2", "G2", "A3"):
+            try:
+                out.append(rd.from_json({"type": typ, "lattice_basis": rows}))
+            except rd.RootDatumError:
+                pass
+    return out
+
+
+def test_reflection_permutations_carry_the_reflection_matrices():
+    # Each finite element holds its matrix read off its inverse permutation;
+    # for a reflection s_alpha it must be the formula x -> x - <alpha, x>
+    # alpha^vee, on the simple reflections and on the finite part of the
+    # affine reflection of every root, positive and negative.
+    data = [rd.preset(spec) for spec in PRESETS] + _explicit_data()
+    assert len(data) > len(PRESETS) + 10
+    for d in data:
+        cases = list(zip(d.simple_roots, d.simple_reflections))
+        cases += [(rt, aw.reflection(d, (rt, 1)).finite) for rt in d.roots]
+        every = tuple(range(len(d.roots)))
+        for rt, u in cases:
+            assert u.matrix == reflection_matrix(d, rt), (d, rt)
+            assert tuple(u.perm[k] for k in u.inv_perm) == every
+            assert tuple(u.inv_perm[k] for k in u.perm) == every
+            assert hash(u) == hash(u.matrix)
 
 
 def _seeded_matrices():
