@@ -229,9 +229,10 @@ def _coordinate_functionals(basis):
 class RootDatum:
     """A finite root system with a chosen coweight lattice.
 
-    Positive roots are generated by closing the simple roots under simple
-    reflections; coroots are carried along in parallel so no inner products
-    are ever needed.
+    The roots are generated by closing the simple roots under simple
+    reflections, with their coroots carried along, so no inner products are
+    ever needed.  `roots` lists the positive roots, then their negatives in
+    the same order, and finite Weyl elements are permutations of its indices.
 
     The datum owns every memo of the computations built on it, so a memo
     lives and dies with its datum and can never answer for another one:
