@@ -269,14 +269,12 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     return val
 
 
-def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
+def lower_set(w: AffineWeylElement) -> frozenset:
     """All v <= w in Bruhat order (within the Omega fiber of w).
 
     Walks down w > ws > wss ... by smallest right descents to a memo hit or
     a length-zero element, then builds each lower set on the way back up as
-    below | below * s, one element at a time.  Every set built is kept on its
-    element; the first to pass the cap raises CapExceeded as soon as it does,
-    before it is stored, so no set larger than the cap is built or kept.
+    below | below * s.  Every set built is kept on its element.
     """
     sys = simple_system(w.datum)
     passed = []  # (element, s) from w downwards
@@ -287,19 +285,9 @@ def lower_set(w: AffineWeylElement, cap: int | None = None) -> frozenset:
         s = next(s for s in map(sys.elements.get, sys.indices) if length(w * s) < lw)
         passed.append((w, s))
         w = w * s
-    _check_interval_cap(val, cap)
     for x, s in reversed(passed):
-        below = set(val)
-        for v in val:
-            below.add(v * s)
-            _check_interval_cap(below, cap)
-        val = x._lower = frozenset(below)
+        val = x._lower = val | {v * s for v in val}
     return val
-
-
-def _check_interval_cap(val, cap: int | None):
-    if cap is not None and len(val) > cap:
-        raise over_cap("lower interval", cap)
 
 
 # -- Demazure product ---------------------------------------------------------------

@@ -213,6 +213,13 @@ def wf_elements(f: Facet) -> tuple:
     return tuple(sorted(seen, key=aw.element_sort_key))
 
 
+def w_max(idx) -> AffineWeylElement:
+    """The longest element of the double coset W_f rep W_f, by a sweep of W_f
+    on both sides."""
+    wf = wf_elements(idx.facet)
+    return max({u * idx.rep * v for u in wf for v in wf}, key=aw.length)
+
+
 def brute_double_coset_rep(w: AffineWeylElement, f: Facet) -> AffineWeylElement:
     """The representative _f w^f by a sweep of W_f: the unique longest element
     among the minimal coset representatives {(v w)^f : v in W_f}.  It returns

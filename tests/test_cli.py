@@ -236,31 +236,6 @@ def test_oracle_check_bruhat_cap_is_the_only_cap():
     assert "all pass" in out
 
 
-def test_config_file(tmp_path):
-    cfg = tmp_path / "conf.json"
-    cfg.write_text(json.dumps({"p": 3}))
-    code, out, _ = run_cli("--config", str(cfg), "hecke", "basis", "A1",
-                           "--facet", "", "--w", "e", "--json")
-    assert code == 0
-    assert json.loads(out)["prime"] == 3
-    # an explicit flag wins over the config value
-    code, out, _ = run_cli("--config", str(cfg), "hecke", "basis", "A1",
-                           "--facet", "", "--w", "e", "--p", "5", "--json")
-    assert json.loads(out)["prime"] == 5
-
-
-@pytest.mark.parametrize("given", [["--p=5"], ["--p", "5"]])
-def test_config_never_overrides_the_command_line(given, tmp_path):
-    cfg = tmp_path / "conf.json"
-    cfg.write_text(json.dumps({"p": 3, "datum": "G2"}))
-    code, out, _ = run_cli("--config", str(cfg), "hecke", "basis", "A1",
-                           "--w", "t[1]", *given, "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["prime"] == 5
-    assert {t["rep"] for t in doc["terms"]} == {"e", "s1", "t[1]", "t[1]*s1"}  # A1
-
-
 @pytest.mark.parametrize("argv, says", [
     (["weyl", "length", '{"rank":1}', "--elt", "e"], ""),
     (["weyl", "length", '{"type":"A1"}', "--elt", "e"], ""),
@@ -278,7 +253,6 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["weyl", "length", '{"type":"A1","lattice_basis":[[Infinity]]}', "--elt", "e"],
      "inf is not an integer"),
     (["satake", "A1", "--facet", "1"], ""),  # neither --w nor --list-lambda-minus
-    (["--config", "CONFIG", "weyl", "length", "A1", "--elt", "e"], ""),
     (["weyl", "length", "A1", "--elt", "t[1"], "cannot parse element 't[1' at "),
     (["weyl", "length", "A1", "--elt", "t[a]"], "cannot parse element 't[a]' at "),
     (["weyl", "length", "A2", "--elt", "s\u0661"], "cannot parse element"),
@@ -289,10 +263,8 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
      "3317044064679887385961981"),
     (["--json", "weyl", "length", "A1", "--elt", "t[1]"],
      "unrecognized arguments: --json"),
-    (["--config", 'CONFIG:{"cap": "abc"}', "hecke", "basis", "A1", "--w", "t[1]"],
-     "'abc' is not valid for 'cap'"),
-    (["--config", 'CONFIG:{"facet": 5}', "hecke", "basis", "A1", "--w", "t[1]"],
-     "5 is not valid for 'facet'"),
+    (["--config", "c.json", "weyl", "length", "A1", "--elt", "e"],
+     "error: argument cmd: invalid choice"),
     (["hecke", "multiply", "A1", "--p", "2", "--w1", "t[-1]", "--w2", "e", "--cap", "-5"],
      "argument --cap: invalid"),
     (["satake", "A1", "--facet", "1", "--p", "2", "--list-lambda-minus", "--cap", "-3"],
@@ -300,8 +272,6 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
     (["oracle", "check", "A1", "--conv-cap", "-1"], "argument --conv-cap: invalid"),
     (["oracle", "check", "A1", "--bruhat-cap", "-1"], "argument --bruhat-cap: invalid"),
     (["oracle", "check", "A1", "--length-cap", "-1"], "argument --length-cap: invalid"),
-    (["--config", 'CONFIG:{"cap": -1}', "hecke", "basis", "A1", "--w", "t[1]"],
-     "-1 is not valid for 'cap'"),
     (["weyl", "length", '{"type":"A1","lattice_basis":[[0]]}', "--elt", "e"],
      "lattice basis is singular"),
     (["weyl", "length", '{"type":"A2","lattice_basis":[[1,0,0],[0,1,0]]}', "--elt", "e"],
@@ -323,24 +293,17 @@ def test_config_never_overrides_the_command_line(given, tmp_path):
 ], ids=["datum-without-type", "datum-without-basis", "basis-not-rows", "rank-not-int",
         "float-basis-entry", "bool-basis-entry", "string-basis-entry", "float-rank",
         "infinite-basis-entry",
-        "satake-without-w", "config-not-an-object", "unclosed-bracket",
+        "satake-without-w", "unclosed-bracket",
         "non-integer-coordinate", "arabic-indic-digit", "superscript-digit",
         "prime-above-the-test-bound", "prime-above-float-range",
-        "json-before-the-subcommand", "config-cap-not-an-int", "config-facet-not-a-string",
+        "json-before-the-subcommand", "config-flag-is-gone",
         "negative-cap", "negative-length-cap-of-lambda-minus", "negative-conv-cap",
-        "negative-bruhat-cap", "negative-length-cap", "config-negative-cap",
+        "negative-bruhat-cap", "negative-length-cap",
         "singular-basis", "basis-not-square", "basis-without-a-coroot",
         "demazure-word-index-off-the-diagram", "element-index-off-the-diagram",
         "word-index-with-a-plus", "empty-word-index", "facet-index-with-a-plus",
         "arabic-indic-facet-index", "negative-levi-index", "levi-index-off-the-diagram"])
-def test_malformed_input_is_a_parse_error(argv, says, tmp_path, capsys):
-    # "CONFIG" names a config file holding "[1]" (valid JSON, but not an
-    # object); "CONFIG:<json>" names one holding <json>.
-    config = tmp_path / "c.json"
-    for a in argv:
-        if a.startswith("CONFIG"):
-            config.write_text(a.partition(":")[2] or "[1]")
-    argv = [str(config) if a.startswith("CONFIG") else a for a in argv]
+def test_malformed_input_is_a_parse_error(argv, says, capsys):
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err

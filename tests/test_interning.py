@@ -213,8 +213,8 @@ _KINDS = ("length", "reduced_word", "lower_set", "bruhat_leq", "double_coset_rep
           "satake_phi", "product", "convolve")
 _ELEMENT = st.tuples(st.lists(st.integers(-1, 1), min_size=2, max_size=2),
                      st.lists(st.integers(0, 2), max_size=4))
-_QUERY = st.tuples(st.sampled_from(_KINDS), _ELEMENT, _ELEMENT, st.integers(1, 30),
-                   st.booleans(), st.sampled_from((2, 3)))
+_QUERY = st.tuples(st.sampled_from(_KINDS), _ELEMENT, _ELEMENT, st.booleans(),
+                   st.sampled_from((2, 3)))
 
 
 def _element(d, coords, word):
@@ -227,7 +227,7 @@ def _element(d, coords, word):
 
 def _answer(d, query):
     """One query, answered in strings and numbers so that data compare."""
-    kind, a, b, cap, special, p = query
+    kind, a, b, special, p = query
     u, w = _element(d, *a), _element(d, *b)
     f = aw.hyperspecial(d) if special else aw.iwahori(d)
     if kind == "length":
@@ -236,10 +236,7 @@ def _answer(d, query):
         word, tau = aw.reduced_word(w)
         return word, aw.element_to_string(tau)
     if kind == "lower_set":
-        try:
-            return sorted(map(aw.element_to_string, aw.lower_set(w, cap)))
-        except aw.CapExceeded:
-            return "over the cap"
+        return sorted(map(aw.element_to_string, aw.lower_set(w)))
     if kind == "bruhat_leq":
         return aw.bruhat_leq(u, w)
     if kind == "double_coset_rep":

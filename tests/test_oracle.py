@@ -6,7 +6,8 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke.root_datum import CartanDatum, RootDatum, from_json, preset
-from reference import alternating_data, brute_length, cls, specialize_q0_mod_p, t_basis
+from reference import (alternating_data, brute_length, cls, finite_facets, specialize_q0_mod_p,
+                       t_basis, w_max)
 
 
 def test_quadratic_relation():
@@ -255,3 +256,45 @@ def test_subword_cap_does_not_depend_on_the_memo():
     assert orc.brute_bruhat(e, w, cap=30)
     with pytest.raises(aw.CapExceeded, match="limit 4"):
         orc.brute_bruhat(e, w, cap=4)
+
+
+def _facet_convolution_disagreements(plant=None):
+    """(cases, disagreements) of convolution at each non-Iwahori finite facet
+    against the Iwahori oracle.  As an Iwahori-biinvariant function, phi of a
+    K-class is phi of the Iwahori class of its longest element w_max, and a
+    product in H(G, K) is the Iwahori product divided by P_f(q) (Iwahori and
+    Matsumoto, 1965).  P_f(0) = 1, so at q = 0 mod p no division is needed.
+    `plant` maps the class `convolve_phi_classes` returns to the one checked."""
+    cases = wrong = 0
+    for spec in ("A1", "A1:ad", "A2", "A2:ad", "C2", "G2"):
+        d = preset(spec)
+        iwahori = aw.iwahori(d)
+        for f in finite_facets(d):
+            if f.is_iwahori:
+                continue
+            classes = {aw.double_coset_rep(w, f) for w in aw.length_ball(d, 3)}
+            iw = {c: aw.double_coset_rep(w_max(c), iwahori)
+                  for c in classes if c.length <= 3}
+            for a in iw:
+                for b in iw:
+                    out = hk.convolve_phi_classes(a, b)[0]
+                    if plant is not None:
+                        out = plant(out)
+                    out = aw.double_coset_rep(w_max(out), iwahori)
+                    for p in orc.PRIMES:
+                        cases += 1
+                        wrong += (orc.oracle_convolve_phi(iw[a], iw[b], p)
+                                  != hk.phi_basis_element(out, p))
+    return cases, wrong
+
+
+def test_convolution_at_every_finite_facet_matches_the_oracle():
+    assert _facet_convolution_disagreements() == (3027, 0)
+
+
+def test_facet_oracle_check_catches_a_planted_fold():
+    # The product class moved to that of s0 * rep * s1.
+    def plant(idx):
+        s = aw.simple_system(idx.facet.datum).elements
+        return aw.double_coset_rep(s[0] * idx.rep * s[1], idx.facet)
+    assert _facet_convolution_disagreements(plant) == (3027, 2853)

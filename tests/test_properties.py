@@ -648,3 +648,35 @@ def test_packed_generic_product_matches_tuple_product(case):
 
     prod = packed(a) * packed(b)
     assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(a, b, d)
+
+
+@pytest.mark.parametrize("doc, c", [
+    ('{"type":"A1","lattice_basis":[[1,1],[1,-1]]}', (0, 2)),
+    ('{"type":"A2","lattice_basis":[[2,-1,0],[-1,2,0],[0,0,1]]}', (0, 0, 1)),
+], ids=["A1-central", "A2-central"])
+def test_central_translation_shifts_every_answer(doc, c):
+    # t_c for a central coweight c has length 0 and commutes with W, so
+    # a -> t_c a is an automorphism of each Hecke algebra that moves every
+    # class, interval, product and Satake image by t_c and nothing else.
+    d = rd.from_json(doc)
+    t_c = aw.translation(d, c)
+    assert aw.length(t_c) == 0
+    levi = sat.minimal_levi(d)
+    for f in finite_facets(d):
+        classes = sorted({aw.double_coset_rep(w, f) for w in aw.length_ball(d, 3)},
+                         key=lambda idx: aw.element_sort_key(idx.rep))
+
+        def shift(idx):
+            return aw.double_coset_rep(t_c * idx.rep, f)
+
+        for a in classes:
+            assert shift(a).rep is t_c * a.rep
+            assert hecke.point_count_polynomial(shift(a)) == hecke.point_count_polynomial(a)
+            assert (aw.enumerate_lower_interval(shift(a))
+                    == {shift(v) for v in aw.enumerate_lower_interval(a)})
+            for b in classes:
+                assert (hecke.convolve_phi_classes(shift(a), b)[0]
+                        is shift(hecke.convolve_phi_classes(a, b)[0]))
+            image = sat.satake_phi(a, levi, f, 2).coeffs
+            assert sat.satake_phi(shift(a), levi, f, 2).coeffs == {
+                t_c * y: v for y, v in image.items()}
