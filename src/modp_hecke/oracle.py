@@ -22,8 +22,11 @@ The alcove-walk count shares none of them, so it checks `length` on its own.
 The generic algebra packs each Z[q] coefficient into one int, its value at
 q = 2^64, and builds self * T_w from self * T_{ws} one length level at a
 time, on the step table's element numbers: only the product's terms are
-mapped back to elements.  A product whose coefficient bound reaches 2^63
-raises CapExceeded before it is formed, so a packed coefficient never wraps.
+mapped back to elements.  First it factors (1 + T_s) off the right factor
+for each affine simple s that leaves its coefficients invariant under y -> y s
+(a phi element's right descents do), to apply at the end; that test reads only
+the step table.  A product whose coefficient bound reaches 2^63 raises
+CapExceeded before it is formed, so a packed coefficient never wraps.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ class RightSteps:
     and `number(w)` numbers w on first sight.  `steps[n]` is None until
     `fill(n)` sets it, once, to the tuple of (number of w s_i, whether
     l(w s_i) > l(w)) over the affine simple indices i in order, for w =
-    elements[n].  A new number is handed out under a lock, so threads that
-    number elements at once never share one."""
+    elements[n], after setting `down[n]` to the position of w's first right
+    descent in it (None at length 0).  A new number is handed out under a
+    lock, so threads that number elements at once never share one."""
 
-    __slots__ = ("_gens", "_index", "_lock", "elements", "steps")
+    __slots__ = ("_gens", "_index", "_lock", "elements", "steps", "down")
 
     def __init__(self, datum: RootDatum):
         sys = simple_system(datum)
@@ -82,6 +86,7 @@ class RightSteps:
         self._lock = Lock()
         self.elements: list[AffineWeylElement] = []
         self.steps: list[tuple | None] = []
+        self.down: list[int | None] = []
 
     def number(self, w: AffineWeylElement) -> int:
         n = self._index.get(w)
@@ -92,15 +97,31 @@ class RightSteps:
                     n = len(self.elements)
                     self.elements.append(w)
                     self.steps.append(None)
+                    self.down.append(None)
                     self._index[w] = n
         return n
 
     def fill(self, n: int) -> tuple:
         w = self.elements[n]
         lw = length(w)
-        st = self.steps[n] = tuple((self.number(ws), length(ws) > lw)
-                                   for ws in (w * s for s in self._gens))
+        st = tuple((self.number(ws), length(ws) > lw) for ws in (w * s for s in self._gens))
+        self.down[n] = next((k for k, (_, up) in enumerate(st) if not up), None)
+        self.steps[n] = st
         return st
+
+
+def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
+    """out + terms * T_s, in place, s the k-th affine simple and the terms
+    keyed by element numbers: T_v T_s = T_vs if vs > v, else (q - 1) T_v + q T_vs."""
+    steps, fill, get = table.steps, table.fill, out.get
+    for v, c in terms.items():
+        vs, up = (steps[v] or fill(v))[k]
+        if up:
+            out[vs] = get(vs, 0) + c
+        else:
+            out[v] = get(v, 0) + c * (B - 1)
+            out[vs] = get(vs, 0) + c * B
+    return out
 
 
 class GenericHeckeElement:
@@ -122,17 +143,34 @@ class GenericHeckeElement:
                 and self.datum is other.datum and self.coeffs == other.coeffs)
 
     def __mul__(self, other: "GenericHeckeElement") -> "GenericHeckeElement":
-        # self * T_w is built as (self * T_{ws}) * T_s, s the smallest right
-        # descent of w, from the level of length l(w) - 1; a length-zero w
-        # relabels v -> v w.  Only the previous level is kept.  Elements are
-        # their numbers in the datum's step table until `out` is mapped back.
+        # While the right factor is invariant under y -> y s, s an affine
+        # simple, it is B' (1 + T_s), B' its half on {y : ys > y}: keep B' and
+        # multiply the product by each such (1 + T_s) at the end, last first.
+        # self * T_w, w in B', is (self * T_{ws}) * T_s for s the first right
+        # descent of w, from the level of length l(w) - 1 (only that level is
+        # kept); a length-zero w relabels v -> v w.  Elements are their
+        # numbers in the datum's step table until `out` is mapped back.
         if other.datum is not self.datum:
             raise RootDatumError("datum mismatch")  # before the table numbers w
-        table = self.datum.generic_steps
-        if table is None:
-            table = self.datum.generic_steps = RightSteps(self.datum)
-        number, fill, steps, elements = table.number, table.fill, table.steps, table.elements
+        # |q - 1| + |q| = 3 bounds the digit sum's growth per letter; (1 + T_s) at most
+        # doubles it, and B' has half the right factor's.
+        bound = self.bound * other.bound * 3 ** max(map(length, other.coeffs), default=0)
+        if bound >= PACK_LIMIT:
+            raise aw.CapExceeded(
+                f"generic product coefficient bound reached {bound}, over the limit "
+                f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
+        table = self.datum.generic_steps = self.datum.generic_steps or RightSteps(self.datum)
+        number, fill, steps, down, elements = (table.number, table.fill, table.steps,
+                                               table.down, table.elements)
         right = {number(w): c for w, c in other.coeffs.items()}
+        peeled = []  # the position k of each s factored off, in order
+        while right:
+            k = next((k for k in range(len(table._gens)) if all(
+                right.get((steps[y] or fill(y))[k][0]) == c for y, c in right.items())), None)
+            if k is None:
+                break
+            right = {y: c for y, c in right.items() if steps[y][k][1]}
+            peeled.append(k)
         levels = {}  # length -> {w: position k of s in the step tuples, None at length 0}
         todo = list(right)
         while todo:
@@ -140,16 +178,10 @@ class GenericHeckeElement:
             level = levels.setdefault(length(elements[w]), {})
             if w not in level:
                 st = steps[w] or fill(w)
-                level[w] = k = next((k for k, (_, up) in enumerate(st) if not up), None)
+                level[w] = k = down[w]
                 if k is not None:
                     todo.append(st[k][0])
-        # |q - 1| + |q| = 3 bounds the growth of the digit sum per letter.
-        bound = self.bound * other.bound * 3 ** max(levels, default=0)
-        if bound >= PACK_LIMIT:
-            raise aw.CapExceeded(
-                f"generic product coefficient bound reached {bound}, over the limit "
-                f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
-        e, q, q_minus_1 = aw.identity(self.datum), B, B - 1
+        e = aw.identity(self.datum)
         out, prev = {}, {}
         for lw in range(len(levels)):
             cur = {}
@@ -159,22 +191,15 @@ class GenericHeckeElement:
                     terms = {number(v if x is e else v * x): c
                              for v, c in self.coeffs.items()}
                 else:
-                    terms = {}
-                    get = terms.get
-                    for v, c in prev[steps[w][k][0]].items():
-                        vs, up = (steps[v] or fill(v))[k]
-                        # T_v T_s = T_vs if vs > v, else (q - 1) T_v + q T_vs
-                        if up:
-                            terms[vs] = get(vs, 0) + c
-                        else:
-                            terms[v] = get(v, 0) + c * q_minus_1
-                            terms[vs] = get(vs, 0) + c * q
+                    terms = _times_s(prev[steps[w][k][0]], k, table, {})
                 cur[w] = terms
                 cw = right.get(w)
                 if cw:
                     for v, c in terms.items():
                         out[v] = out.get(v, 0) + c * cw
             prev = cur
+        for k in reversed(peeled):
+            out = _times_s(out, k, table, dict(out))
         return GenericHeckeElement(self.datum, {elements[v]: c for v, c in out.items()},
                                    bound)
 

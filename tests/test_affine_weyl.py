@@ -559,6 +559,29 @@ def test_cold_levi_g_walk_work_counts_at_e7():
     assert _interned_and_products(d) == ((3595, 5244), (3515, 5181))
 
 
+def _interned_products_and_bruhat(d):
+    """(affine elements interned, affine product-memo entries, `bruhat_memo`
+    entries) of a datum."""
+    return (*_interned_and_products(d)[0], len(d.bruhat_memo))
+
+
+def test_cold_reduced_word_work_counts():
+    # Deterministic work of one cold reduced word on its own: t[-3,2]*s1 on a
+    # fresh C2 datum, parsing included.
+    d = RootDatum(preset("C2").cartan_datum)
+    word, tau = aw.reduced_word(aw.parse_element(d, "t[-3,2]*s1"))
+    assert (len(word), tau) == (27, aw.identity(d))
+    assert _interned_products_and_bruhat(d) == (48, 56, 0)
+
+
+def test_cold_bruhat_leq_work_counts():
+    # The same for one cold Bruhat comparison on a fresh G2 datum: every pair
+    # the descent loop passes is a bruhat_memo entry.
+    d = RootDatum(preset("G2").cartan_datum)
+    assert aw.bruhat_leq(aw.parse_element(d, "w[1,2,0]"), aw.parse_element(d, "t[-2,-1]"))
+    assert _interned_products_and_bruhat(d) == (29, 43, 16)
+
+
 def _explicit_a1(basis):
     return from_json({"type": "A1", "rank": 1, "lattice_basis": basis})
 

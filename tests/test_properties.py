@@ -650,6 +650,46 @@ def test_packed_generic_product_matches_tuple_product(case):
     assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(a, b, d)
 
 
+@st.composite
+def mirrored_products(draw):
+    """A datum, a left factor and a right factor for the generic product, as
+    term dicts.  The right factor is `generic_terms` mirrored under one or two
+    affine simples s in turn: each term y with coefficient c gets its mirror
+    y s with the same coefficient, so the product factors (1 + T_s) off it.
+    The second s is a right ascent of every term, so the half that is left is
+    still invariant under the first s, which comes off too.  In one right
+    factor of four each mirror draws its own coefficient, so only the support
+    is invariant and nothing may come off.  Either factor may be zero."""
+    d = draw(st.sampled_from(PRODUCT_DATA + (rd.preset("A1xA1"),)))
+    sys = aw.simple_system(d)
+    coeff = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+        lambda c: _poly_add(c, ())).filter(bool)
+    a = draw(generic_terms(d)) if draw(st.integers(0, 7)) < 7 else {}
+    b = draw(generic_terms(d)) if draw(st.integers(0, 7)) < 7 else {}
+    exact = draw(st.integers(0, 3)) < 3
+    i = draw(st.sampled_from(sys.indices))
+    for _ in range(draw(st.integers(1, 2))):
+        s, out = sys.elements[i], {}
+        for y, c in b.items():
+            out[y] = _poly_add(out.get(y, ()), c)
+            out[y * s] = _poly_add(out.get(y * s, ()), c if exact else draw(coeff))
+        b = {y: c for y, c in out.items() if c}
+        ups = [j for j in sys.indices
+               if all(aw.length(y * sys.elements[j]) > aw.length(y) for y in b)]
+        if not ups:
+            break
+        i = draw(st.sampled_from(ups))
+    return d, a, b
+
+
+@given(mirrored_products())
+def test_generic_product_by_a_mirrored_factor_matches_tuple_product(case):
+    d, a, b = case
+    prod = (oracle.GenericHeckeElement(d, {w: oracle.pack(p) for w, p in a.items()})
+            * oracle.GenericHeckeElement(d, {w: oracle.pack(p) for w, p in b.items()}))
+    assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(a, b, d)
+
+
 @pytest.mark.parametrize("doc, c", [
     ('{"type":"A1","lattice_basis":[[1,1],[1,-1]]}', (0, 2)),
     ('{"type":"A2","lattice_basis":[[2,-1,0],[-1,2,0],[0,0,1]]}', (0, 0, 1)),
