@@ -143,34 +143,28 @@ class GenericHeckeElement:
                 and self.datum is other.datum and self.coeffs == other.coeffs)
 
     def __mul__(self, other: "GenericHeckeElement") -> "GenericHeckeElement":
-        # While the right factor is invariant under y -> y s, s an affine
-        # simple, it is B' (1 + T_s), B' its half on {y : ys > y}: keep B' and
-        # multiply the product by each such (1 + T_s) at the end, last first.
-        # self * T_w, w in B', is (self * T_{ws}) * T_s for s the first right
-        # descent of w, from the level of length l(w) - 1 (only that level is
-        # kept); a length-zero w relabels v -> v w.  Elements are their
-        # numbers in the datum's step table until `out` is mapped back.
+        # While the right factor is invariant under y -> y s, s an affine simple,
+        # it is B' (1 + T_s) for B' its half on {y : ys > y}: keep B' and apply
+        # each (1 + T_s) at the end, last first.  self * T_w, w in B', is
+        # (self * T_{ws}) * T_s for s the first right descent of w, from the
+        # previous level (the only one kept); a length-zero w relabels v -> v w.
+        # Elements are their step-table numbers until `out` is mapped back.
         if other.datum is not self.datum:
             raise RootDatumError("datum mismatch")  # before the table numbers w
-        # |q - 1| + |q| = 3 bounds the digit sum's growth per letter; (1 + T_s) at most
-        # doubles it, and B' has half the right factor's.
-        bound = self.bound * other.bound * 3 ** max(map(length, other.coeffs), default=0)
-        if bound >= PACK_LIMIT:
-            raise aw.CapExceeded(
-                f"generic product coefficient bound reached {bound}, over the limit "
-                f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
         table = self.datum.generic_steps = self.datum.generic_steps or RightSteps(self.datum)
-        number, fill, steps, down, elements = (table.number, table.fill, table.steps,
-                                               table.down, table.elements)
+        number, fill, steps, elements = table.number, table.fill, table.steps, table.elements
         right = {number(w): c for w, c in other.coeffs.items()}
         peeled = []  # the position k of each s factored off, in order
-        while right:
-            k = next((k for k in range(len(table._gens)) if all(
-                right.get((steps[y] or fill(y))[k][0]) == c for y, c in right.items())), None)
-            if k is None:
+        while right and not len(right) % 2:  # if invariant, right is a union of pairs {y, ys}
+            y0, c0 = next(iter(right.items()))
+            for k, (y0s, _) in enumerate(steps[y0] or fill(y0)):
+                if right.get(y0s) == c0 and all(
+                        right.get((steps[y] or fill(y))[k][0]) == c for y, c in right.items()):
+                    right = {y: c for y, c in right.items() if steps[y][k][1]}
+                    peeled.append(k)
+                    break
+            else:
                 break
-            right = {y: c for y, c in right.items() if steps[y][k][1]}
-            peeled.append(k)
         levels = {}  # length -> {w: position k of s in the step tuples, None at length 0}
         todo = list(right)
         while todo:
@@ -178,9 +172,16 @@ class GenericHeckeElement:
             level = levels.setdefault(length(elements[w]), {})
             if w not in level:
                 st = steps[w] or fill(w)
-                level[w] = k = down[w]
+                level[w] = k = table.down[w]
                 if k is not None:
                     todo.append(st[k][0])
+        # A letter multiplies the digit sum by at most |q - 1| + |q| = 3 and a
+        # (1 + T_s) by 2; each B' has half the digit sum and top length 1 shorter.
+        bound = self.bound * other.bound * 3 ** (max(levels, default=0) + len(peeled))
+        if bound >= PACK_LIMIT:
+            raise aw.CapExceeded(
+                f"generic product coefficient bound reached {bound}, over the limit "
+                f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
         e = aw.identity(self.datum)
         out, prev = {}, {}
         for lw in range(len(levels)):
@@ -200,8 +201,7 @@ class GenericHeckeElement:
             prev = cur
         for k in reversed(peeled):
             out = _times_s(out, k, table, dict(out))
-        return GenericHeckeElement(self.datum, {elements[v]: c for v, c in out.items()},
-                                   bound)
+        return GenericHeckeElement(self.datum, {elements[v]: c for v, c in out.items()}, bound)
 
     def __repr__(self):
         terms = sorted((element_to_string(w), unpack(c)) for w, c in self.coeffs.items())

@@ -92,6 +92,12 @@ def test_product_over_the_packing_limit_raises():
         t20 * t20
     t10 = t_basis(aw.parse_element(d, "t[10]"))
     assert (t10 * t10).bound == 3 ** 20
+    # T_w + T_{w s1} factors as T_{w s1} (1 + T_s1), but its bound still counts
+    # l(w) = 40 letters: 2 * 3^39 would pass under the limit.
+    w = aw.parse_element(d, "t[20]")
+    pair = orc.GenericHeckeElement(d, {w: 1, w * aw.parse_element(d, "s1"): 1})
+    with pytest.raises(aw.CapExceeded, match=f"reached {2 * 3 ** 40}, over the limit "):
+        t_basis(aw.identity(d)) * pair
 
 
 def test_oracle_convolution_example():
