@@ -619,6 +619,10 @@ def _tuple_product(a, b, d):
     return {v: c for v, c in out.items() if c}
 
 
+COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+    lambda c: _poly_add(c, ())).filter(bool)  # nonzero in Z[q], degree <= 2
+
+
 @st.composite
 def generic_terms(draw, d):
     """One to three T_w with Z[q] coefficients of both signs and degree <= 2;
@@ -632,9 +636,7 @@ def generic_terms(draw, d):
             w = w * sys.elements[i]
         return w
 
-    coeff = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
-        lambda c: _poly_add(c, ())).filter(bool)
-    return {element(): draw(coeff) for _ in range(draw(st.integers(1, 3)))}
+    return {element(): draw(COEFFS) for _ in range(draw(st.integers(1, 3)))}
 
 
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
@@ -662,8 +664,6 @@ def mirrored_products(draw):
     is invariant and nothing may come off.  Either factor may be zero."""
     d = draw(st.sampled_from(PRODUCT_DATA + (rd.preset("A1xA1"),)))
     sys = aw.simple_system(d)
-    coeff = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
-        lambda c: _poly_add(c, ())).filter(bool)
     a = draw(generic_terms(d)) if draw(st.integers(0, 7)) < 7 else {}
     b = draw(generic_terms(d)) if draw(st.integers(0, 7)) < 7 else {}
     exact = draw(st.integers(0, 3)) < 3
@@ -672,7 +672,7 @@ def mirrored_products(draw):
         s, out = sys.elements[i], {}
         for y, c in b.items():
             out[y] = _poly_add(out.get(y, ()), c)
-            out[y * s] = _poly_add(out.get(y * s, ()), c if exact else draw(coeff))
+            out[y * s] = _poly_add(out.get(y * s, ()), c if exact else draw(COEFFS))
         b = {y: c for y, c in out.items() if c}
         ups = [j for j in sys.indices
                if all(aw.length(y * sys.elements[j]) > aw.length(y) for y in b)]
