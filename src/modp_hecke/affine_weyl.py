@@ -516,7 +516,7 @@ def double_coset_rep(w: AffineWeylElement, f: Facet) -> DoubleCosetIndex:
 
 
 def enumerate_lower_interval(idx: DoubleCosetIndex,
-                             cap: int | None = INTERVAL_CAP) -> frozenset:
+                             cap: int = INTERVAL_CAP) -> frozenset:
     """{v in _f W^f : v <= _f w^f}, as canonical double-coset indices: the
     classes of the left-minimal v in [e, m]^f (`_lower_quotient`), m the
     minimum of idx, as classes are ordered by their minima (Bjorner and
@@ -531,16 +531,16 @@ def enumerate_lower_interval(idx: DoubleCosetIndex,
     if below is None:
         gens = idx.facet.gens
         m = coset_min(idx.rep, gens, gens)
-        if cap is not None and length(m) > (cap - 1) * (1 + 2 * len(m.datum.positive_roots)):
+        if length(m) > (cap - 1) * (1 + 2 * len(m.datum.positive_roots)):
             raise over_cap("lower interval", cap)
         below = set()
         for v in _lower_quotient(m, gens):
             if all(length(g * v) > length(v) for g in gens):
                 below.add(idx if v is m else double_coset_rep(v, idx.facet))
-                if cap is not None and len(below) > cap:
+                if len(below) > cap:
                     raise over_cap("lower interval", cap)
         below = idx._below = frozenset(below)
-    if cap is not None and len(below) > cap:
+    if len(below) > cap:
         raise over_cap("lower interval", cap)
     return below
 

@@ -157,13 +157,11 @@ def cmd_satake(args) -> int:
     w = aw.double_coset_rep(parse_element(datum, args.w), f)
     label = sat.closed_attractor_component(w, levi, f)
     has_point = sat.component_has_levi_point(label, levi, f)
+    out = sat.satake_phi(w, levi, f, args.p, aw.INTERVAL_CAP if args.cap is None else args.cap)
     if args.special:
-        image = sat.special_satake_fast(w, args.p)
         terms = [{"z": "t[" + ",".join(map(str, datum.x_coords(z))) + "]", "coeff": c}
-                 for z, c in sorted(image.coeffs.items())]
+                 for z, c in sorted(out.to_monoid().coeffs.items())]
     else:
-        cap = aw.INTERVAL_CAP if args.cap is None else args.cap
-        out = sat.satake_phi(w, levi, f, args.p, cap)
         terms = out.to_json()["terms"]
     _emit(args, {"closed_component": element_to_string(label),
                  "has_levi_point": has_point, "image": terms})
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--levi", default="")
     s.add_argument("--w")
     s.add_argument("--special", action="store_true",
-                   help="assert a special facet and use the anti-dominant fast path")
+                   help="assert a special facet and the minimal Levi; print e^z terms")
     s.add_argument("--list-lambda-minus", action="store_true")
     s.add_argument("--cap", type=nonnegative_int,
                    help="length cap of --list-lambda-minus (default 8), else the most "

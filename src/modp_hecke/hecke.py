@@ -150,7 +150,7 @@ class HeckeElement(FpCombination):
         if self.prime != other.prime:
             raise HeckeError("prime mismatch")
 
-    def convert(self, basis: str, cap: int | None = INTERVAL_CAP) -> "HeckeElement":
+    def convert(self, basis: str, cap: int = INTERVAL_CAP) -> "HeckeElement":
         if basis == self.basis:
             return self
         if basis == "indicator":
@@ -236,7 +236,7 @@ def convolve_phi_classes(w1: DoubleCosetIndex, w2: DoubleCosetIndex):
 
 
 def convolve(a: HeckeElement, b: HeckeElement,
-             cap: int | None = INTERVAL_CAP) -> HeckeElement:
+             cap: int = INTERVAL_CAP) -> HeckeElement:
     """Convolution product, computed bilinearly in the phi basis from the
     class products of `convolve_phi_classes`, which keeps each one; the
     result is returned in the basis of the left operand."""
@@ -249,18 +249,18 @@ def convolve(a: HeckeElement, b: HeckeElement,
     return result.convert(a.basis, cap)
 
 
-def point_count_polynomial(idx: DoubleCosetIndex, cap: int | None = INTERVAL_CAP):
+def point_count_polynomial(idx: DoubleCosetIndex, cap: int = INTERVAL_CAP):
     """Coefficients (low to high) of sum_u q^{ell(u)} over the cells of the
     Schubert scheme of idx over F_q: the u <= idx.rep in W^f, found by the
     lifting walk `affine_weyl._lower_quotient`.  The constant term is 1 and
     the degree l(idx.rep).  `cap` bounds the cells, counted as the walk finds
     them.  It raises before walking when l(idx.rep) + 1 > cap, as the cells
     along idx.rep's reduced word have every length from 0 to l(idx.rep)."""
-    if cap is not None and idx.length + 1 > cap:
+    if idx.length + 1 > cap:
         raise over_cap("Schubert cells", cap)
     coeffs = [0] * (idx.length + 1)
     for cells, u in enumerate(aw._lower_quotient(idx.rep, idx.facet.gens), 1):
-        if cap is not None and cells > cap:
+        if cells > cap:
             raise over_cap("Schubert cells", cap)
         coeffs[aw.length(u)] += 1
     return tuple(coeffs)

@@ -63,21 +63,21 @@ def over_cap(what: str, cap: int) -> CapExceeded:
                        "set by --cap (parameter cap)")
 
 
-def closure(seeds, neighbours, cap: int | None = None):
+def closure(seeds, neighbours, cap=math.inf):
     """Everything reachable from `seeds` through `neighbours(x)` (an iterable),
-    found level by level.  With a `cap` it stops as soon as it has found more
-    than cap elements, so a caller reads an overflow off the size."""
-    limit = math.inf if cap is None else cap
+    found level by level.  It stops as soon as it has found more than `cap`
+    elements (by default it never does), so a caller reads an overflow off
+    the size."""
     seen = set(seeds)
     frontier = list(seen)
-    while frontier and len(seen) <= limit:
+    while frontier and len(seen) <= cap:
         nxt = []
         for x in frontier:
             for y in neighbours(x):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > limit:
+                    if len(seen) > cap:
                         return seen
         frontier = nxt
     return seen

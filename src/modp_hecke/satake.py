@@ -166,7 +166,7 @@ def enumerate_closed_chains(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet
     at each zero pairing, so `cap` bounds the length of the word."""
     _check_class(idx, levi, facet)
     word, tau = reduced_word(idx.rep)
-    if cap is not None and len(word) > cap:
+    if len(word) > cap:
         raise CapExceeded(f"closed-chain word reached length {len(word)}, over the "
                           f"limit {cap} set by enumerate_closed_chains(cap=)")
     sys = simple_system(levi.datum)
@@ -260,7 +260,7 @@ class MonoidAlgebraElement(FpCombination):
 
 
 def _walk(start: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
-          cap: int | None) -> set:
+          cap: int) -> set:
     """The right W_{M,f}-cosets of W_{M,af} start inside the Schubert scheme
     S of idx, start = label * u for the label (the minimal element of the
     component's double coset) and its partner u, each held by its minimum
@@ -277,7 +277,7 @@ def _walk(start: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, face
 
 
 def _image(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet,
-           cap: int | None) -> tuple:
+           cap: int) -> tuple:
     """(the canonical W_{M,f} double cosets of the image of `phi_c_w`, the
     number of cosets its walk visited) for the component whose minimal
     element is label; ((), 0) when it has no Levi point, and CapExceeded when
@@ -286,14 +286,14 @@ def _image(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum, fac
     if u is None:
         return (), 0
     walked = _walk(label * u, idx, levi, facet, cap)
-    if cap is not None and len(walked) > cap:
+    if len(walked) > cap:
         raise over_cap("Satake walk", cap)
     gens = levi.wmf(facet).gens
     return tuple({coset_min(z, gens, gens): 1 for z in walked}), len(walked)
 
 
 def phi_c_w(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum,
-            facet: Facet, prime: int, cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
+            facet: Facet, prime: int, cap: int = INTERVAL_CAP) -> LeviHeckeElement:
     """Indicator sum over the Levi double cosets lying in the component whose
     minimal element is `label` and inside the Schubert scheme of idx, S =
     lower_set(idx.rep) W_f (the subword property splits the interval below
@@ -328,7 +328,7 @@ def phi_c_w(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum,
 
 
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
-               cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
+               cap: int = INTERVAL_CAP) -> LeviHeckeElement:
     """Transform of a single phi basis element: the indicator of the closed
     attractor intersection, or zero when that component misses the Levi.
 
@@ -345,13 +345,13 @@ def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
     if key not in memo:
         memo[key] = _image(closed_attractor_component(idx, levi, facet), idx, levi, facet, cap)
     reps, walked = memo[key]
-    if cap is not None and walked > cap:
+    if walked > cap:
         raise over_cap("Satake walk", cap)
     return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
 def satake(a: HeckeElement, levi: LeviDatum,
-           cap: int | None = INTERVAL_CAP) -> LeviHeckeElement:
+           cap: int = INTERVAL_CAP) -> LeviHeckeElement:
     """F_p-linear extension of satake_phi over the phi basis.  `cap` bounds
     both the classes below each class that `convert` walks to reach the phi
     basis and each Satake walk."""
@@ -408,8 +408,8 @@ def enumerate_antidominant(datum: RootDatum, length_cap: int):
 
 
 def special_satake_fast(idx: DoubleCosetIndex, prime: int) -> MonoidAlgebraElement:
-    """Fast path at a special facet: phi of an anti-dominant translation class
-    maps to the single monoid symbol of its coweight."""
+    """The check of `satake_phi` at a special facet, minimal Levi: phi of a
+    class is e^z, z its anti-dominant coweight (Herzig, Compositio 147, 2011)."""
     datum = idx.facet.datum
     if not idx.facet.is_special():
         raise SatakeError("facet is not special")

@@ -185,6 +185,14 @@ def test_satake_w_honours_cap():
     assert json.loads(out)["image"] == [{"rep": "t[-3]", "coeff": 1}]
 
 
+def test_satake_special_honours_cap():
+    # --special reads the same walk as the plain path, so --cap bounds it too
+    code, out, err = run_cli("satake", "A1", "--facet", "1", "--levi", "", "--p", "2",
+                             "--w", "t[-2]", "--special", "--cap", "0")
+    assert (code, out) == (3, "")
+    assert "Satake walk reached 1 elements, over the limit 0 set by --cap" in err
+
+
 def _satake_e6(levi, w, *cap):
     return subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
                            "--facet", "1,2,3,4,5,6", "--levi", levi, "--p", "2",

@@ -189,6 +189,26 @@ def test_check_convolution_names_a_planted_failure(monkeypatch):
                    "failed": ("[e]", "[s1]", orc.PRIMES[0])}
 
 
+def test_check_convolution_names_a_planted_generic_failure(monkeypatch):
+    # A planted generic product that adds 1 to the constant term of T_e when
+    # the right factor has two terms or more is right on (e, e) and wrong on
+    # (e, s1), at the first prime
+    d = preset("A1")
+    real = orc.GenericHeckeElement.__mul__
+
+    def planted(a, b):
+        prod = real(a, b)
+        if len(b.coeffs) < 2:
+            return prod
+        e = aw.identity(d)
+        return orc.GenericHeckeElement(d, {**prod.coeffs, e: prod.coeffs.get(e, 0) + 1})
+
+    monkeypatch.setattr(orc.GenericHeckeElement, "__mul__", planted)
+    row = orc.check_convolution(d, 2)
+    assert row == {"datum": "A1:sc", "ok": False, "pairs": len(orc.PRIMES),
+                   "failed": ("[e]", "[s1]", orc.PRIMES[0])}
+
+
 def _generic_strings(a):
     return {str(w): orc.unpack(c) for w, c in a.coeffs.items()}
 
