@@ -157,7 +157,9 @@ def cmd_satake(args) -> int:
     w = aw.double_coset_rep(parse_element(datum, args.w), f)
     label = sat.closed_attractor_component(w, levi, f)
     has_point = sat.component_has_levi_point(label, levi, f)
-    out = sat.satake_phi(w, levi, f, args.p, aw.INTERVAL_CAP if args.cap is None else args.cap)
+    cap = aw.INTERVAL_CAP if args.cap is None else args.cap
+    out = (sat.phi_c_w(label, w, levi, f, args.p, cap) if has_point
+           else sat.LeviHeckeElement(levi, f, args.p, {}))
     if args.special:
         terms = [{"z": "t[" + ",".join(map(str, datum.x_coords(z))) + "]", "coeff": c}
                  for z, c in sorted(out.to_monoid().coeffs.items())]

@@ -8,8 +8,8 @@ they check:
 - the generic product reads right steps w -> w s_i off the datum's step
   table (`RightSteps`, kept in `RootDatum.generic_steps`), which forms each
   w s_i once by the affine product and compares lengths by `length`;
-- `phi_to_generic` takes `lower_set`, and so does `check_convolution`, which
-  compares in the T basis with the sum of T_v over lower_set of the class
+- `phi_to_generic` takes `lower_set`, numbered by the step table, and so do
+  `check_convolution`, which compares in the T basis with phi of the class
   product, and `oracle_convolve_phi`, which goes back to the phi basis by
   back-substitution over it, not through `HeckeElement.convert`: the class
   walk of `enumerate_lower_interval` (the lifting walk) is not shared;
@@ -21,13 +21,13 @@ they check:
 The alcove-walk count shares none of them, so it checks `length` on its own.
 
 The generic algebra packs each Z[q] coefficient into one int, its value at
-q = 2^64, and builds self * T_w from self * T_{ws} one length level at a
-time, on the step table's element numbers: only the product's terms are
-mapped back to elements.  First it factors (1 + T_s) off the right factor
-for each affine simple s that leaves its coefficients invariant under y -> y s
-(a phi element's right descents do), to apply at the end; that test reads only
-the step table.  A product whose coefficient bound reaches 2^63 raises
-CapExceeded before it is formed, so a packed coefficient never wraps.
+q = 2^64, and keys its terms by step-table number from `phi_to_generic` to
+`generic_to_phi` (`coeffs`, keyed by element, is a view).  A product builds
+self * T_w from self * T_{ws} one length level at a time, after it factors
+(1 + T_s) off the right factor for each affine simple s that leaves its
+coefficients invariant under y -> y s (a phi element's right descents do).
+A product whose coefficient bound reaches 2^63 raises CapExceeded before it
+is formed, so a packed coefficient never wraps.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .affine_weyl import (AffineWeylElement, DoubleCosetIndex, Facet,
 from .hecke import HeckeElement, convolve_phi_classes
 from .root_datum import RootDatum, RootDatumError, preset
 
-# A coefficient c_0 + c_1 q + ... is stored as the int c_0 + c_1 B + ..., its
-# value at q = B (Kronecker substitution).  The digits are read back balanced,
-# in [-B/2, B/2), so the encoding is exact while every |c_i| < PACK_LIMIT.
+# A coefficient c_0 + c_1 q + ... is stored as its value c_0 + c_1 B + ... at
+# q = B (Kronecker substitution), read back in balanced digits in [-B/2, B/2):
+# exact while every |c_i| < PACK_LIMIT.  Times B is `<< 64`, mod B `& (B - 1)`.
 B = 1 << 64
 PACK_LIMIT = B >> 1
 
@@ -51,34 +51,30 @@ def pack(poly) -> int:
     """Dense integer coefficients, low degree first -> value at q = B."""
     val = 0
     for c in reversed(poly):
-        val = val * B + c
+        val = (val << 64) + c
     return val
-
-
-def _constant_term(x: int) -> int:
-    return (x + PACK_LIMIT) % B - PACK_LIMIT
 
 
 def unpack(x: int) -> tuple:
     """Inverse of pack: the balanced base-B digits, low degree first."""
     out = []
     while x:
-        out.append(_constant_term(x))
-        x = (x - out[-1]) // B
+        out.append(c := ((x + PACK_LIMIT) & (B - 1)) - PACK_LIMIT)
+        x = (x - c) >> 64
     return tuple(out)
 
 
 class RightSteps:
     """The numbering of the elements the generic algebra meets on one datum,
-    kept in `RootDatum.generic_steps`.  `elements[n]` is element number n,
-    and `number(w)` numbers w on first sight.  `steps[n]` is None until
-    `fill(n)` sets it, once, to the tuple of (number of w s_i, whether
-    l(w s_i) > l(w)) over the affine simple indices i in order, for w =
-    elements[n], after setting `down[n]` to the position of w's first right
-    descent in it (None at length 0).  A new number is handed out under a
-    lock, so threads that number elements at once never share one."""
+    kept in `RootDatum.generic_steps` (made by `of`): `number(w)` numbers w on
+    first sight as n, `elements[n]` = w, `lengths[n]` = l(w), under a lock.
+    `steps[n]` is None until `fill(n)` sets it, once, to the tuple of (number
+    of w s_i, whether l(w s_i) > l(w)) over the affine simple indices i, after
+    setting `down[n]` to the position of w's first right descent in it (None
+    at length 0).  `lower_of(n)` numbers lower_set(w) once."""
 
-    __slots__ = ("_gens", "_index", "_lock", "elements", "steps", "down")
+    __slots__ = ("_gens", "_index", "_lock", "elements", "lengths", "steps", "down", "lowers")
+    _new = Lock()
 
     def __init__(self, datum: RootDatum):
         sys = simple_system(datum)
@@ -86,8 +82,10 @@ class RightSteps:
         self._index: dict[AffineWeylElement, int] = {}
         self._lock = Lock()
         self.elements: list[AffineWeylElement] = []
+        self.lengths: list[int] = []
         self.steps: list[tuple | None] = []
         self.down: list[int | None] = []
+        self.lowers: dict[int, tuple] = {}
 
     def number(self, w: AffineWeylElement) -> int:
         n = self._index.get(w)
@@ -97,18 +95,29 @@ class RightSteps:
                 if n is None:
                     n = len(self.elements)
                     self.elements.append(w)
+                    self.lengths.append(length(w))
                     self.steps.append(None)
                     self.down.append(None)
                     self._index[w] = n
         return n
 
     def fill(self, n: int) -> tuple:
-        w = self.elements[n]
-        lw = length(w)
+        w, lw = self.elements[n], self.lengths[n]
         st = tuple((self.number(ws), length(ws) > lw) for ws in (w * s for s in self._gens))
         self.down[n] = next((k for k, (_, up) in enumerate(st) if not up), None)
         self.steps[n] = st
         return st
+
+    def lower_of(self, n: int) -> tuple:
+        if (low := self.lowers.get(n)) is None:
+            low = self.lowers[n] = tuple(map(self.number, lower_set(self.elements[n])))
+        return low
+
+    @classmethod
+    def of(cls, datum: RootDatum) -> "RightSteps":
+        with cls._new:  # one table per datum, as numbered terms outlive a product
+            datum.generic_steps = datum.generic_steps or cls(datum)
+            return datum.generic_steps
 
 
 def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
@@ -120,28 +129,49 @@ def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
         if up:
             out[vs] = get(vs, 0) + c
         else:
-            out[v] = get(v, 0) + c * (B - 1)
-            out[vs] = get(vs, 0) + c * B
+            out[v] = get(v, 0) + (c << 64) - c
+            out[vs] = get(vs, 0) + (c << 64)
     return out
 
 
 class GenericHeckeElement:
     """Sparse combination of T_w with packed coefficients in Z[q], Iwahori
-    level.  `bound` is an upper bound on the sum of the absolute values of all
-    coefficient digits."""
+    level, keyed by step-table number in `terms` and by element in `coeffs`;
+    either is built from the other on first use.  `bound` is an upper bound on
+    the sum of the absolute values of all coefficient digits."""
 
-    __slots__ = ("datum", "coeffs", "bound")
+    __slots__ = ("datum", "bound", "_coeffs", "_terms")
 
     def __init__(self, datum: RootDatum, coeffs: dict, bound: int | None = None):
-        self.datum = datum
-        self.coeffs = {w: c for w, c in coeffs.items() if c}
+        self.datum, self._terms = datum, None
+        self._coeffs = {w: c for w, c in coeffs.items() if c}
         if bound is None:
-            bound = sum(sum(map(abs, unpack(c))) for c in self.coeffs.values())
+            bound = sum(sum(map(abs, unpack(c))) for c in self._coeffs.values())
         self.bound = bound
+
+    @classmethod
+    def numbered(cls, datum: RootDatum, terms: dict, bound: int) -> "GenericHeckeElement":
+        a = cls.__new__(cls)
+        a.datum, a.bound, a._coeffs, a._terms = datum, bound, None, terms
+        return a
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            number = RightSteps.of(self.datum).number
+            self._terms = {number(w): c for w, c in self._coeffs.items()}
+        return self._terms
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            elements = self.datum.generic_steps.elements
+            self._coeffs = {elements[n]: c for n, c in self._terms.items()}
+        return self._coeffs
 
     def __eq__(self, other):
         return (isinstance(other, GenericHeckeElement)
-                and self.datum is other.datum and self.coeffs == other.coeffs)
+                and self.datum is other.datum and self.terms == other.terms)
 
     def __mul__(self, other: "GenericHeckeElement") -> "GenericHeckeElement":
         # While the right factor is invariant under y -> y s, s an affine simple,
@@ -149,12 +179,11 @@ class GenericHeckeElement:
         # each (1 + T_s) at the end, last first.  self * T_w, w in B', is
         # (self * T_{ws}) * T_s for s the first right descent of w, from the
         # previous level (the only one kept); a length-zero w relabels v -> v w.
-        # Elements are their step-table numbers until `out` is mapped back.
         if other.datum is not self.datum:
-            raise RootDatumError("datum mismatch")  # before the table numbers w
-        table = self.datum.generic_steps = self.datum.generic_steps or RightSteps(self.datum)
-        number, fill, steps, elements = table.number, table.fill, table.steps, table.elements
-        right = {number(w): c for w, c in other.coeffs.items()}
+            raise RootDatumError("datum mismatch")  # before anything is numbered
+        table = RightSteps.of(self.datum)
+        fill, steps, elements, lengths = table.fill, table.steps, table.elements, table.lengths
+        left, right = self.terms, other.terms
         peeled = []  # the position k of each s factored off, in order
         while right and not len(right) % 2:  # if invariant, right is a union of pairs {y, ys}
             y0, c0 = next(iter(right.items()))
@@ -170,7 +199,7 @@ class GenericHeckeElement:
         todo = list(right)
         while todo:
             w = todo.pop()
-            level = levels.setdefault(length(elements[w]), {})
+            level = levels.setdefault(lengths[w], {})
             if w not in level:
                 st = steps[w] or fill(w)
                 level[w] = k = table.down[w]
@@ -190,8 +219,8 @@ class GenericHeckeElement:
             for w, k in levels[lw].items():
                 if k is None:
                     x = elements[w]
-                    terms = {number(v if x is e else v * x): c
-                             for v, c in self.coeffs.items()}
+                    terms = left if x is e else {table.number(elements[v] * x): c
+                                                 for v, c in left.items()}
                 else:
                     terms = _times_s(prev[steps[w][k][0]], k, table, {})
                 cur[w] = terms
@@ -202,7 +231,7 @@ class GenericHeckeElement:
             prev = cur
         for k in reversed(peeled):
             out = _times_s(out, k, table, dict(out))
-        return GenericHeckeElement(self.datum, {elements[v]: c for v, c in out.items()}, bound)
+        return self.numbered(self.datum, {v: c for v, c in out.items() if c}, bound)
 
     def __repr__(self):
         terms = sorted((element_to_string(w), unpack(c)) for w, c in self.coeffs.items())
@@ -210,22 +239,18 @@ class GenericHeckeElement:
 
 
 def q0_mod_p(a: GenericHeckeElement, p: int) -> dict:
-    """{w: the constant term of a's coefficient of T_w, mod p}, zeros left out:
-    a at q -> 0, reduced mod p, still over elements."""
-    out = {}
-    for w, packed in a.coeffs.items():
-        if c := _constant_term(packed) % p:
-            out[w] = c
-    return out
+    """a at q -> 0 mod p, on step-table numbers, zeros left out."""
+    return {n: c for n, x in a.terms.items()
+            if (c := (((x + PACK_LIMIT) & (B - 1)) - PACK_LIMIT) % p)}
 
 
 def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
     """phi_w as the Bruhat-interval sum of T-basis elements (Iwahori)."""
     if not idx.facet.is_iwahori:
         raise RootDatumError("the generic oracle is Iwahori-only")
-    interval = lower_set(idx.rep)
-    return GenericHeckeElement(idx.facet.datum, dict.fromkeys(interval, 1),
-                               len(interval))
+    table = RightSteps.of(d := idx.facet.datum)
+    interval = table.lower_of(table.number(idx.rep))
+    return GenericHeckeElement.numbered(d, dict.fromkeys(interval, 1), len(interval))
 
 
 def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
@@ -238,21 +263,19 @@ def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
 def generic_to_phi(a: GenericHeckeElement, f: Facet, p: int) -> HeckeElement:
     """a at q -> 0 mod p in the phi basis of the Iwahori facet f.  Each element
     is its own class and phi_w is the sum of 1_v over lower_set(w), so the
-    re-expansion is back-substitution from the longest element down, read off
-    `q0_mod_p`, without double-coset indices or `HeckeElement.convert`."""
-    remaining = q0_mod_p(a, p)
-    out = {}
+    re-expansion is back-substitution from the longest element down, on the
+    step-table numbers of `q0_mod_p`, without classes or `HeckeElement.convert`."""
+    remaining, table, out = q0_mod_p(a, p), a.datum.generic_steps, {}
     while remaining:
-        w = max(remaining, key=length)
-        c = out[DoubleCosetIndex(f, w)] = remaining.pop(w)
-        for v in lower_set(w):
-            if v is w:
-                continue
+        w = max(remaining, key=table.lengths.__getitem__)
+        c = out[w] = remaining[w]
+        for v in table.lower_of(w):  # w itself included, which leaves remaining
             if r := (remaining.get(v, 0) - c) % p:
                 remaining[v] = r
             else:
                 remaining.pop(v, None)
-    return HeckeElement(f, p, "phi", out)
+    return HeckeElement(f, p, "phi", {DoubleCosetIndex(f, table.elements[w]): c
+                                      for w, c in out.items()})
 
 
 # -- Bruhat order by subwords ---------------------------------------------------------
@@ -307,7 +330,7 @@ def check_convolution(datum: RootDatum, length_cap: int) -> dict:
         for w2 in classes:
             got, _ = convolve_phi_classes(w1, w2)
             prod = generic[w1] * generic[w2]
-            ones = dict.fromkeys(lower_set(got.rep), 1)
+            ones = phi_to_generic(got).terms
             for p in PRIMES:
                 if q0_mod_p(prod, p) != ones:
                     return {"datum": datum.spec_string, "ok": False,

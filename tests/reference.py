@@ -147,8 +147,10 @@ def specialize_q0_mod_p(a: GenericHeckeElement, p: int, facet: Facet) -> hk.Heck
     each element is its own double coset)."""
     if not facet.is_iwahori:
         raise RootDatumError("the generic oracle is Iwahori-only")
+    at_q0 = q0_mod_p(a, p)  # keyed by the step-table numbers of a's datum
+    elements = a.datum.generic_steps.elements
     return hk.HeckeElement(facet, p, "indicator",
-                           {aw.DoubleCosetIndex(facet, w): c for w, c in q0_mod_p(a, p).items()})
+                           {aw.DoubleCosetIndex(facet, elements[n]): c for n, c in at_q0.items()})
 
 
 def cls(datum, facet: Facet, text: str):

@@ -193,6 +193,24 @@ def test_satake_special_honours_cap():
     assert "Satake walk reached 1 elements, over the limit 0 set by --cap" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("--facet", "1,2", "--w", "t[-2,-1]"), 0),
+    (("--facet", "1,2", "--w", "t[-2,-1]", "--special"), 0),
+    (("--facet", "", "--w", "t[-1,-1]*s1"), 0),  # a zero image
+    (("--facet", "1,2", "--w", "t[-2,-1]", "--cap", "0"), 3),
+], ids=("image", "special", "zero-image", "over-cap"))
+def test_satake_runs_the_closed_chain_pass_once(monkeypatch, capsys, argv, code):
+    # A datum read from JSON is fresh on every run, so no memo answers for the
+    # pass; the transform reuses the label the `closed_component` field prints.
+    passes = []
+    real = sat.closed_attractor_component
+    monkeypatch.setattr(sat, "closed_attractor_component",
+                        lambda *args: passes.append(args) or real(*args))
+    datum = '{"type":"A2","lattice_basis":[[1,0],[0,1]]}'
+    assert main(["satake", datum, "--levi", "", "--p", "3", *argv, "--json"]) == code
+    assert len(passes) == 1
+
+
 def _satake_e6(levi, w, *cap):
     return subprocess.run([sys.executable, "-m", "modp_hecke.cli", "satake", "E6",
                            "--facet", "1,2,3,4,5,6", "--levi", levi, "--p", "2",

@@ -163,14 +163,20 @@ def test_interning_is_race_free():
 
 
 def test_step_table_numbering_is_race_free():
-    # Four threads multiply in the generic algebra of one fresh datum at once,
-    # each starting at its own quarter of the pairs; a number handed out twice
-    # would give two elements one number, and wrong products.
+    # Four threads embed the phi classes in the generic algebra of one fresh
+    # datum at once, then multiply, each starting at its own quarter of the
+    # classes and of the pairs; a number handed out twice, or a second step
+    # table made for the datum, which numbers in another order, would give
+    # wrong products.
     cartan = rd.preset("A2").cartan_datum
 
-    def phis(d):
+    def phis(d, k=0):
         f = aw.iwahori(d)
-        return [orc.phi_to_generic(aw.DoubleCosetIndex(f, w)) for w in aw.length_ball(d, 2)]
+        ball = aw.length_ball(d, 2)
+        start = len(ball) * k // 4
+        phi = {w: orc.phi_to_generic(aw.DoubleCosetIndex(f, w))
+               for w in ball[start:] + ball[:start]}
+        return [phi[w] for w in ball]
 
     def products(phi, order):
         return {(i, j): sorted((aw.element_to_string(w), c)
@@ -185,12 +191,12 @@ def test_step_table_numbering_is_race_free():
     try:
         for _ in range(20):
             d = rd.RootDatum(cartan)
-            phi = phis(d)
             barrier = threading.Barrier(4)
             found = []
 
             def work(k):
                 barrier.wait(timeout=30)
+                phi = phis(d, k)
                 start = len(pairs) * k // 4
                 found.append(products(phi, pairs[start:] + pairs[:start]))
 

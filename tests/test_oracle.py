@@ -254,10 +254,62 @@ def test_a_generic_product_across_data_raises():
     assert a.generic_steps is None
 
 
+@pytest.mark.parametrize("spec", ["A1:ad", "A2", "C2"])
+def test_element_built_and_numbered_operands_agree(spec):
+    # phi_to_generic builds its terms on step-table numbers; its twin built from
+    # a dict keyed by elements is numbered on its first product.  All four
+    # pairings give one product, read through `coeffs` and `bound`.
+    d = preset(spec)
+    f = aw.iwahori(d)
+    ball = [aw.DoubleCosetIndex(f, w) for w in aw.length_ball(d, 2)]
+
+    def by_element(c):
+        return orc.GenericHeckeElement(d, dict.fromkeys(aw.lower_set(c.rep), 1))
+
+    makers = (orc.phi_to_generic, by_element)
+    for c1, c2 in zip(ball, ball[::-1]):
+        products = [make1(c1) * make2(c2) for make1 in makers for make2 in makers]
+        assert all(p.coeffs == products[0].coeffs and p.bound == products[0].bound
+                   for p in products)
+        assert (orc.generic_to_phi(by_element(c1), f, 2)
+                == orc.generic_to_phi(orc.phi_to_generic(c1), f, 2))
+
+
+def test_an_element_built_element_equals_the_product():
+    d = preset("A2")
+    s0, s1, e = (aw.parse_element(d, w) for w in ("s0", "s1", "e"))
+    prod = t_basis(s0) * t_basis(s1)
+    assert prod == orc.GenericHeckeElement(d, {s0 * s1: orc.pack((1,))})
+    assert orc.GenericHeckeElement(d, {s0 * s1: 1}) == prod
+    assert t_basis(s1) * t_basis(s1) == orc.GenericHeckeElement(
+        d, {s1: orc.pack((-1, 1)), e: orc.pack((0, 1))})
+    assert prod != t_basis(s1 * s0)
+
+
+@pytest.mark.parametrize("spec", ["A1:ad", "A2", "G2"])
+def test_fresh_and_warm_oracle_convolutions_agree(spec):
+    # A warm datum numbered its elements in the order of every earlier call,
+    # a fresh one numbers them in this call's order: the answers are the same.
+    warm = preset(spec)
+    fresh = RootDatum(warm.cartan_datum, spec_string=warm.spec_string)
+
+    def answers(d):
+        f = aw.iwahori(d)
+        ball = [aw.DoubleCosetIndex(f, w) for w in aw.length_ball(d, 2)]
+        return {(i, j, p): {repr(c): v for c, v in
+                            orc.oracle_convolve_phi(ball[i], ball[j], p).coeffs.items()}
+                for i in range(len(ball))[::-1] for j in range(len(ball)) for p in (2, 3)}
+
+    first = answers(warm)
+    assert answers(fresh) == answers(warm) == first
+
+
 def test_oracle_convolution_work_counts():
     # Deterministic work of one oracle convolution on a fresh A2 datum: the
-    # elements interned, the affine product memo entries, and the elements
-    # the step table numbers, with the right steps of how many filled.
+    # elements interned, the affine product memo entries, the elements the
+    # step table numbers, with the right steps of how many filled, and the
+    # numbered lower sets it holds: one per factor and one per element the
+    # back-substitution takes.
     d = RootDatum(CartanDatum((("A", 2),), "sc"))
     f = aw.iwahori(d)
     w1 = aw.double_coset_rep(aw.parse_element(d, "t[1,-1]*s1"), f)
@@ -267,7 +319,8 @@ def test_oracle_convolution_work_counts():
     assert (len(d._affine_cache),
             sum(len(w._products) for w in d._affine_cache.values()),
             len(table.elements),
-            sum(st is not None for st in table.steps)) == (65, 129, 64, 42)
+            sum(st is not None for st in table.steps),
+            len(table.lowers)) == (65, 129, 64, 42, 3)
     assert out == hk.phi_basis_element(hk.convolve_phi_classes(w1, w2)[0], 3)
 
 

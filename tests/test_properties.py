@@ -5,7 +5,7 @@ algebraic laws of convolution and the Satake transform on random elements."""
 from functools import cache, reduce
 import itertools
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
@@ -639,8 +639,17 @@ def generic_terms(draw, d):
     return {element(): draw(COEFFS) for _ in range(draw(st.integers(1, 3)))}
 
 
+_AD = PRODUCT_DATA[1]  # A2:ad, where Omega is nontrivial
+_S0, _S1, _Y = (aw.parse_element(_AD, w) for w in ("s0", "s1", "t[1,0]*s1"))
+
+
 @given(st.sampled_from(PRODUCT_DATA).flatmap(
     lambda d: st.tuples(generic_terms(d), generic_terms(d))))
+# The right factor is T_y + T_{y s0} with equal coefficients, so the product
+# factors (1 + T_s0) off it, whatever the drawn examples do.
+@example(({_S1: (1,), aw.identity(_AD): (0, -3)}, {_Y: (2, -1), _Y * _S0: (2, -1)}))
+# Negative digits, and coefficients whose packed values are negative.
+@example(({_S0: (-4, -4, -4), _Y: (3, -1)}, {_Y * _S0: (-2, -4, 1), _S1: (0, 0, -1)}))
 def test_packed_generic_product_matches_tuple_product(case):
     a, b = case
     d = next(iter(a)).datum
@@ -650,6 +659,22 @@ def test_packed_generic_product_matches_tuple_product(case):
 
     prod = packed(a) * packed(b)
     assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(a, b, d)
+
+
+@given(st.sampled_from(PRODUCT_DATA).flatmap(
+    lambda d: st.tuples(*(generic_terms(d) for _ in range(4)))))
+def test_generic_product_of_products_matches_tuple_product(case):
+    # Each operand of the last product is itself a product, so it arrives
+    # keyed by step-table numbers.
+    a1, a2, b1, b2 = case
+    d = next(iter(a1)).datum
+
+    def packed(terms):
+        return oracle.GenericHeckeElement(d, {w: oracle.pack(p) for w, p in terms.items()})
+
+    prod = (packed(a1) * packed(a2)) * (packed(b1) * packed(b2))
+    assert {v: oracle.unpack(c) for v, c in prod.coeffs.items()} == _tuple_product(
+        _tuple_product(a1, a2, d), _tuple_product(b1, b2, d), d)
 
 
 @st.composite
