@@ -174,10 +174,8 @@ def cmd_satake(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rows = oracle_mod.run_checks(specs=tuple(args.datum or ("A1", "A2")),
-                                 conv_cap=args.conv_cap,
-                                 bruhat_cap=args.bruhat_cap,
-                                 length_cap=args.length_cap)
+    data = [_load_datum(spec) for spec in args.datum or ("A1", "A2")]
+    rows = oracle_mod.run_checks(data, args.conv_cap, args.bruhat_cap, args.length_cap)
     ok = all(r["ok"] for _, r in rows)
     for name, r in rows:
         status = "pass" if r["ok"] else "FAIL"

@@ -103,9 +103,6 @@ class FpCombination:
     def __hash__(self):
         return hash((type(self), self.space, self.prime, frozenset(self.coeffs.items())))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _check_operand(self, other):
         if (type(other), other.space, other.prime) != (type(self), self.space, self.prime):
             raise self.error("operand mismatch")
@@ -113,9 +110,6 @@ class FpCombination:
     def __add__(self, other):
         self._check_operand(other)
         return self._like(sum_terms(chain(self.coeffs.items(), other.coeffs.items())))
-
-    def scale(self, c: int):
-        return self._like({k: v * c for k, v in self.coeffs.items()})
 
     def _terms(self) -> list:
         return [{"rep": r, "coeff": c} for r, c in sorted(

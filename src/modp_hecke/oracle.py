@@ -21,8 +21,8 @@ they check:
 The alcove-walk count shares none of them, so it checks `length` on its own.
 
 The generic algebra packs each Z[q] coefficient into one int, its value at
-q = 2^64, and keys its terms by step-table number from `phi_to_generic` to
-`generic_to_phi` (`coeffs`, keyed by element, is a view).  A product builds
+q = 2^64, and keys its terms by step-table number only, from `phi_to_generic`
+to `generic_to_phi`; an element reads as w only in `repr`.  A product builds
 self * T_w from self * T_{ws} one length level at a time, after it factors
 (1 + T_s) off the right factor for each affine simple s that leaves its
 coefficients invariant under y -> y s (a phi element's right descents do).
@@ -38,7 +38,7 @@ from . import affine_weyl as aw
 from .affine_weyl import (AffineWeylElement, DoubleCosetIndex, Facet,
                           element_to_string, length, lower_set, simple_system)
 from .hecke import HeckeElement, convolve_phi_classes
-from .root_datum import RootDatum, RootDatumError, preset
+from .root_datum import RootDatum, RootDatumError
 
 # A coefficient c_0 + c_1 q + ... is stored as its value c_0 + c_1 B + ... at
 # q = B (Kronecker substitution), read back in balanced digits in [-B/2, B/2):
@@ -136,38 +136,14 @@ def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
 
 class GenericHeckeElement:
     """Sparse combination of T_w with packed coefficients in Z[q], Iwahori
-    level, keyed by step-table number in `terms` and by element in `coeffs`;
-    either is built from the other on first use.  `bound` is an upper bound on
-    the sum of the absolute values of all coefficient digits."""
+    level: `terms` maps the number of w in `RightSteps.of(datum)` to its
+    nonzero coefficient.  `bound` is an upper bound on the sum of the
+    absolute values of all coefficient digits."""
 
-    __slots__ = ("datum", "bound", "_coeffs", "_terms")
+    __slots__ = ("datum", "terms", "bound")
 
-    def __init__(self, datum: RootDatum, coeffs: dict, bound: int | None = None):
-        self.datum, self._terms = datum, None
-        self._coeffs = {w: c for w, c in coeffs.items() if c}
-        if bound is None:
-            bound = sum(sum(map(abs, unpack(c))) for c in self._coeffs.values())
-        self.bound = bound
-
-    @classmethod
-    def numbered(cls, datum: RootDatum, terms: dict, bound: int) -> "GenericHeckeElement":
-        a = cls.__new__(cls)
-        a.datum, a.bound, a._coeffs, a._terms = datum, bound, None, terms
-        return a
-
-    @property
-    def terms(self) -> dict:
-        if self._terms is None:
-            number = RightSteps.of(self.datum).number
-            self._terms = {number(w): c for w, c in self._coeffs.items()}
-        return self._terms
-
-    @property
-    def coeffs(self) -> dict:
-        if self._coeffs is None:
-            elements = self.datum.generic_steps.elements
-            self._coeffs = {elements[n]: c for n, c in self._terms.items()}
-        return self._coeffs
+    def __init__(self, datum: RootDatum, terms: dict, bound: int):
+        self.datum, self.terms, self.bound = datum, terms, bound
 
     def __eq__(self, other):
         return (isinstance(other, GenericHeckeElement)
@@ -231,10 +207,11 @@ class GenericHeckeElement:
             prev = cur
         for k in reversed(peeled):
             out = _times_s(out, k, table, dict(out))
-        return self.numbered(self.datum, {v: c for v, c in out.items() if c}, bound)
+        return GenericHeckeElement(self.datum, {v: c for v, c in out.items() if c}, bound)
 
     def __repr__(self):
-        terms = sorted((element_to_string(w), unpack(c)) for w, c in self.coeffs.items())
+        elements = RightSteps.of(self.datum).elements
+        terms = sorted((element_to_string(elements[n]), unpack(c)) for n, c in self.terms.items())
         return " + ".join(f"({p})*T[{w}]" for w, p in terms) or "0"
 
 
@@ -250,7 +227,7 @@ def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
         raise RootDatumError("the generic oracle is Iwahori-only")
     table = RightSteps.of(d := idx.facet.datum)
     interval = table.lower_of(table.number(idx.rep))
-    return GenericHeckeElement.numbered(d, dict.fromkeys(interval, 1), len(interval))
+    return GenericHeckeElement(d, dict.fromkeys(interval, 1), len(interval))
 
 
 def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
@@ -362,11 +339,10 @@ def check_length(datum: RootDatum, length_cap: int) -> dict:
             "length_cap": length_cap}
 
 
-def run_checks(specs, conv_cap: int, bruhat_cap: int, length_cap: int):
+def run_checks(data, conv_cap: int, bruhat_cap: int, length_cap: int):
     """The full cross-validation matrix; one result row per (datum, oracle)."""
     rows = []
-    for spec in specs:
-        datum = preset(spec)
+    for datum in data:
         rows.append(("convolution", check_convolution(datum, conv_cap)))
         rows.append(("bruhat", check_bruhat(datum, bruhat_cap)))
         rows.append(("length", check_length(datum, length_cap)))

@@ -11,7 +11,7 @@ import math
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke.affine_weyl import AffineWeylElement, Facet
-from modp_hecke.oracle import GenericHeckeElement, q0_mod_p
+from modp_hecke.oracle import GenericHeckeElement, RightSteps, q0_mod_p, unpack
 from modp_hecke.root_datum import RootDatum, RootDatumError, closure, from_json, preset
 from modp_hecke.satake import LeviDatum, levi_datum, minimal_levi, satake_phi
 
@@ -203,9 +203,28 @@ def proper_levis(d) -> list:
     return [minimal_levi(d)] + [levi_datum(d, (i,)) for i in range(d.n) if d.n > 1]
 
 
+def generic(d: RootDatum, coeffs: dict) -> GenericHeckeElement:
+    """The generic Hecke element with packed coefficients {w: c}: the keys
+    numbered by d's step table, zeros left out, and the bound the digit sum."""
+    number = RightSteps.of(d).number
+    return GenericHeckeElement(d, {number(w): c for w, c in coeffs.items() if c},
+                               sum(sum(map(abs, unpack(c))) for c in coeffs.values()))
+
+
+def generic_coeffs(a: GenericHeckeElement) -> dict:
+    """The terms of a generic Hecke element keyed by element, not by number."""
+    elements = RightSteps.of(a.datum).elements
+    return {elements[n]: c for n, c in a.terms.items()}
+
+
 def t_basis(w: AffineWeylElement) -> GenericHeckeElement:
     """The generic Hecke basis element T_w."""
-    return GenericHeckeElement(w.datum, {w: 1}, 1)
+    return generic(w.datum, {w: 1})
+
+
+def scale(a: hk.FpCombination, c: int) -> hk.FpCombination:
+    """c times a sparse F_p-combination, of a's type, space and prime."""
+    return a._like({k: v * c for k, v in a.coeffs.items()})
 
 
 @cache

@@ -254,6 +254,20 @@ def test_oracle_check_cli():
     assert "all pass" in out
 
 
+def test_oracle_check_reads_data_as_every_subcommand_does(tmp_path, capsys):
+    # A datum JSON document, a .json path and a preset spec in one call
+    path = tmp_path / "a1xa1.json"
+    path.write_text('{"type":"A1xA1","lattice_basis":[[2,0],[1,1]]}')
+    code = main(["oracle", "check", '{"type":"A1","rank":1,"lattice_basis":[[1,1],[1,-1]]}',
+                 str(path), "A1", "--conv-cap", "2", "--bruhat-cap", "3", "--length-cap", "4"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split()[:3] for line in out[:-1]] == [
+        [label, check, "pass"] for label in ("A1:explicit", "A1xA1:explicit", "A1:sc")
+        for check in ("convolution", "bruhat", "length")]
+    assert out[-1] == "oracle check: all pass"
+
+
 def test_oracle_check_bruhat_cap_is_the_only_cap():
     # elements of length 17 exceed the subword search's own default of 16
     code, out, err = run_cli("oracle", "check", "A1", "--bruhat-cap", "17",

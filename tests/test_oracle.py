@@ -6,24 +6,24 @@ from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
 from modp_hecke import oracle as orc
 from modp_hecke.root_datum import CartanDatum, RootDatum, from_json, preset
-from reference import (alternating_data, brute_length, cls, finite_facets, specialize_q0_mod_p,
-                       t_basis, w_max)
+from reference import (alternating_data, brute_length, cls, finite_facets, generic,
+                       generic_coeffs, specialize_q0_mod_p, t_basis, w_max)
 
 
 def test_quadratic_relation():
     d = preset("A1")
     s1 = aw.parse_element(d, "s1")
     t = t_basis(s1)
-    sq = t * t
-    assert orc.unpack(sq.coeffs[s1]) == (-1, 1)                 # (q - 1) T_s
-    assert orc.unpack(sq.coeffs[aw.identity(d)]) == (0, 1)      # q T_e
+    sq = generic_coeffs(t * t)
+    assert orc.unpack(sq[s1]) == (-1, 1)                 # (q - 1) T_s
+    assert orc.unpack(sq[aw.identity(d)]) == (0, 1)      # q T_e
 
 
 def test_lengths_add():
     d = preset("A1")
     s0, s1 = aw.parse_element(d, "s0"), aw.parse_element(d, "s1")
     prod = t_basis(s0) * t_basis(s1)
-    assert prod.coeffs == {s0 * s1: orc.pack((1,))}
+    assert generic_coeffs(prod) == {s0 * s1: orc.pack((1,))}
 
 
 def test_generic_associativity_random():
@@ -43,7 +43,7 @@ def test_q1_degenerates_to_group_algebra():
         u, w = rng.choice(ball), rng.choice(ball)
         prod = t_basis(u) * t_basis(w)
         collapsed = {}
-        for v, p in prod.coeffs.items():
+        for v, p in generic_coeffs(prod).items():
             c = sum(orc.unpack(p))
             if c:
                 collapsed[v] = collapsed.get(v, 0) + c
@@ -54,11 +54,11 @@ def test_specialize_q0_mod_p():
     d = preset("A1")
     f = aw.iwahori(d)
     s1 = aw.parse_element(d, "s1")
-    a = orc.GenericHeckeElement(d, {s1: orc.pack((-1, 1)), aw.identity(d): orc.pack((0, 1))})
+    a = generic(d, {s1: orc.pack((-1, 1)), aw.identity(d): orc.pack((0, 1))})
     out = specialize_q0_mod_p(a, 3, f)
     assert out.coeffs == {aw.DoubleCosetIndex(f, s1): 2}
-    b = orc.GenericHeckeElement(d, {aw.identity(d): orc.pack((0, 1))})
-    assert specialize_q0_mod_p(b, 5, f).is_zero()
+    b = generic(d, {aw.identity(d): orc.pack((0, 1))})
+    assert not specialize_q0_mod_p(b, 5, f).coeffs
 
 
 @pytest.mark.parametrize("p", orc.PRIMES)
@@ -81,6 +81,8 @@ def test_pack_round_trip_and_repr():
     s1 = aw.parse_element(d, "s1")
     t = t_basis(s1)
     assert repr(t * t) == "((0, 1))*T[e] + ((-1, 1))*T[s1]"
+    fresh = RootDatum(CartanDatum((("A", 1),), "sc"))
+    assert repr(orc.GenericHeckeElement(fresh, {}, 0)) == "0"
 
 
 def test_product_over_the_packing_limit_raises():
@@ -95,7 +97,7 @@ def test_product_over_the_packing_limit_raises():
     # T_w + T_{w s1} factors as T_{w s1} (1 + T_s1), but its bound still counts
     # l(w) = 40 letters: 2 * 3^39 would pass under the limit.
     w = aw.parse_element(d, "t[20]")
-    pair = orc.GenericHeckeElement(d, {w: 1, w * aw.parse_element(d, "s1"): 1})
+    pair = generic(d, {w: 1, w * aw.parse_element(d, "s1"): 1})
     with pytest.raises(aw.CapExceeded, match=f"reached {2 * 3 ** 40}, over the limit "):
         t_basis(aw.identity(d)) * pair
 
@@ -198,10 +200,11 @@ def test_check_convolution_names_a_planted_generic_failure(monkeypatch):
 
     def planted(a, b):
         prod = real(a, b)
-        if len(b.coeffs) < 2:
+        if len(b.terms) < 2:
             return prod
+        coeffs = generic_coeffs(prod)
         e = aw.identity(d)
-        return orc.GenericHeckeElement(d, {**prod.coeffs, e: prod.coeffs.get(e, 0) + 1})
+        return generic(d, {**coeffs, e: coeffs.get(e, 0) + 1})
 
     monkeypatch.setattr(orc.GenericHeckeElement, "__mul__", planted)
     row = orc.check_convolution(d, 2)
@@ -210,7 +213,7 @@ def test_check_convolution_names_a_planted_generic_failure(monkeypatch):
 
 
 def _generic_strings(a):
-    return {str(w): orc.unpack(c) for w, c in a.coeffs.items()}
+    return {str(w): orc.unpack(c) for w, c in generic_coeffs(a).items()}
 
 
 def test_generic_step_table_lives_and_dies_with_its_datum():
@@ -245,32 +248,34 @@ def test_oracle_convolution_does_not_depend_on_call_order(spec):
 
 
 def test_a_generic_product_across_data_raises():
-    # Also when the left factor is zero; and no foreign element is numbered.
+    # Also when the left factor is zero, which meets no step table; and the
+    # product numbers no element and fills no step on either datum.
     a, b = (RootDatum(CartanDatum((("A", 1),), "sc")) for _ in range(2))
     s1 = t_basis(aw.parse_element(b, "s1"))
-    for left in (t_basis(aw.parse_element(a, "s1")), orc.GenericHeckeElement(a, {})):
-        with pytest.raises(aw.RootDatumError, match="datum mismatch"):
-            left * s1
+    with pytest.raises(aw.RootDatumError, match="datum mismatch"):
+        orc.GenericHeckeElement(a, {}, 0) * s1
     assert a.generic_steps is None
+    with pytest.raises(aw.RootDatumError, match="datum mismatch"):
+        t_basis(aw.parse_element(a, "s1")) * s1
+    assert [d.generic_steps.steps for d in (a, b)] == [[None], [None]]
 
 
 @pytest.mark.parametrize("spec", ["A1:ad", "A2", "C2"])
 def test_element_built_and_numbered_operands_agree(spec):
-    # phi_to_generic builds its terms on step-table numbers; its twin built from
-    # a dict keyed by elements is numbered on its first product.  All four
-    # pairings give one product, read through `coeffs` and `bound`.
+    # phi_to_generic numbers the step table's lower set of the class; its twin
+    # `reference.generic` numbers a dict keyed by the elements of lower_set.
+    # All four pairings give one product with one bound.
     d = preset(spec)
     f = aw.iwahori(d)
     ball = [aw.DoubleCosetIndex(f, w) for w in aw.length_ball(d, 2)]
 
     def by_element(c):
-        return orc.GenericHeckeElement(d, dict.fromkeys(aw.lower_set(c.rep), 1))
+        return generic(d, dict.fromkeys(aw.lower_set(c.rep), 1))
 
     makers = (orc.phi_to_generic, by_element)
     for c1, c2 in zip(ball, ball[::-1]):
         products = [make1(c1) * make2(c2) for make1 in makers for make2 in makers]
-        assert all(p.coeffs == products[0].coeffs and p.bound == products[0].bound
-                   for p in products)
+        assert all(p == products[0] and p.bound == products[0].bound for p in products)
         assert (orc.generic_to_phi(by_element(c1), f, 2)
                 == orc.generic_to_phi(orc.phi_to_generic(c1), f, 2))
 
@@ -279,9 +284,9 @@ def test_an_element_built_element_equals_the_product():
     d = preset("A2")
     s0, s1, e = (aw.parse_element(d, w) for w in ("s0", "s1", "e"))
     prod = t_basis(s0) * t_basis(s1)
-    assert prod == orc.GenericHeckeElement(d, {s0 * s1: orc.pack((1,))})
-    assert orc.GenericHeckeElement(d, {s0 * s1: 1}) == prod
-    assert t_basis(s1) * t_basis(s1) == orc.GenericHeckeElement(
+    assert prod == generic(d, {s0 * s1: orc.pack((1,))})
+    assert generic(d, {s0 * s1: 1}) == prod
+    assert t_basis(s1) * t_basis(s1) == generic(
         d, {s1: orc.pack((-1, 1)), e: orc.pack((0, 1))})
     assert prod != t_basis(s1 * s0)
 
@@ -304,28 +309,37 @@ def test_fresh_and_warm_oracle_convolutions_agree(spec):
     assert answers(fresh) == answers(warm) == first
 
 
-def test_oracle_convolution_work_counts():
+def test_oracle_convolution_work_counts(monkeypatch):
     # Deterministic work of one oracle convolution on a fresh A2 datum: the
     # elements interned, the affine product memo entries, the elements the
     # step table numbers, with the right steps of how many filled, and the
     # numbered lower sets it holds: one per factor and one per element the
-    # back-substitution takes.
+    # back-substitution takes.  Then the calls of `_times_s` and the terms
+    # passed through them, which the (1 + T_s) peel keeps down.
     d = RootDatum(CartanDatum((("A", 2),), "sc"))
     f = aw.iwahori(d)
     w1 = aw.double_coset_rep(aw.parse_element(d, "t[1,-1]*s1"), f)
     w2 = aw.double_coset_rep(aw.parse_element(d, "w[0,1,2,1]"), f)
+    real, times_s = orc._times_s, [0, 0]
+
+    def counted(terms, k, table, out):
+        times_s[0] += 1
+        times_s[1] += len(terms)
+        return real(terms, k, table, out)
+
+    monkeypatch.setattr(orc, "_times_s", counted)
     out = orc.oracle_convolve_phi(w1, w2, 3)
     table = d.generic_steps
     assert (len(d._affine_cache),
             sum(len(w._products) for w in d._affine_cache.values()),
             len(table.elements),
             sum(st is not None for st in table.steps),
-            len(table.lowers)) == (65, 129, 64, 42, 3)
+            len(table.lowers), *times_s) == (65, 129, 64, 42, 3, 8, 192)
     assert out == hk.phi_basis_element(hk.convolve_phi_classes(w1, w2)[0], 3)
 
 
 def test_run_checks_all_pass():
-    rows = orc.run_checks(specs=("A1",), conv_cap=2, bruhat_cap=3, length_cap=4)
+    rows = orc.run_checks([preset("A1")], conv_cap=2, bruhat_cap=3, length_cap=4)
     assert all(r["ok"] for _, r in rows)
 
 
