@@ -22,16 +22,21 @@ The alcove-walk count shares none of them, so it checks `length` on its own.
 
 The generic algebra packs each Z[q] coefficient into one int, its value at
 q = 2^64, and keys its terms by step-table number only, from `phi_to_generic`
-to `generic_to_phi`; an element reads as w only in `repr`.  A product builds
-self * T_w from self * T_{ws} one length level at a time, after it factors
-(1 + T_s) off the right factor for each affine simple s that leaves its
-coefficients invariant under y -> y s (a phi element's right descents do).
-A product whose coefficient bound reaches 2^63 raises CapExceeded before it
-is formed, so a packed coefficient never wraps.
+to `generic_to_phi`; an element reads as w only in `repr`.  Elements are
+immutable, and each phi class has one: `phi_to_generic` returns the element
+the step table keeps for the class.  A product builds self * T_w from
+self * T_{ws} one length level at a time, after it factors (1 + T_s) off the
+right factor for each affine simple s that leaves its coefficients invariant
+under y -> y s (a phi element's right descents do).  The peel and the levels
+depend on the right factor alone, so they are planned once per element, on
+its first use as a right factor, and kept on it.  A product whose
+coefficient bound reaches 2^63 raises CapExceeded before it is formed, so a
+packed coefficient never wraps.
 """
 
 from __future__ import annotations
 
+import math
 from threading import Lock
 
 from . import affine_weyl as aw
@@ -71,13 +76,16 @@ class RightSteps:
     `steps[n]` is None until `fill(n)` sets it, once, to the tuple of (number
     of w s_i, whether l(w s_i) > l(w)) over the affine simple indices i, after
     setting `down[n]` to the position of w's first right descent in it (None
-    at length 0).  `lower_of(n)` numbers lower_set(w) once."""
+    at length 0).  `phi_of(n)` makes, once, the one generic element of phi_w:
+    T_v with coefficient 1 for each number v of lower_set(w), kept in `phis`."""
 
-    __slots__ = ("_gens", "_index", "_lock", "elements", "lengths", "steps", "down", "lowers")
+    __slots__ = ("_datum", "_gens", "_index", "_lock", "elements", "lengths", "steps", "down",
+                 "phis")
     _new = Lock()
 
     def __init__(self, datum: RootDatum):
         sys = simple_system(datum)
+        self._datum = datum
         self._gens = tuple(sys.elements[i] for i in sys.indices)
         self._index: dict[AffineWeylElement, int] = {}
         self._lock = Lock()
@@ -85,7 +93,7 @@ class RightSteps:
         self.lengths: list[int] = []
         self.steps: list[tuple | None] = []
         self.down: list[int | None] = []
-        self.lowers: dict[int, tuple] = {}
+        self.phis: dict[int, GenericHeckeElement] = {}
 
     def number(self, w: AffineWeylElement) -> int:
         n = self._index.get(w)
@@ -108,16 +116,19 @@ class RightSteps:
         self.steps[n] = st
         return st
 
-    def lower_of(self, n: int) -> tuple:
-        if (low := self.lowers.get(n)) is None:
-            low = self.lowers[n] = tuple(map(self.number, lower_set(self.elements[n])))
-        return low
+    def phi_of(self, n: int) -> "GenericHeckeElement":
+        if (phi := self.phis.get(n)) is None:
+            terms = dict.fromkeys(map(self.number, lower_set(self.elements[n])), 1)
+            # setdefault: threads that race here all get the element that won
+            phi = self.phis.setdefault(n, GenericHeckeElement(self._datum, terms, len(terms)))
+        return phi
 
     @classmethod
     def of(cls, datum: RootDatum) -> "RightSteps":
-        with cls._new:  # one table per datum, as numbered terms outlive a product
-            datum.generic_steps = datum.generic_steps or cls(datum)
-            return datum.generic_steps
+        if (table := datum.generic_steps) is None:
+            with cls._new:  # one table per datum, as numbered terms outlive a product
+                table = datum.generic_steps = datum.generic_steps or cls(datum)
+        return table
 
 
 def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
@@ -134,73 +145,92 @@ def _times_s(terms: dict, k: int, table: RightSteps, out: dict) -> dict:
     return out
 
 
+def _right_plan(right: dict, table: RightSteps) -> tuple:
+    """The part of a product by the right factor `right` that depends on it
+    alone: (peeled, levels, exponent).  While the right factor is invariant
+    under y -> y s, s an affine simple, it is B' (1 + T_s) for B' its half on
+    {y : ys > y}; `peeled` holds the position k of each s so factored off, in
+    the order applied, B' being what is left.  `levels[l]` holds a (w, k, ws,
+    c) for each w of length l in B' or reached from it by first right
+    descents: s = the k-th affine simple is w's first right descent, ws the
+    number of w s (k and ws None at length 0), and c the coefficient of T_w
+    in B' (0 off B').  `exponent` is the top length of B' plus the number
+    of factors peeled, which bounds the product's coefficients."""
+    fill, steps, lengths, down = table.fill, table.steps, table.lengths, table.down
+    peeled = []
+    while right and not len(right) % 2:  # if invariant, right is a union of pairs {y, ys}
+        y0, c0 = next(iter(right.items()))
+        for k, (y0s, _) in enumerate(steps[y0] or fill(y0)):
+            if right.get(y0s) == c0 and all(
+                    right.get((steps[y] or fill(y))[k][0]) == c for y, c in right.items()):
+                right = {y: c for y, c in right.items() if steps[y][k][1]}
+                peeled.append(k)
+                break
+        else:
+            break
+    levels = {}  # length -> {w: (w, k, ws, c)}
+    todo = list(right)
+    while todo:
+        w = todo.pop()
+        level = levels.setdefault(lengths[w], {})
+        if w not in level:
+            st = steps[w] or fill(w)
+            if (k := down[w]) is None:
+                level[w] = (w, None, None, right.get(w, 0))
+            else:
+                level[w] = (w, k, st[k][0], right.get(w, 0))
+                todo.append(st[k][0])
+    return (tuple(peeled), tuple(tuple(levels[lw].values()) for lw in range(len(levels))),
+            max(levels, default=0) + len(peeled))
+
+
 class GenericHeckeElement:
     """Sparse combination of T_w with packed coefficients in Z[q], Iwahori
     level: `terms` maps the number of w in `RightSteps.of(datum)` to its
     nonzero coefficient.  `bound` is an upper bound on the sum of the
-    absolute values of all coefficient digits."""
+    absolute values of all coefficient digits.  Elements are immutable: no
+    caller changes `terms` after construction, and `_plan` keeps the
+    element's `_right_plan`, made on its first use as a right factor."""
 
-    __slots__ = ("datum", "terms", "bound")
+    __slots__ = ("datum", "terms", "bound", "_plan")
 
     def __init__(self, datum: RootDatum, terms: dict, bound: int):
-        self.datum, self.terms, self.bound = datum, terms, bound
+        self.datum, self.terms, self.bound, self._plan = datum, terms, bound, None
 
     def __eq__(self, other):
         return (isinstance(other, GenericHeckeElement)
                 and self.datum is other.datum and self.terms == other.terms)
 
     def __mul__(self, other: "GenericHeckeElement") -> "GenericHeckeElement":
-        # While the right factor is invariant under y -> y s, s an affine simple,
-        # it is B' (1 + T_s) for B' its half on {y : ys > y}: keep B' and apply
-        # each (1 + T_s) at the end, last first.  self * T_w, w in B', is
-        # (self * T_{ws}) * T_s for s the first right descent of w, from the
-        # previous level (the only one kept); a length-zero w relabels v -> v w.
+        # self * T_w, w in B', is (self * T_{ws}) * T_s for s the first right
+        # descent of w, from the previous level (the only one kept); a
+        # length-zero w relabels v -> v w.  Each (1 + T_s) peeled off the right
+        # factor is applied at the end, last first.
         if other.datum is not self.datum:
             raise RootDatumError("datum mismatch")  # before anything is numbered
         table = RightSteps.of(self.datum)
-        fill, steps, elements, lengths = table.fill, table.steps, table.elements, table.lengths
-        left, right = self.terms, other.terms
-        peeled = []  # the position k of each s factored off, in order
-        while right and not len(right) % 2:  # if invariant, right is a union of pairs {y, ys}
-            y0, c0 = next(iter(right.items()))
-            for k, (y0s, _) in enumerate(steps[y0] or fill(y0)):
-                if right.get(y0s) == c0 and all(
-                        right.get((steps[y] or fill(y))[k][0]) == c for y, c in right.items()):
-                    right = {y: c for y, c in right.items() if steps[y][k][1]}
-                    peeled.append(k)
-                    break
-            else:
-                break
-        levels = {}  # length -> {w: position k of s in the step tuples, None at length 0}
-        todo = list(right)
-        while todo:
-            w = todo.pop()
-            level = levels.setdefault(lengths[w], {})
-            if w not in level:
-                st = steps[w] or fill(w)
-                level[w] = k = table.down[w]
-                if k is not None:
-                    todo.append(st[k][0])
+        if (plan := other._plan) is None:
+            plan = other._plan = _right_plan(other.terms, table)
+        peeled, levels, exponent = plan
         # A letter multiplies the digit sum by at most |q - 1| + |q| = 3 and a
         # (1 + T_s) by 2; each B' has half the digit sum and top length 1 shorter.
-        bound = self.bound * other.bound * 3 ** (max(levels, default=0) + len(peeled))
+        bound = self.bound * other.bound * 3 ** exponent
         if bound >= PACK_LIMIT:
             raise aw.CapExceeded(
                 f"generic product coefficient bound reached {bound}, over the limit "
                 f"{PACK_LIMIT} set by the packed Z[q] coefficients (oracle.PACK_LIMIT)")
-        e = aw.identity(self.datum)
+        elements, left, e = table.elements, self.terms, aw.identity(self.datum)
         out, prev = {}, {}
-        for lw in range(len(levels)):
+        for level in levels:
             cur = {}
-            for w, k in levels[lw].items():
+            for w, k, ws, cw in level:
                 if k is None:
                     x = elements[w]
                     terms = left if x is e else {table.number(elements[v] * x): c
                                                  for v, c in left.items()}
                 else:
-                    terms = _times_s(prev[steps[w][k][0]], k, table, {})
+                    terms = _times_s(prev[ws], k, table, {})
                 cur[w] = terms
-                cw = right.get(w)
                 if cw:
                     for v, c in terms.items():
                         out[v] = out.get(v, 0) + c * cw
@@ -222,12 +252,12 @@ def q0_mod_p(a: GenericHeckeElement, p: int) -> dict:
 
 
 def phi_to_generic(idx: DoubleCosetIndex) -> GenericHeckeElement:
-    """phi_w as the Bruhat-interval sum of T-basis elements (Iwahori)."""
+    """phi_w as the Bruhat-interval sum of T-basis elements (Iwahori): the
+    one element of the class, kept by the datum's step table."""
     if not idx.facet.is_iwahori:
         raise RootDatumError("the generic oracle is Iwahori-only")
-    table = RightSteps.of(d := idx.facet.datum)
-    interval = table.lower_of(table.number(idx.rep))
-    return GenericHeckeElement(d, dict.fromkeys(interval, 1), len(interval))
+    table = RightSteps.of(idx.facet.datum)
+    return table.phi_of(table.number(idx.rep))
 
 
 def oracle_convolve_phi(w1: DoubleCosetIndex, w2: DoubleCosetIndex,
@@ -246,7 +276,7 @@ def generic_to_phi(a: GenericHeckeElement, f: Facet, p: int) -> HeckeElement:
     while remaining:
         w = max(remaining, key=table.lengths.__getitem__)
         c = out[w] = remaining[w]
-        for v in table.lower_of(w):  # w itself included, which leaves remaining
+        for v in table.phi_of(w).terms:  # w itself included, which leaves remaining
             if r := (remaining.get(v, 0) - c) % p:
                 remaining[v] = r
             else:
@@ -290,6 +320,7 @@ def brute_length(w: AffineWeylElement) -> int:
 # -- cross-validation suite --------------------------------------------------------------
 
 PRIMES = (2, 3, 5)  # the primes each convolution cross-check runs at
+PRIMES_PRODUCT = math.prod(PRIMES)
 
 
 def check_convolution(datum: RootDatum, length_cap: int) -> dict:
@@ -298,7 +329,11 @@ def check_convolution(datum: RootDatum, length_cap: int) -> dict:
     `PRIMES`, in the T basis at q = 0, where phi_w is the sum of T_v over
     lower_set(w); returns a summary.  Each pair's generic product is formed
     once: a failing row names the first (w1, w2, p), pairs outside and primes
-    inside, and `pairs` counts the (pair, prime) cases passed before it."""
+    inside, and `pairs` counts the (pair, prime) cases passed before it.
+    The primes are distinct, so a constant term c0 is [T_v in phi] modulo
+    each of them exactly when it is so modulo their product: one pass over
+    the product passes a pair at every prime, and only a pair it rejects is
+    specialized prime by prime."""
     f = aw.iwahori(datum)
     classes = [DoubleCosetIndex(f, w) for w in aw.length_ball(datum, length_cap)]
     generic = {c: phi_to_generic(c) for c in classes}
@@ -308,6 +343,11 @@ def check_convolution(datum: RootDatum, length_cap: int) -> dict:
             got, _ = convolve_phi_classes(w1, w2)
             prod = generic[w1] * generic[w2]
             ones = phi_to_generic(got).terms
+            if ones.keys() <= prod.terms.keys() and all(
+                    (((x + PACK_LIMIT) & (B - 1)) - PACK_LIMIT - (n in ones)) % PRIMES_PRODUCT == 0
+                    for n, x in prod.terms.items()):
+                pairs += len(PRIMES)
+                continue
             for p in PRIMES:
                 if q0_mod_p(prod, p) != ones:
                     return {"datum": datum.spec_string, "ok": False,

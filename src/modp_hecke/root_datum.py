@@ -245,8 +245,9 @@ class RootDatum:
       only `affine_weyl.double_coset_rep` fills), and
       `bruhat_memo` by `(u, w)`;
     - for `oracle`: `generic_steps`, the generic Hecke algebra's numbering of
-      the elements it meets, each with its length, right simple steps w -> w
-      s_i and numbered lower set (`oracle.RightSteps`);
+      the elements it meets, each with its length and right simple steps
+      w -> w s_i, and the one generic element of each phi class it has made,
+      keyed by the class's number (`oracle.RightSteps`);
     - for `satake`: `levis` (the Levi intern table by sorted J_M; each Levi
       keeps its W_{M,f} record per facet), and `satake_memo`, keyed by
       `(class, Levi)`, whose entries are the canonical W_{M,f}

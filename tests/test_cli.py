@@ -263,8 +263,23 @@ def test_oracle_check_reads_data_as_every_subcommand_does(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert [line.split()[:3] for line in out[:-1]] == [
-        [label, check, "pass"] for label in ("A1:explicit", "A1xA1:explicit", "A1:sc")
+        [label, check, "pass"] for label in ("A1:[[1,1],[1,-1]]", "A1xA1:[[2,0],[1,1]]", "A1:sc")
         for check in ("convolution", "bruhat", "length")]
+    assert out[-1] == "oracle check: all pass"
+
+
+def test_oracle_check_tells_two_lattices_of_one_type_apart(capsys):
+    # Each datum document's rows carry its lattice basis, in the label column
+    # and in the row's "datum" field; the column is as wide as the longest label.
+    docs = ('{"type":"A1","lattice_basis":[[1,1],[1,-1]]}',
+            '{"type":"A1","lattice_basis":[[2,0],[0,1]]}')
+    code = main(["oracle", "check", *docs, "A1", "--conv-cap", "2", "--bruhat-cap", "3",
+                 "--length-cap", "4"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    labels = ("A1:[[1,1],[1,-1]]", "A1:[[2,0],[0,1]]", "A1:sc")
+    assert [(line[:17].lstrip(), line[17:19], json.loads(line[line.index("{"):])["datum"])
+            for line in out[:-1]] == [(label, "  ", label) for label in labels for _ in range(3)]
     assert out[-1] == "oracle check: all pass"
 
 

@@ -1,5 +1,6 @@
 import random
 
+from hypothesis import given, strategies as st
 import pytest
 
 from modp_hecke import affine_weyl as aw
@@ -313,7 +314,7 @@ def test_oracle_convolution_work_counts(monkeypatch):
     # Deterministic work of one oracle convolution on a fresh A2 datum: the
     # elements interned, the affine product memo entries, the elements the
     # step table numbers, with the right steps of how many filled, and the
-    # numbered lower sets it holds: one per factor and one per element the
+    # phi elements it holds: one per factor and one per element the
     # back-substitution takes.  Then the calls of `_times_s` and the terms
     # passed through them, which the (1 + T_s) peel keeps down.
     d = RootDatum(CartanDatum((("A", 2),), "sc"))
@@ -334,8 +335,76 @@ def test_oracle_convolution_work_counts(monkeypatch):
             sum(len(w._products) for w in d._affine_cache.values()),
             len(table.elements),
             sum(st is not None for st in table.steps),
-            len(table.lowers), *times_s) == (65, 129, 64, 42, 3, 8, 192)
+            len(table.phis), *times_s) == (65, 129, 64, 42, 3, 8, 192)
     assert out == hk.phi_basis_element(hk.convolve_phi_classes(w1, w2)[0], 3)
+
+
+def test_phi_to_generic_returns_one_element_per_class():
+    d = preset("A2:ad")
+    f = aw.iwahori(d)
+    for w in aw.length_ball(d, 2):
+        c = aw.DoubleCosetIndex(f, w)
+        assert orc.phi_to_generic(c) is orc.phi_to_generic(c)
+        assert orc.phi_to_generic(c) is orc.phi_to_generic(aw.DoubleCosetIndex(f, w))
+
+
+@st.composite
+def _mirrored_operands(draw):
+    """A datum, a left factor and a right factor as {element: packed
+    coefficient}.  The right factor is a drawn half mirrored under y -> y s
+    for a drawn affine simple s, with coefficients whose digits are all
+    positive, so it is invariant, nonzero, and has a (1 + T_s) to peel."""
+    d = preset(draw(st.sampled_from(("A1", "A1:ad", "A2", "C2"))))
+    ball = aw.length_ball(d, 2)
+    sys = aw.simple_system(d)
+    s = sys.elements[draw(st.sampled_from(sys.indices))]
+    coeffs = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any).map(orc.pack)
+    left = draw(st.dictionaries(st.sampled_from(ball), coeffs, max_size=3))
+    right = {}
+    for y, c in draw(st.dictionaries(st.sampled_from(ball), coeffs, min_size=1,
+                                     max_size=3)).items():
+        for z in (y, y * s):
+            right[z] = right.get(z, 0) + c
+    return d, left, right
+
+
+@given(_mirrored_operands())
+def test_a_planned_right_factor_gives_the_fresh_product(case):
+    # b is used as a left and as a right factor; once it has its plan, every
+    # product by it equals, with the same bound, the product by a fresh copy.
+    d, left, right = case
+    a, b = generic(d, left), generic(d, right)
+    square = b * b
+    assert b._plan is not None and b._plan[0]  # the peel ran
+    for _ in range(2):
+        for got, fresh in ((a * b, a * generic(d, right)),
+                           (b * b, generic(d, right) * generic(d, right)),
+                           (b * a, generic(d, right) * generic(d, left))):
+            assert got == fresh and got.bound == fresh.bound
+    assert b * b == square
+
+
+def test_oracle_check_plans_each_class_once(monkeypatch):
+    # check_convolution on a fresh A2 datum at length cap 2: every class's
+    # phi element is a right factor of as many products as there are classes,
+    # and its plan is made once.  Then the calls of `_times_s`.
+    d = RootDatum(CartanDatum((("A", 2),), "sc"), spec_string="A2:sc")
+    real_plan, real_times_s, counts = orc._right_plan, orc._times_s, [0, 0]
+
+    def plan(right, table):
+        counts[0] += 1
+        return real_plan(right, table)
+
+    def times_s(terms, k, table, out):
+        counts[1] += 1
+        return real_times_s(terms, k, table, out)
+
+    monkeypatch.setattr(orc, "_right_plan", plan)
+    monkeypatch.setattr(orc, "_times_s", times_s)
+    row = orc.check_convolution(d, 2)
+    classes = len(aw.length_ball(d, 2))
+    assert row["ok"] and row["pairs"] == classes ** 2 * len(orc.PRIMES)
+    assert (classes, *counts) == (10, 10, 150)
 
 
 def test_run_checks_all_pass():
