@@ -173,19 +173,9 @@ def cmd_satake(args) -> int:
 # -- oracle -----------------------------------------------------------------------
 
 
-def _row_label(datum) -> str:
-    """A preset's spec, or a datum document's type with its lattice basis in
-    place of `explicit`, so that two documents of one type read apart."""
-    if datum.lattice_label != "explicit":
-        return datum.spec_string
-    basis = json.dumps(datum.cartan_datum.lattice, separators=(",", ":"))
-    return datum.spec_string.replace("explicit", basis)
-
-
 def cmd_oracle(args) -> int:
     data = [_load_datum(spec) for spec in args.datum or ("A1", "A2")]
-    rows = [(name, {**r, "datum": _row_label(datum)}) for datum in data for name, r in
-            oracle_mod.run_checks([datum], args.conv_cap, args.bruhat_cap, args.length_cap)]
+    rows = oracle_mod.run_checks(data, args.conv_cap, args.bruhat_cap, args.length_cap)
     ok = all(r["ok"] for _, r in rows)
     width = max(8, *(len(r["datum"]) for _, r in rows))
     for name, r in rows:

@@ -233,6 +233,9 @@ class RootDatum:
     reflections, with their coroots carried along, so no inner products are
     ever needed.  `roots` lists the positive roots, then their negatives in
     the same order, and finite Weyl elements are permutations of its indices.
+    `spec_string` names the datum in `repr` and in `oracle` rows: a preset's
+    spec such as `A1:sc`, or the type and the lattice basis as compact JSON,
+    such as `A1:[[1,1],[1,-1]]`, so that two bases of one type read apart.
 
     The datum owns every memo of the computations built on it, so a memo
     lives and dies with its datum and can never answer for another one:
@@ -277,8 +280,8 @@ class RootDatum:
         self.cartan = tuple(tuple(r) for r in a)
 
         lattice = cartan.lattice
-        self.lattice_label = lattice if lattice in ("sc", "ad") else "explicit"
-        self.dim = len(lattice[0]) if self.lattice_label == "explicit" else self.n
+        explicit = lattice not in ("sc", "ad")
+        self.dim = len(lattice[0]) if explicit else self.n
         self.simple_coroots = tuple(
             tuple(self.cartan[i][j] for i in range(self.n)) + (0,) * (self.dim - self.n)
             for j in range(self.n))
@@ -309,7 +312,8 @@ class RootDatum:
         self.weyl_identity = self._intern_weyl(tuple(range(len(self.roots))))
         self.simple_reflections = tuple(map(self.reflection, self.simple_roots))
         self.spec_string = spec_string or "x".join(
-            f"{letter}{rank}" for letter, rank in self.components) + ":" + self.lattice_label
+            f"{letter}{rank}" for letter, rank in self.components) + ":" + (
+            json.dumps(lattice, separators=(",", ":")) if explicit else lattice)
 
         self.affine_system = None
         self.facets: dict = {}

@@ -192,10 +192,17 @@ def test_check_convolution_names_a_planted_failure(monkeypatch):
                    "failed": ("[e]", "[s1]", orc.PRIMES[0])}
 
 
-def test_check_convolution_names_a_planted_generic_failure(monkeypatch):
-    # A planted generic product that adds 1 to the constant term of T_e when
-    # the right factor has two terms or more is right on (e, e) and wrong on
-    # (e, s1), at the first prime
+@pytest.mark.parametrize("added, row", [
+    (1, {"ok": False, "pairs": 3, "failed": ("[e]", "[s1]", 2)}),
+    (2, {"ok": False, "pairs": 4, "failed": ("[e]", "[s1]", 3)}),
+    (6, {"ok": False, "pairs": 5, "failed": ("[e]", "[s1]", 5)}),
+    # the check reads the constant term only modulo 2 * 3 * 5, so 30 passes
+    (30, {"ok": True, "pairs": 75, "primes": [2, 3, 5], "length_cap": 2}),
+], ids=("add-1", "add-2", "add-6", "add-30"))
+def test_check_convolution_names_a_planted_generic_failure(monkeypatch, added, row):
+    # A planted generic product that adds `added` to the constant term of T_e
+    # when the right factor has two terms or more is right on (e, e) and, unless
+    # 30 divides `added`, wrong on (e, s1) at the first prime not dividing it
     d = preset("A1")
     real = orc.GenericHeckeElement.__mul__
 
@@ -205,12 +212,10 @@ def test_check_convolution_names_a_planted_generic_failure(monkeypatch):
             return prod
         coeffs = generic_coeffs(prod)
         e = aw.identity(d)
-        return generic(d, {**coeffs, e: coeffs.get(e, 0) + 1})
+        return generic(d, {**coeffs, e: coeffs.get(e, 0) + added})
 
     monkeypatch.setattr(orc.GenericHeckeElement, "__mul__", planted)
-    row = orc.check_convolution(d, 2)
-    assert row == {"datum": "A1:sc", "ok": False, "pairs": len(orc.PRIMES),
-                   "failed": ("[e]", "[s1]", orc.PRIMES[0])}
+    assert orc.check_convolution(d, 2) == {"datum": "A1:sc", **row}
 
 
 def _generic_strings(a):

@@ -5,6 +5,7 @@ import pytest
 
 from modp_hecke import affine_weyl as aw
 from modp_hecke import hecke as hk
+from modp_hecke import oracle as orc
 from modp_hecke import root_datum as rd
 from modp_hecke import satake as sat
 from reference import (alternating_data, coordinate_functionals, from_finite,
@@ -333,6 +334,15 @@ def test_explicit_lattice_with_central_torus():
     assert d.in_lattice((2, 0))            # alpha^vee = (2, 0)
     # X/Q^vee is Z: the torsion part is trivial, as omega^vee = (1, 0) is not in X
     assert d.fundamental_group_torsion_reps() == ((0, 0),)
+    # A datum names itself by its type and lattice basis, so another basis of
+    # A1 reads apart, in `repr` and in the rows of `oracle check`; presets keep
+    # their spec.
+    other = rd.from_json({"type": "A1", "lattice_basis": [[2, 0], [0, 1]]})
+    assert (d.spec_string, other.spec_string) == ("A1:[[1,1],[1,-1]]", "A1:[[2,0],[0,1]]")
+    assert (repr(d), repr(other)) == ("RootDatum(A1:[[1,1],[1,-1]])",
+                                      "RootDatum(A1:[[2,0],[0,1]])")
+    assert orc.check_length(d, 2)["datum"] == "A1:[[1,1],[1,-1]]"
+    assert [rd.preset(spec).spec_string for spec in ("A1", "A2:ad")] == ["A1:sc", "A2:ad"]
 
 
 def test_memos_do_not_outlive_their_datum():
