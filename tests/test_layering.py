@@ -41,7 +41,7 @@ ORACLE_TYPES = {"AffineWeylElement", "CapExceeded", "DoubleCosetIndex", "Facet",
 STEP_TABLE = {"length", "lower_set", "simple_system"}
 ORACLE_MAY_REACH = {
     "GenericHeckeElement.__mul__": ORACLE_TYPES | STEP_TABLE | {"identity"},
-    "phi_to_generic": ORACLE_TYPES | STEP_TABLE | {"facet", "is_iwahori"},
+    "phi_to_generic": ORACLE_TYPES | STEP_TABLE | {"facet", "is_iwahori"},  # Iwahori only
     "generic_to_phi": ORACLE_TYPES | STEP_TABLE | {"HeckeElement"},
     "q0_mod_p": ORACLE_TYPES,
     "brute_bruhat": ORACLE_TYPES | {"length", "lower_set"},

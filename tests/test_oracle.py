@@ -193,12 +193,14 @@ def test_check_convolution_names_a_planted_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("added, row", [
+    # -1 cancels T_e, so the product lacks a term of phi: wrong at every prime
+    (-1, {"ok": False, "pairs": 3, "failed": ("[e]", "[s1]", 2)}),
     (1, {"ok": False, "pairs": 3, "failed": ("[e]", "[s1]", 2)}),
     (2, {"ok": False, "pairs": 4, "failed": ("[e]", "[s1]", 3)}),
     (6, {"ok": False, "pairs": 5, "failed": ("[e]", "[s1]", 5)}),
     # the check reads the constant term only modulo 2 * 3 * 5, so 30 passes
     (30, {"ok": True, "pairs": 75, "primes": [2, 3, 5], "length_cap": 2}),
-], ids=("add-1", "add-2", "add-6", "add-30"))
+], ids=("cancel", "add-1", "add-2", "add-6", "add-30"))
 def test_check_convolution_names_a_planted_generic_failure(monkeypatch, added, row):
     # A planted generic product that adds `added` to the constant term of T_e
     # when the right factor has two terms or more is right on (e, e) and, unless
