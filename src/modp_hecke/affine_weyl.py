@@ -22,14 +22,9 @@ ascent in `double_coset_rep`; and a coweight's orbit point under W_f is one
 `_lower_quotient`, finds the minimal right W_f-coset representatives below
 an element: a point count's cells and the classes below a class.
 
-This module keeps no state of its own.  Elements are interned per datum, and
-each keeps its length, reduced word, lower Bruhat set, products and
-Omega-stripped cores.  Facets are interned in the datum's `facets`, each
-with one table of classes, `_classes`: it maps every element asked for, rep
-included, to its class, and only `double_coset_rep` makes a class.  Each
-class keeps the set of classes below it and its phi products
-(`hecke.convolve_phi_classes`); the other memos live on the RootDatum: the
-affine simple system and `bruhat_memo`.
+This module keeps no state of its own: elements, facets and classes are
+interned per datum (`root_datum.RootDatum` lists its tables) and carry
+their own memos.
 """
 
 from __future__ import annotations

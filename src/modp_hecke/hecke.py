@@ -9,6 +9,10 @@ replay the full fold.  Indicator-basis products convert through phi.
 HeckeElement and satake's Levi-Hecke and monoid-algebra elements share one
 sparse F_p-combination type, FpCombination: reduction mod p, equality and
 one printer of terms.  Every sum of terms, here and in satake, is `sum_terms`.
+The public constructors check their input; a result derived from checked
+operands (a sum, product, conversion or transform) is built by
+`FpCombination._derived`, which checks nothing again.  An indicator element
+keeps its phi form once it is known (`_phi`); a phi element keeps nothing.
 """
 
 from __future__ import annotations
@@ -87,14 +91,20 @@ class FpCombination:
 
     def __init__(self, space: tuple, prime: int, coeffs: dict):
         _check_prime(prime)
-        self.space = space
-        self.prime = prime
-        self.coeffs = {k: c % prime for k, c in coeffs.items() if c % prime}
+        self.space, self.prime = space, prime
+        self.coeffs = {k: r for k, c in coeffs.items() if (r := c % prime)}
+
+    @classmethod
+    def _derived(cls, space: tuple, prime: int, coeffs: dict):
+        """An element of a space and prime already checked: each coefficient
+        is reduced once, and nothing is checked."""
+        out = object.__new__(cls)
+        out.space, out.prime = space, prime
+        out.coeffs = {k: r for k, c in coeffs.items() if (r := c % prime)}
+        return out
 
     def _like(self, coeffs: dict):  # same type, space and prime
-        out = object.__new__(type(self))
-        FpCombination.__init__(out, self.space, self.prime, coeffs)
-        return out
+        return self._derived(self.space, self.prime, coeffs)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.space == other.space
@@ -126,7 +136,7 @@ class HeckeElement(FpCombination):
     """Element of the parahoric Hecke algebra, over double-coset indices of
     one facet, in the indicator or the phi basis; `space` is (facet, basis)."""
 
-    __slots__ = ()
+    __slots__ = ("_phi",)
     facet = property(lambda self: self.space[0])
     basis = property(lambda self: self.space[1])
     sym = property(lambda self: "1" if self.basis == "indicator" else "phi")
@@ -137,6 +147,13 @@ class HeckeElement(FpCombination):
             raise HeckeError(f"unknown basis {basis!r}")
         if any(idx.facet is not facet for idx in coeffs):
             raise HeckeError("coefficient indexed by a foreign facet")
+        self._phi = None
+
+    @classmethod
+    def _derived(cls, space: tuple, prime: int, coeffs: dict, phi=None):
+        out = super()._derived(space, prime, coeffs)
+        out._phi = phi
+        return out
 
     def _check_compatible(self, other):
         if self.facet is not other.facet:
@@ -145,12 +162,22 @@ class HeckeElement(FpCombination):
             raise HeckeError("prime mismatch")
 
     def convert(self, basis: str, cap: int = INTERVAL_CAP) -> "HeckeElement":
-        if basis == self.basis:
+        """This element in `basis`.  A kept phi form is returned after the
+        classes below each of its classes, which a fresh conversion walks,
+        are asked for again under `cap`."""
+        facet, own = self.space
+        if basis == own:
             return self
         if basis == "indicator":
-            return HeckeElement(self.facet, self.prime, "indicator", sum_terms(
+            return HeckeElement._derived((facet, "indicator"), self.prime, sum_terms(
                 (v, c) for idx, c in self.coeffs.items()
-                for v in enumerate_lower_interval(idx, cap)))
+                for v in enumerate_lower_interval(idx, cap)), self)
+        if basis != "phi":
+            raise HeckeError(f"unknown basis {basis!r}")
+        if (phi := self._phi) is not None:
+            for idx in phi.coeffs:
+                enumerate_lower_interval(idx, cap)
+            return phi
         # indicator -> phi by back-substitution in one pass from the longest
         # length down: the classes below idx are shorter, so only shorter layers change.
         remaining = dict(self.coeffs)  # a class stays, at 0 if cancelled, until its layer
@@ -167,7 +194,8 @@ class HeckeElement(FpCombination):
                             if v not in remaining:
                                 layers.setdefault(v.length, []).append(v)
                             remaining[v] = (remaining.get(v, 0) - c) % self.prime
-        return HeckeElement(self.facet, self.prime, "phi", out)
+        self._phi = HeckeElement._derived((facet, "phi"), self.prime, out)
+        return self._phi
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         return convolve(self, other)
@@ -233,11 +261,12 @@ def convolve(a: HeckeElement, b: HeckeElement,
              cap: int = INTERVAL_CAP) -> HeckeElement:
     """Convolution product, computed bilinearly in the phi basis from the
     class products of `convolve_phi_classes`, which keeps each one; the
-    result is returned in the basis of the left operand."""
+    result is returned in the basis of the left operand, an indicator
+    result keeping the phi product as its phi form."""
     a._check_compatible(b)
     pa = a.convert("phi", cap)
     pb = b.convert("phi", cap)
-    result = HeckeElement(a.facet, a.prime, "phi", sum_terms(
+    result = HeckeElement._derived(pa.space, a.prime, sum_terms(
         (convolve_phi_classes(i1, i2)[0], c1 * c2)
         for i1, c1 in pa.coeffs.items() for i2, c2 in pb.coeffs.items()))
     return result.convert(a.basis, cap)
@@ -247,9 +276,8 @@ def point_count_polynomial(idx: DoubleCosetIndex, cap: int = INTERVAL_CAP):
     """Coefficients (low to high) of sum_u q^{ell(u)} over the cells of the
     Schubert scheme of idx over F_q: the u <= idx.rep in W^f, found by the
     lifting walk `affine_weyl._lower_quotient`.  The constant term is 1 and
-    the degree l(idx.rep).  `cap` bounds the cells, counted as the walk finds
-    them.  It raises before walking when l(idx.rep) + 1 > cap, as the cells
-    along idx.rep's reduced word have every length from 0 to l(idx.rep)."""
+    the degree l(idx.rep).  `cap` bounds the cells; it raises before walking
+    when l(idx.rep) + 1 > cap, as every length up to l(idx.rep) has a cell."""
     if idx.length + 1 > cap:
         raise over_cap("Schubert cells", cap)
     coeffs = [0] * (idx.length + 1)

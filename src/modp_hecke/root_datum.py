@@ -255,8 +255,8 @@ class RootDatum:
       keeps its W_{M,f} record per facet), and `satake_memo`, keyed by
       `(class, Levi)`, whose entries are the canonical W_{M,f}
       representatives in the image of one phi class with the number of
-      cosets the walk that found them visited (which the cap bounds on a hit
-      as on a miss), `((), 0)` when the closed component misses the Levi.
+      cosets the walk that found them visited, `((), 0)` when the closed
+      component misses the Levi.
 
     Interning stores by one `dict.setdefault`, so threads that form the same
     new element at once all get the one stored first.

@@ -220,8 +220,8 @@ class LeviHeckeElement(FpCombination):
     def to_monoid(self) -> "MonoidAlgebraElement":
         if not self.levi.is_minimal:
             raise SatakeError("monoid-algebra form requires the minimal Levi")
-        return MonoidAlgebraElement(self.levi.datum, self.prime,
-                                    {y.translation: c for y, c in self.coeffs.items()})
+        return MonoidAlgebraElement._derived((self.levi.datum,), self.prime,
+                                             {y.translation: c for y, c in self.coeffs.items()})
 
     def to_json(self):
         return {"levi": list(self.levi.j_m), "facet": list(self.facet.indices),
@@ -315,11 +315,8 @@ def phi_c_w(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum,
     so the walk (`_walk`) visits cosets, one element each.  The image is
     their canonical W_{M,f} double cosets; for the minimal Levi, label * u
     alone, and for G itself (W_{M,f} = W_f) the W_f-cosets below idx.rep.
-
-    `cap` bounds the cosets the walk visits, as `satake --cap` does in the
-    CLI; `satake()` also applies it to the classes below that `convert`
-    walks.  Nothing is memoized here: `satake_phi` keeps the image of the
-    closed component."""
+    `cap` bounds the cosets the walk visits.  Nothing is memoized here:
+    `_closed_image` keeps the image of the closed component."""
     _check_class(idx, levi, facet)
     reps, walked = _image(label, idx, levi, facet, cap)
     if not walked:
@@ -327,39 +324,43 @@ def phi_c_w(label: AffineWeylElement, idx: DoubleCosetIndex, levi: LeviDatum,
     return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
 
 
+def _closed_image(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, cap: int) -> tuple:
+    """The `phi_c_w` representatives of the closed component of idx, from
+    the datum's `satake_memo`; CapExceeded when its walk is over cap."""
+    memo = facet.datum.satake_memo
+    entry = memo.get((idx, levi))
+    if entry is None:
+        entry = memo[idx, levi] = _image(closed_attractor_component(idx, levi, facet),
+                                         idx, levi, facet, cap)
+    reps, walked = entry
+    if walked > cap:
+        raise over_cap("Satake walk", cap)
+    return reps
+
+
 def satake_phi(idx: DoubleCosetIndex, levi: LeviDatum, facet: Facet, prime: int,
                cap: int = INTERVAL_CAP) -> LeviHeckeElement:
     """Transform of a single phi basis element: the indicator of the closed
-    attractor intersection, or zero when that component misses the Levi.
-
-    The image of the closed component (its `phi_c_w` representatives and the
-    cosets its walk visited) is kept on the datum per (idx, levi), as ((), 0)
-    when that component misses the Levi.  The prime is not part of the key:
-    every coefficient is 1, so the prime only reduces it, and the element is
-    built (and the prime checked) on every call.  `cap` bounds the walk and
-    nothing else here (the CLI's `satake --cap` is this cap), on a hit as on
-    a miss."""
+    attractor intersection, or zero when that component misses the Levi
+    (`_closed_image`).  The prime is not part of the memo's key, as every
+    coefficient is 1; the element is built, and the prime checked, on every
+    call.  `cap` bounds the walk and nothing else."""
     _check_class(idx, levi, facet)
-    memo = facet.datum.satake_memo
-    key = (idx, levi)
-    if key not in memo:
-        memo[key] = _image(closed_attractor_component(idx, levi, facet), idx, levi, facet, cap)
-    reps, walked = memo[key]
-    if walked > cap:
-        raise over_cap("Satake walk", cap)
-    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(reps, 1))
+    return LeviHeckeElement(levi, facet, prime, dict.fromkeys(
+        _closed_image(idx, levi, facet, cap), 1))
 
 
 def satake(a: HeckeElement, levi: LeviDatum,
            cap: int = INTERVAL_CAP) -> LeviHeckeElement:
-    """F_p-linear extension of satake_phi over the phi basis.  `cap` bounds
-    both the classes below each class that `convert` walks to reach the phi
-    basis and each Satake walk."""
-    if levi.datum is not a.facet.datum:
+    """F_p-linear extension of satake_phi over the phi basis, summed from
+    `_closed_image` with no element per class.  `cap` bounds both the
+    classes below each class that `convert` walks and each Satake walk."""
+    facet = a.facet
+    if levi.datum is not facet.datum:
         raise SatakeError("Levi and element live over different data")
-    return LeviHeckeElement(levi, a.facet, a.prime, sum_terms(
-        (y, c * v) for idx, c in a.convert("phi", cap).coeffs.items()
-        for y, v in satake_phi(idx, levi, a.facet, a.prime, cap).coeffs.items()))
+    return LeviHeckeElement._derived((levi, facet), a.prime, sum_terms(
+        (y, c) for idx, c in a.convert("phi", cap).coeffs.items()
+        for y in _closed_image(idx, levi, facet, cap)))
 
 
 # -- the special-parahoric picture ------------------------------------------------------

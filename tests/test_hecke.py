@@ -36,6 +36,11 @@ def test_unknown_basis_is_rejected():
     f = aw.iwahori(d)
     with pytest.raises(hk.HeckeError, match="unknown basis 'kl'"):
         hk.HeckeElement(f, 3, "kl", {cls(d, f, "e"): 1})
+    # convert refuses it too, from either basis, so no phi element keeps a form
+    for basis in ("phi", "indicator"):
+        el = hk.HeckeElement(f, 3, basis, {cls(d, f, "s0"): 1})
+        with pytest.raises(hk.HeckeError, match="unknown basis 'kl'"):
+            el.convert("kl")
 
 
 def test_a_class_of_another_facet_is_rejected():
@@ -81,8 +86,17 @@ def test_unitriangular_conversion_roundtrip():
                 el = hk.HeckeElement(f, p, "phi", coeffs)
                 back = el.convert("indicator").convert("phi")
                 assert back == el
+                # An indicator element keeps the phi element it came from, so
+                # the round trip above returns el; a fresh element built from
+                # the intermediate's coefficients back-substitutes.
+                ind = hk.HeckeElement(f, p, "indicator", el.convert("indicator").coeffs)
+                assert ind.convert("phi") == el
+                assert ind.convert("phi") is ind.convert("phi")
                 el2 = hk.HeckeElement(f, p, "indicator", coeffs)
                 assert el2.convert("phi").convert("indicator") == el2
+                phi2 = hk.HeckeElement(f, p, "phi", el2.convert("phi").coeffs)
+                assert phi2.convert("indicator") == el2
+                assert el2.convert("phi") is el2.convert("phi")
 
 
 def test_convolve_unit():
@@ -433,7 +447,10 @@ def test_the_hecke_path_does_not_enumerate_w_f(spec, facet, closure_results):
     assert witness.replay() is prod
     a = hk.phi_basis_element(x, 3)
     b = hk.HeckeElement(f, 3, "indicator", {y: 1}).convert("phi")
-    assert hk.convolve(a.convert("indicator"), b).convert("phi") == hk.convolve(a, b)
+    ab = hk.convolve(a.convert("indicator"), b)
+    assert ab.convert("phi") == hk.convolve(a, b)
+    # ab keeps the phi product it came from; a fresh copy back-substitutes
+    assert hk.HeckeElement(f, 3, "indicator", ab.coeffs).convert("phi") == hk.convolve(a, b)
     hk.point_count_polynomial(prod)
     w_f = set(wf_elements(f))
     assert closure_results and not any(w_f <= r for r in closure_results)

@@ -585,6 +585,45 @@ def test_convolve_is_bilinear(case, c):
     assert conv(scale(a, c), b) == scale(conv(a, b), c) == conv(a, scale(b, c))
 
 
+def _as_built(x):
+    """x, after checking that it equals what its public constructor builds
+    from its space, prime and coefficients, each in 1..p-1."""
+    if type(x) is hecke.HeckeElement:
+        built = hecke.HeckeElement(x.facet, x.prime, x.basis, x.coeffs)
+    elif type(x) is sat.LeviHeckeElement:
+        built = sat.LeviHeckeElement(x.levi, x.facet, x.prime, x.coeffs)
+    else:
+        built = sat.MonoidAlgebraElement(x.datum, x.prime, x.coeffs)
+    assert x == built
+    assert all(0 < c < x.prime for c in x.coeffs.values())
+    return x
+
+
+@given(st.tuples(st.sampled_from(("A2", "C2")),
+                 st.sampled_from((aw.iwahori, aw.hyperspecial))).flatmap(
+    lambda sf: _operands(*sf, 2)))
+def test_derived_results_are_what_the_public_constructors_build(case):
+    # Derived results skip the public constructors' checks; each must still
+    # be an element those constructors would build, and satake() must agree
+    # with the sum of satake_phi over the phi terms.
+    a, b = case
+    f, p = a.facet, a.prime
+    for x in (a, b):
+        for basis in ("phi", "indicator"):
+            _as_built(x.convert(basis))
+    _as_built(a + b.convert(a.basis))
+    _as_built(hecke.convolve(a, b))
+    for levi in (sat.minimal_levi(f.datum), sat.levi_datum(f.datum, (0,))):
+        image = _as_built(sat.satake(a, levi))
+        assert image == sat.LeviHeckeElement(levi, f, p, hecke.sum_terms(
+            (y, c * v) for idx, c in a.convert("phi").coeffs.items()
+            for y, v in sat.satake_phi(idx, levi, f, p).coeffs.items()))
+        _as_built(image + sat.satake(b, levi))
+    sa, sb = (_as_built(sat.satake(x, sat.minimal_levi(f.datum)).to_monoid()) for x in (a, b))
+    _as_built(sa * sb)
+    _as_built(sa + sb)
+
+
 def _poly_add(a, b):
     out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:

@@ -712,6 +712,73 @@ def test_memo_hit_still_applies_the_cap():
         aw.enumerate_lower_interval(idx, cap=1)
 
 
+def test_a_kept_phi_form_still_applies_the_cap():
+    # t[-2,-1] has k = 3 classes below it at the hyperspecial facet: cap=2
+    # raises on a fresh conversion to phi, and again once the element keeps
+    # its phi form, in convert and in satake alike; so does a convolution's
+    # indicator result, which keeps the phi product it came from.
+    d = fresh("A2")
+    f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
+    idx, e = cls(d, f, "t[-2,-1]"), cls(d, f, "e")
+    over = "lower interval reached 3 elements, over the limit 2 set by --cap"
+    a = hk.HeckeElement(f, 3, "indicator", {idx: 1, e: 2})
+    with pytest.raises(aw.CapExceeded, match=over):
+        a.convert("phi", cap=2)
+    phi = a.convert("phi")
+    with pytest.raises(aw.CapExceeded, match=over):
+        a.convert("phi", cap=2)
+    assert a.convert("phi", cap=3) is phi
+    with pytest.raises(aw.CapExceeded, match=over):
+        sat.satake(a, lev, cap=2)
+    prod = hk.convolve(a, hk.HeckeElement(f, 3, "indicator", {e: 1}))
+    assert prod == a
+    with pytest.raises(aw.CapExceeded, match=over) as kept:
+        prod.convert("phi", cap=2)
+    with pytest.raises(aw.CapExceeded) as built:
+        hk.HeckeElement(f, 3, "indicator", prod.coeffs).convert("phi", cap=2)
+    assert str(kept.value) == str(built.value)
+    assert len(aw.enumerate_lower_interval(idx)) == 3
+
+
+def test_homomorphism_step_work_counts(monkeypatch):
+    # One step of the homomorphism check on a fresh A2 datum, as the
+    # hecke_mixed benchmark runs it: convolve two indicator elements, then
+    # transform both factors and the product.  Counted by test-side
+    # wrappers: constructions that check their prime, derived constructions
+    # that check nothing, and conversions that expand or back-substitute
+    # (not those the kept phi form answers).  A change that does more work
+    # fails here; one that does less updates the pin.
+    d = fresh("A2")
+    f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
+    e, x, y = (cls(d, f, t) for t in ("e", "t[-1,-1]", "t[-2,-1]"))
+    a = hk.HeckeElement(f, 3, "indicator", {x: 1, y: 2})
+    b = hk.HeckeElement(f, 3, "indicator", {e: 1, x: 1})
+    counts = dict.fromkeys(("checked", "derived", "converted"), 0)
+    check_prime, derived = hk._check_prime, hk.FpCombination._derived.__func__
+    convert = hk.HeckeElement.convert
+
+    def checking(p):
+        counts["checked"] += 1
+        return check_prime(p)
+
+    def deriving(cls_, *args):
+        counts["derived"] += 1
+        return derived(cls_, *args)
+
+    def converting(self, basis, cap=aw.INTERVAL_CAP):
+        if basis != self.basis and (basis == "indicator" or self._phi is None):
+            counts["converted"] += 1
+        return convert(self, basis, cap)
+
+    monkeypatch.setattr(hk, "_check_prime", checking)
+    monkeypatch.setattr(hk.FpCombination, "_derived", classmethod(deriving))
+    monkeypatch.setattr(hk.HeckeElement, "convert", converting)
+    prod = hk.convolve(a, b)
+    sa, sb, sp = (sat.satake(z, lev).to_monoid() for z in (a, b, prod))
+    assert sp == sa * sb
+    assert tuple(counts.values()) == (0, 11, 3)
+
+
 def test_memo_hit_still_checks_the_prime():
     d = fresh("A2")
     f, lev = aw.hyperspecial(d), sat.minimal_levi(d)
